@@ -39,6 +39,7 @@ __all__ = [
     "BoundReport",
     "empirical_cdf",
     "sup_deviation",
+    "raw_moments",
     "bound_rhs",
     "verify_inequality",
     "REPORT_CSV_COLUMNS",
@@ -144,17 +145,20 @@ def sup_deviation(h: EmpiricalHistogram, d: DensityModel,
     return float(np.abs(cum - theory_at).max())
 
 
-def _moment_ratio(d: DensityModel, moment_iv: Interval, cfg: QuadratureConfig) -> float:
-    """rho_raw * M^(1/2) / sigma_raw^3 from the three raw moment integrals."""
+def raw_moments(d: DensityModel, moment_iv: Interval,
+                cfg: QuadratureConfig) -> tuple[float, float, float]:
+    """(mass, second raw moment, third absolute raw moment) of a centered
+    density over ``moment_iv`` (memoized).  Raises ZeroVariance when the
+    second moment is numerically zero."""
     def compute():
         mass = born_density.total_mass(d, moment_iv, cfg)
         var_raw = central_moment(d, 2, absolute=False, iv=moment_iv, cfg=cfg)
         rho_raw = central_moment(d, 3, absolute=True, iv=moment_iv, cfg=cfg)
         if not var_raw > max(cfg.abs_tol, 0.0):
             raise ZeroVariance(f"second moment over [{moment_iv.lo}, {moment_iv.hi}] is {var_raw}")
-        return rho_raw * math.sqrt(mass) / var_raw**1.5
+        return mass, var_raw, rho_raw
 
-    return d.memo(("moment_ratio", moment_iv.lo, moment_iv.hi, cfg), compute)
+    return d.memo(("raw_moments", moment_iv.lo, moment_iv.hi, cfg), compute)
 
 
 def bound_rhs(d: DensityModel, moment_iv: Interval,
@@ -168,7 +172,8 @@ def bound_rhs(d: DensityModel, moment_iv: Interval,
     ``constant_override`` replaces the lower-bound constant (the +16% variant
     is then 1.16x the override); it exists for forced-failure testing.
     """
-    return variant.constant(constant_override) * _moment_ratio(d, moment_iv, cfg)
+    mass, var_raw, rho_raw = raw_moments(d, moment_iv, cfg)
+    return variant.constant(constant_override) * (rho_raw * math.sqrt(mass) / var_raw**1.5)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import berry_esseen, born_density, harness, madelung, sampler
 from .errors import BornLabError, ConfigError, NonConvergence, UnstableStep
-from .quadrature import central_moment
+from .sampler import atomic_open
 from .svg import line_chart_svg
 
 EXIT_OK = 0
@@ -37,11 +37,9 @@ def _out_path(path: str) -> str:
     return path
 
 
-def _atomic_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+def _write_text(path: str, text: str) -> None:
+    with atomic_open(_out_path(path)) as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def _write_json(path: str | None, obj) -> None:
@@ -49,7 +47,7 @@ def _write_json(path: str | None, obj) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _atomic_text(_out_path(path), text)
+        _write_text(path, text)
 
 
 def _load(args) -> harness.ExperimentConfig:
@@ -66,9 +64,9 @@ def _cmd_density(args) -> int:
     vals = density.evaluate(ts)
     lines = ["t_mm,intensity"]
     lines += [f"{repr(float(t))},{repr(float(v))}" for t, v in zip(ts, vals)]
-    _atomic_text(_out_path(args.out), "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     if args.svg:
-        _atomic_text(_out_path(args.svg), line_chart_svg(ts, vals, title="detector intensity"))
+        _write_text(args.svg, line_chart_svg(ts, vals, title="detector intensity"))
     return EXIT_OK
 
 
@@ -76,9 +74,7 @@ def _cmd_moments(args) -> int:
     cfg = _load(args)
     density, interval, center, moment_iv = harness.experiment_density(cfg)
     centered = born_density.recenter(density, center)
-    mass = born_density.total_mass(centered, moment_iv, cfg.quadrature)
-    var_raw = central_moment(centered, 2, absolute=False, iv=moment_iv, cfg=cfg.quadrature)
-    rho_raw = central_moment(centered, 3, absolute=True, iv=moment_iv, cfg=cfg.quadrature)
+    mass, var_raw, rho_raw = berry_esseen.raw_moments(centered, moment_iv, cfg.quadrature)
     sigma = math.sqrt(var_raw / mass)
     rho = rho_raw / mass
     _write_json(args.out, {
@@ -117,19 +113,16 @@ def _cmd_bound(args) -> int:
 def _cmd_sample(args) -> int:
     cfg = _load(args)
     density, interval, _, _ = harness.experiment_density(cfg)
-    events = sampler.sample_events(density, interval, args.n, args.seed, cfg.quadrature)
-    out = _out_path(args.out)
-    tmp = f"{out}.tmp.{os.getpid()}"
-    sampler.write_events_csv(events, tmp)
-    os.replace(tmp, out)
+    positions = sampler.sample_positions(density, interval, args.n, args.seed, cfg.quadrature)
+    sampler.write_events_csv(positions, _out_path(args.out))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     cfg = _load(args)
     _, interval, _, _ = harness.experiment_density(cfg)
-    events = harness.ingest_events(args.events, interval)
-    report = harness.verify_events(cfg, events)
+    positions = harness.ingest_events(args.events, interval)
+    report = harness.verify_events(cfg, positions)
     if args.out:
         harness.emit_report(report, "json", _out_path(args.out))
     else:
@@ -204,7 +197,7 @@ def _madelung_setup(cfg: harness.ExperimentConfig):
     else:  # double_slit_screen
         density, _, _, _ = harness.experiment_density(cfg)
         field = madelung.screen_state_from_density(grid, density)
-        potential = madelung.Potential.double_slit_screen()
+        potential = madelung.Potential.free()
     pot_cfg = section.get("potential")
     if pot_cfg is not None:
         kind = pot_cfg.get("kind", "free")
@@ -233,10 +226,7 @@ def _cmd_madelung(args) -> int:
 
     def record(step: int):
         nonlocal prev_polar
-        snap_path = os.path.join(out_dir, f"snapshot_{step:06d}.csv")
-        tmp = f"{snap_path}.tmp.{os.getpid()}"
-        madelung.write_polar_csv(polar, tmp)
-        os.replace(tmp, snap_path)
+        madelung.write_polar_csv(polar, os.path.join(out_dir, f"snapshot_{step:06d}.csv"))
         row: dict = {"step": step, "time": polar.time, "norm": evo.field.norm()}
         if prev_polar is not None:
             hj = madelung.hj_residual(prev_polar, polar, potential)
@@ -275,10 +265,7 @@ def _cmd_trajectories(args) -> int:
         evo.step()
         polar = madelung.decompose_polar(evo.field)
         ensemble = madelung.advect_trajectories(ensemble, prev, polar)
-    out = _out_path(args.out)
-    tmp = f"{out}.tmp.{os.getpid()}"
-    madelung.write_trajectories_csv(ensemble, tmp)
-    os.replace(tmp, out)
+    madelung.write_trajectories_csv(ensemble, _out_path(args.out))
     if args.summary:
         _write_json(args.summary, {
             "count": count, "seed": seed, "steps": args.steps, "time": ensemble.time,

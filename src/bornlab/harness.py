@@ -9,9 +9,7 @@ config produce byte-identical report files.
 from __future__ import annotations
 
 import csv
-import io
 import json
-import os
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -30,13 +28,7 @@ from .berry_esseen import (
 from .born_density import SlitGeometry, default_support, double_slit_density
 from .errors import ConfigError, OutOfInterval, SlopeUndefined
 from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig
-from .sampler import (
-    EventRecord,
-    bin_positions,
-    inverse_cdf_sample,
-    read_events_csv,
-    rng_from_seed,
-)
+from .sampler import atomic_open, bin_positions, inverse_cdf_sample, read_events_csv, rng_from_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -133,6 +125,22 @@ def _interval_from(obj, key: str) -> Interval | None:
         raise ConfigError(f"{key}: {exc}", key=key) from exc
 
 
+def _integer(value, key: str) -> int:
+    """A JSON integer; an integral float such as 10.0 passes, booleans and
+    fractions do not."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, got {value!r}", key=key)
+    return value
+
+
+def _integers(values, key: str) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of integers", key=key)
+    return tuple(_integer(v, f"{key}[{i}]") for i, v in enumerate(values))
+
+
 def config_from_json_dict(obj: Mapping) -> ExperimentConfig:
     if not isinstance(obj, Mapping):
         raise ConfigError("config root must be a JSON object", key="<root>")
@@ -162,10 +170,7 @@ def config_from_json_dict(obj: Mapping) -> ExperimentConfig:
     binning = obj.get("binning", {})
     if not isinstance(binning, Mapping) or set(binning) - {"bin_counts", "orientations"}:
         raise ConfigError("binning accepts keys bin_counts, orientations", key="binning")
-    try:
-        bin_counts = tuple(int(b) for b in binning.get("bin_counts", (10,)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"binning.bin_counts: {exc}", key="binning.bin_counts") from exc
+    bin_counts = _integers(binning.get("bin_counts", (10,)), "binning.bin_counts")
     try:
         orientations = tuple(Origin(o) for o in binning.get("orientations",
                                                             ("from_a", "from_b")))
@@ -182,11 +187,12 @@ def config_from_json_dict(obj: Mapping) -> ExperimentConfig:
     if not isinstance(quad, Mapping) or set(quad) - {"rel_tol", "abs_tol", "max_refinement_depth"}:
         raise ConfigError("quadrature accepts rel_tol, abs_tol, max_refinement_depth",
                           key="quadrature")
+    depth = _integer(quad.get("max_refinement_depth", 60), "quadrature.max_refinement_depth")
     try:
         quadrature = QuadratureConfig(
             rel_tol=float(quad.get("rel_tol", 1e-9)),
             abs_tol=float(quad.get("abs_tol", 1e-12)),
-            max_refinement_depth=int(quad.get("max_refinement_depth", 60)),
+            max_refinement_depth=depth,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"quadrature: {exc}", key="quadrature") from exc
@@ -196,10 +202,10 @@ def config_from_json_dict(obj: Mapping) -> ExperimentConfig:
         return ExperimentConfig(
             geometry=geometry,
             interval=_interval_from(obj.get("interval"), "interval"),
-            n_values=tuple(int(n) for n in obj.get("n_values", PAPER_REPLICATION_N_VALUES)),
+            n_values=_integers(obj.get("n_values", PAPER_REPLICATION_N_VALUES), "n_values"),
             bin_counts=bin_counts,
             orientations=orientations,
-            seeds=tuple(int(s) for s in obj.get("seeds", (1,))),
+            seeds=_integers(obj.get("seeds", (1,)), "seeds"),
             variants=variants,
             moment_interval=_interval_from(obj.get("moment_interval"), "moment_interval"),
             quadrature=quadrature,
@@ -350,114 +356,105 @@ def experiment_density(cfg: ExperimentConfig):
     return density, interval, center, moment_iv
 
 
+def _verify_positions(cfg: ExperimentConfig, setup, positions, seed: int | None,
+                      bin_counts: Sequence[int]) -> list[ReportRow]:
+    """bin -> verify one position set for every (bins, orientation) pair.
+    ``setup`` is the tuple returned by :func:`experiment_density`."""
+    density, interval, center, moment_iv = setup
+    rows = []
+    for bins in bin_counts:
+        for orientation in cfg.orientations:
+            hist = bin_positions(positions, BinningScheme(bins, orientation, interval))
+            report = verify_inequality(hist, density, moment_iv, center,
+                                       cfg.quadrature, cfg.constant_override)
+            rows.append(ReportRow(seed, report))
+    return rows
+
+
 def run_paper_replication(cfg: ExperimentConfig) -> ConvergenceReport:
     """sample -> bin -> verify over the configured (N, bins, orientation, seed)
     grid.  A failing verdict is recorded, never raised."""
-    density, interval, center, moment_iv = experiment_density(cfg)
-    rows: list[ReportRow] = []
+    setup = experiment_density(cfg)
+    density, interval, _, _ = setup
     seeds = sorted(set(cfg.seeds))
+    bin_counts = sorted(set(cfg.bin_counts))
+    rows: list[ReportRow] = []
     for n in sorted(set(cfg.n_values)):
         positions_by_seed = _positions_by_seed(density, interval, n, seeds, cfg.quadrature)
         for seed in seeds:
-            positions = positions_by_seed[seed]
-            for bins in sorted(set(cfg.bin_counts)):
-                for orientation in cfg.orientations:
-                    scheme = BinningScheme(bins, orientation, interval)
-                    hist = bin_positions(positions, scheme)
-                    report = verify_inequality(
-                        hist, density, moment_iv, center,
-                        cfg.quadrature, cfg.constant_override,
-                    )
-                    rows.append(ReportRow(seed, report))
+            rows += _verify_positions(cfg, setup, positions_by_seed[seed], seed, bin_counts)
     return ConvergenceReport.from_rows(rows)
 
 
 def run_convergence_sweep(cfg: ExperimentConfig, n_grid: Sequence[int],
                           seeds: Sequence[int] | None = None) -> SweepResult:
-    """Replication rows over a geometric N grid plus the fitted decay exponent
-    of the per-N median sup-deviation (least squares in log-log)."""
+    """Replication rows over a geometric N grid (first bin count only) plus the
+    fitted decay exponent of the per-N median sup-deviation of the first
+    orientation (least squares in log-log)."""
     ns = sorted(set(int(n) for n in n_grid))
     if len(ns) < 2:
         raise SlopeUndefined(f"need at least two N values to fit a slope, got {ns}")
     if ns[-1] < 100 * ns[0]:
         raise ValueError("n_grid must span at least two decades")
     seed_list = sorted(set(seeds)) if seeds is not None else sorted(set(cfg.seeds))
-    density, interval, center, moment_iv = experiment_density(cfg)
-    bins = cfg.bin_counts[0]
+    setup = experiment_density(cfg)
+    density, interval, _, _ = setup
+    lead_orientation = cfg.orientations[0]
     rows: list[ReportRow] = []
     medians: list[tuple[int, float]] = []
-    lead_orientation = cfg.orientations[0]
     for n in ns:
-        sups = []
         positions_by_seed = _positions_by_seed(density, interval, n, seed_list, cfg.quadrature)
+        n_rows: list[ReportRow] = []
         for seed in seed_list:
-            positions = positions_by_seed[seed]
-            for orientation in cfg.orientations:
-                scheme = BinningScheme(bins, orientation, interval)
-                hist = bin_positions(positions, scheme)
-                report = verify_inequality(hist, density, moment_iv, center,
-                                           cfg.quadrature, cfg.constant_override)
-                rows.append(ReportRow(seed, report))
-                if orientation is lead_orientation:
-                    sups.append(report.sup_deviation)
+            n_rows += _verify_positions(cfg, setup, positions_by_seed[seed], seed,
+                                        cfg.bin_counts[:1])
+        sups = [r.report.sup_deviation for r in n_rows
+                if r.report.scheme.origin is lead_orientation]
         medians.append((n, float(np.median(sups))))
+        rows += n_rows
     slope = float(np.polyfit(
         np.log([n for n, _ in medians]), np.log([m for _, m in medians]), 1
     )[0])
     return SweepResult(ConvergenceReport.from_rows(rows), slope, tuple(medians))
 
 
-def verify_events(cfg: ExperimentConfig, events: Sequence[EventRecord]) -> ConvergenceReport:
-    """Run the verification stage alone on externally supplied events."""
-    density, interval, center, moment_iv = experiment_density(cfg)
-    positions = [e.position for e in events]
-    rows: list[ReportRow] = []
-    for bins in sorted(set(cfg.bin_counts)):
-        for orientation in cfg.orientations:
-            scheme = BinningScheme(bins, orientation, interval)
-            hist = bin_positions(positions, scheme)
-            report = verify_inequality(hist, density, moment_iv, center,
-                                       cfg.quadrature, cfg.constant_override)
-            rows.append(ReportRow(None, report))
+def verify_events(cfg: ExperimentConfig, positions: Sequence[float]) -> ConvergenceReport:
+    """Run the verification stage alone on externally supplied event positions."""
+    rows = _verify_positions(cfg, experiment_density(cfg), positions, None,
+                             sorted(set(cfg.bin_counts)))
     return ConvergenceReport.from_rows(rows)
 
 
-def ingest_events(path, interval: Interval) -> list[EventRecord]:
-    """Load an ``index,t_mm`` CSV and validate every position against the interval."""
-    events = read_events_csv(path)
-    bad = [i for i, e in enumerate(events) if not interval.contains(e.position)]
-    if bad:
+def ingest_events(path, interval: Interval) -> np.ndarray:
+    """Load an ``index,t_mm`` CSV as positions in row order and validate every
+    position against the interval."""
+    positions = read_events_csv(path)
+    bad = np.flatnonzero(~interval.contains(positions))
+    if bad.size:
         raise OutOfInterval(
-            f"{path}: {len(bad)} event(s) outside [{interval.lo}, {interval.hi}] "
+            f"{path}: {bad.size} event(s) outside [{interval.lo}, {interval.hi}] "
             f"(first at data row {bad[0] + 1})",
-            indices=bad,
+            indices=bad.tolist(),
         )
-    return events
+    return positions
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-def _atomic_write(path, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def emit_report(report: ConvergenceReport, fmt: str, path) -> None:
     """Serialize to ``json`` or ``csv`` with stable key order; atomic write."""
-    if fmt == "json":
-        _atomic_write(path, json.dumps(report.to_json_dict(), indent=2) + "\n")
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["seed", *REPORT_CSV_COLUMNS])
-        for row in report.rows:
-            writer.writerow(["" if row.seed is None else str(row.seed), *row.report.csv_row()])
-        _atomic_write(path, buf.getvalue())
-    else:
+    if fmt not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
+    with atomic_open(path) as fh:
+        if fmt == "json":
+            fh.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["seed", *REPORT_CSV_COLUMNS])
+            for row in report.rows:
+                writer.writerow(["" if row.seed is None else str(row.seed),
+                                 *row.report.csv_row()])
 
 
 def load_report(path, fmt: str | None = None) -> ConvergenceReport:

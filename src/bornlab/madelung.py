@@ -37,7 +37,7 @@ import numpy as np
 
 from .born_density import DensityModel, TabulatedDensity
 from .errors import InsufficientHistory, UnstableStep
-from .sampler import sample_positions
+from .sampler import atomic_open, sample_positions
 
 __all__ = [
     "Grid",
@@ -48,7 +48,6 @@ __all__ = [
     "MaskedField",
     "TrajectoryEnsemble",
     "NODE_THRESHOLD_REL",
-    "evolve_step",
     "Evolution",
     "decompose_polar",
     "recompose",
@@ -63,8 +62,6 @@ __all__ = [
     "screen_state_from_density",
     "sample_ensemble_from_field",
     "ks_distance",
-    "write_wavefield_csv",
-    "read_wavefield_csv",
     "write_polar_csv",
     "write_trajectories_csv",
 ]
@@ -144,15 +141,12 @@ class PolarField:
 class PotentialKind(enum.Enum):
     FREE = "free"
     HARMONIC = "harmonic"
-    BARRIER_DOUBLE_SLIT_1D = "barrier_double_slit_1d"
     TABULATED = "tabulated"
 
 
 @dataclass(frozen=True)
 class Potential:
-    """External potential V(x).  The double-slit kind carries no barrier: it
-    marks runs whose initial state is the screen-density field, evolving
-    freely for consistency checks."""
+    """External potential V(x)."""
 
     kind: PotentialKind
     omega: float = 1.0
@@ -176,12 +170,8 @@ class Potential:
             raise ValueError("tabulated potential must be finite")
         return Potential(PotentialKind.TABULATED, values=vals)
 
-    @staticmethod
-    def double_slit_screen() -> "Potential":
-        return Potential(PotentialKind.BARRIER_DOUBLE_SLIT_1D)
-
     def on_grid(self, grid: Grid) -> np.ndarray:
-        if self.kind in (PotentialKind.FREE, PotentialKind.BARRIER_DOUBLE_SLIT_1D):
+        if self.kind is PotentialKind.FREE:
             return np.zeros(grid.points)
         if self.kind is PotentialKind.HARMONIC:
             d = grid.x() - self.center
@@ -233,46 +223,34 @@ class TrajectoryEnsemble:
 # ---------------------------------------------------------------------------
 # evolution
 
-def evolve_step(w: WaveField, v: Potential) -> WaveField:
-    """One Strang-split step.  Raises UnstableStep on norm drift > 1e-9."""
-    grid = w.grid
-    vg = v.on_grid(grid)
-    half_kick = np.exp(-0.5j * vg * grid.dt / grid.hbar)
-    k = grid.k()
-    kinetic = np.exp(-0.5j * grid.hbar * (k * k) * grid.dt / grid.mass)
-    psi = half_kick * np.fft.ifft(kinetic * np.fft.fft(half_kick * w.psi))
-    before = w.norm()
-    after = float((np.abs(psi) ** 2).sum() * grid.dx)
-    drift = abs(after - before) / before
-    if not drift <= _STEP_NORM_DRIFT_LIMIT:
-        raise UnstableStep(f"norm drift {drift:.3e} in one step at t={w.time}")
-    return WaveField(grid, psi, w.time + grid.dt)
-
-
 class Evolution:
     """Driver that owns a wave field and reuses the split-step phase factors."""
 
     def __init__(self, initial: WaveField, potential: Potential):
         self.field = initial
         self.potential = potential
+        self._norm = initial.norm()
         grid = initial.grid
         self._half_kick = np.exp(-0.5j * potential.on_grid(grid) * grid.dt / grid.hbar)
         k = grid.k()
         self._kinetic = np.exp(-0.5j * grid.hbar * (k * k) * grid.dt / grid.mass)
 
     def step(self, n: int = 1) -> WaveField:
+        """``n`` Strang-split steps.  Raises UnstableStep on norm drift > 1e-9 in one step."""
         grid = self.field.grid
         psi = self.field.psi
         t = self.field.time
+        norm = self._norm  # the previous step's "after" is this step's "before"
         for _ in range(n):
-            before = float((np.abs(psi) ** 2).sum() * grid.dx)
             psi = self._half_kick * np.fft.ifft(self._kinetic * np.fft.fft(self._half_kick * psi))
             after = float((np.abs(psi) ** 2).sum() * grid.dx)
-            drift = abs(after - before) / before
+            drift = abs(after - norm) / norm
             if not drift <= _STEP_NORM_DRIFT_LIMIT:
                 raise UnstableStep(f"norm drift {drift:.3e} in one step at t={t}")
+            norm = after
             t += grid.dt
         self.field = WaveField(grid, psi, t)
+        self._norm = norm
         return self.field
 
 
@@ -561,31 +539,8 @@ def screen_state_from_density(grid: Grid, d: DensityModel) -> WaveField:
 # ---------------------------------------------------------------------------
 # snapshot I/O
 
-def write_wavefield_csv(w: WaveField, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "re_psi", "im_psi"])
-        for x, c in zip(w.grid.x(), w.psi):
-            writer.writerow([repr(float(x)), repr(float(c.real)), repr(float(c.imag))])
-
-
-def read_wavefield_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (x, psi); grid metadata is not stored in the CSV."""
-    xs, re, im = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["x", "re_psi", "im_psi"]:
-            raise ValueError(f"{path}: expected header 'x,re_psi,im_psi'")
-        for row in reader:
-            xs.append(float(row[0]))
-            re.append(float(row[1]))
-            im.append(float(row[2]))
-    return np.asarray(xs), np.asarray(re) + 1j * np.asarray(im)
-
-
 def write_polar_csv(p: PolarField, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "R", "S", "node_mask"])
         for x, r, s, m in zip(p.grid.x(), p.R, p.S, p.node_mask):
@@ -593,7 +548,7 @@ def write_polar_csv(p: PolarField, path) -> None:
 
 
 def write_trajectories_csv(e: TrajectoryEnsemble, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "x"])
         for i, x in enumerate(e.positions):

@@ -59,8 +59,9 @@ class Interval:
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
+    def contains(self, x):
+        """Elementwise for arrays; NaN is never contained."""
+        return (self.lo <= x) & (x <= self.hi)
 
 
 @dataclass(frozen=True)

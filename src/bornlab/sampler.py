@@ -23,7 +23,8 @@ the draw resolves to the bracket midpoint.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import os
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
@@ -34,28 +35,18 @@ from .errors import DegenerateState, EmptyFile, OutOfInterval, ParseError
 from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig, integrate_with_breakpoints
 
 __all__ = [
-    "EventRecord",
     "rng_from_seed",
     "inverse_cdf_sample",
     "sample_positions",
-    "sample_events",
     "bin_positions",
-    "bin_events",
     "discrete_frequencies",
+    "atomic_open",
     "write_events_csv",
     "read_events_csv",
 ]
 
 CDF_TABLE_KNOTS = 4096
 CDF_VALUE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One detection: position on the detector (mm) and detection order."""
-
-    position: float
-    index: int
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -175,20 +166,13 @@ def sample_positions(d: DensityModel, iv: Interval, n: int, seed: int,
     return np.asarray(inverse_cdf_sample(d, iv, u, cfg))
 
 
-def sample_events(d: DensityModel, iv: Interval, n: int, seed: int,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> list[EventRecord]:
-    """Detection records in draw order (index 0..n-1)."""
-    positions = sample_positions(d, iv, n, seed, cfg)
-    return [EventRecord(float(x), i) for i, x in enumerate(positions)]
-
-
 def bin_positions(positions: Sequence[float], scheme: BinningScheme) -> EmpiricalHistogram:
     """Bin raw positions.  Half-open bins, boundary to the higher ascending
     index, last bin closed; ``from_b`` relabels the same physical bins in
     reverse order, so flipping orientation reverses the counts exactly."""
     pos = np.asarray(positions, dtype=float)
     iv = scheme.interval
-    bad = np.flatnonzero((pos < iv.lo) | (pos > iv.hi))
+    bad = np.flatnonzero(~iv.contains(pos))
     if bad.size:
         raise OutOfInterval(
             f"{bad.size} event(s) outside [{iv.lo}, {iv.hi}]", indices=bad.tolist()
@@ -199,10 +183,6 @@ def bin_positions(positions: Sequence[float], scheme: BinningScheme) -> Empirica
     if scheme.origin is Origin.FROM_B:
         counts = counts[::-1]
     return EmpiricalHistogram(scheme, tuple(int(c) for c in counts), int(pos.size))
-
-
-def bin_events(events: Sequence[EventRecord], scheme: BinningScheme) -> EmpiricalHistogram:
-    return bin_positions([e.position for e in events], scheme)
 
 
 def discrete_frequencies(amplitudes: Sequence, n: int, seed: int) -> list[tuple[int, float]]:
@@ -223,18 +203,35 @@ def discrete_frequencies(amplitudes: Sequence, n: int, seed: int) -> list[tuple[
     return [(int(c), float(c) / n) for c in counts]
 
 
-def write_events_csv(events: Sequence[EventRecord], path) -> None:
-    """Export with header ``index,t_mm`` (also the real-data ingestion format)."""
-    with open(path, "w", newline="") as fh:
+@contextmanager
+def atomic_open(path):
+    """Text file handle on a temporary sibling of ``path``, moved onto ``path``
+    when the block exits cleanly.  If the block raises, the temporary file is
+    removed and an existing ``path`` is left untouched."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_events_csv(positions: Sequence[float], path) -> None:
+    """Export with header ``index,t_mm`` (also the real-data ingestion format);
+    the index is the row's detection order, starting at 0."""
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "t_mm"])
-        for e in events:
-            writer.writerow([e.index, repr(e.position)])
+        for i, x in enumerate(positions):
+            writer.writerow([i, repr(float(x))])
 
 
-def read_events_csv(path) -> list[EventRecord]:
-    """Parse an ``index,t_mm`` file, preserving row order."""
-    out: list[EventRecord] = []
+def read_events_csv(path) -> np.ndarray:
+    """Parse an ``index,t_mm`` file into positions in row order.  The index
+    column must hold integers; its values are otherwise not used."""
+    out: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -248,9 +245,10 @@ def read_events_csv(path) -> list[EventRecord]:
             if len(row) != 2:
                 raise ParseError(f"{path}: expected 2 columns", line=lineno)
             try:
-                out.append(EventRecord(position=float(row[1]), index=int(row[0])))
+                int(row[0])
+                out.append(float(row[1]))
             except ValueError as exc:
                 raise ParseError(f"{path}: {exc}", line=lineno) from exc
     if not out:
         raise EmptyFile(f"{path}: no data rows")
-    return out
+    return np.array(out)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bornlab import cli
 from bornlab.berry_esseen import BinningScheme, Origin
 from bornlab.born_density import cdf, double_slit_density, SlitGeometry
 from bornlab.errors import ConfigError, EmptyFile, OutOfInterval, ParseError, SlopeUndefined
@@ -23,7 +24,7 @@ from bornlab.harness import (
     verify_events,
 )
 from bornlab.quadrature import Interval
-from bornlab.sampler import sample_events, sample_positions, write_events_csv
+from bornlab.sampler import sample_positions, write_events_csv
 
 
 def small_config(**overrides):
@@ -77,6 +78,29 @@ def test_config_validation_errors():
         config_from_json_dict({"interval": {"a_mm": 1.0}})
     with pytest.raises(ConfigError):
         config_from_json_dict({"variants": ["bogus"]})
+
+
+def test_config_rejects_non_integral_entries(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {"n_values": [13.9, True], "seeds": [1.5], "binning": {"bin_counts": [10.7]}}))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert cli.main(["bound", "--config", str(path)]) == 2
+    for obj, key in [
+        ({"n_values": [13.9]}, "n_values[0]"),
+        ({"n_values": [13, True]}, "n_values[1]"),
+        ({"seeds": [1.5]}, "seeds[0]"),
+        ({"seeds": ["1"]}, "seeds[0]"),
+        ({"binning": {"bin_counts": [10.7]}}, "binning.bin_counts[0]"),
+        ({"quadrature": {"max_refinement_depth": False}}, "quadrature.max_refinement_depth"),
+        ({"quadrature": {"max_refinement_depth": 2.5}}, "quadrature.max_refinement_depth"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            config_from_json_dict(obj)
+        assert err.value.key == key
+    # integral floats are integers
+    assert config_from_json_dict({"n_values": [13.0], "seeds": [2.0]}).n_values == (13,)
 
 
 def test_load_config_file(tmp_path):
@@ -174,11 +198,11 @@ def test_batched_sampling_matches_sequential():
 def test_ingest_events_round_trip(tmp_path):
     g = SlitGeometry()
     d = double_slit_density(g)
-    events = sample_events(d, d.support, 3, seed=11)
+    positions = sample_positions(d, d.support, 3, seed=11)
     path = tmp_path / "events.csv"
-    write_events_csv(events, path)
+    write_events_csv(positions, path)
     back = ingest_events(path, d.support)
-    assert back == events
+    assert np.array_equal(back, positions)
 
 
 def test_ingest_rejects_out_of_interval(tmp_path):
@@ -188,6 +212,11 @@ def test_ingest_rejects_out_of_interval(tmp_path):
         ingest_events(path, Interval(-1.0, 1.0))
     assert err.value.indices == (1,)
     assert "row 2" in str(err.value)
+
+    path.write_text("index,t_mm\n0,nan\n1,0.2\n")
+    with pytest.raises(OutOfInterval) as err:
+        ingest_events(path, Interval(-1.0, 1.0))
+    assert err.value.indices == (0,)
 
 
 def test_ingest_empty_and_malformed(tmp_path):
@@ -205,8 +234,8 @@ def test_verify_events_rows(tmp_path):
     cfg = small_config()
     g = cfg.geometry
     d = double_slit_density(g)
-    events = sample_events(d, d.support, 101, seed=5)
-    report = verify_events(cfg, events)
+    positions = sample_positions(d, d.support, 101, seed=5)
+    report = verify_events(cfg, positions)
     assert len(report.rows) == 2  # one bin count, two orientations
     assert all(r.seed is None for r in report.rows)
     assert all(r.report.N == 101 for r in report.rows)

@@ -16,20 +16,17 @@ from bornlab.madelung import (
     classicality_check,
     continuity_residual,
     decompose_polar,
-    evolve_step,
     gaussian_packet,
     harmonic_ground_state,
     hj_residual,
     ks_distance,
     plane_wave,
     quantum_potential,
-    read_wavefield_csv,
     recompose,
     sample_ensemble_from_field,
     screen_state_from_density,
     write_polar_csv,
     write_trajectories_csv,
-    write_wavefield_csv,
 )
 
 FREE = Potential.free()
@@ -57,7 +54,7 @@ def test_grid_validation():
 def test_plane_wave_kinetic_eigenstate():
     grid = Grid(-20.0, 20.0, 512, dt=1e-3)
     w = plane_wave(grid, k_index=8)
-    w1 = evolve_step(w, FREE)
+    w1 = Evolution(w, FREE).step()
     assert np.abs(np.abs(w1.psi) - 1.0).max() < 1e-12
     k = 2.0 * math.pi * 8 / grid.length
     expected = -grid.hbar * k * k * grid.dt / (2.0 * grid.mass)
@@ -83,7 +80,7 @@ def test_norm_conserved_per_step_and_long_run():
     grid = Grid(-20.0, 20.0, 256, dt=1e-3)
     w = gaussian_packet(grid, sigma=1.0)
     n0 = w.norm()
-    w1 = evolve_step(w, FREE)
+    w1 = Evolution(w, FREE).step()
     assert abs(w1.norm() - n0) / n0 < 1e-12
     evo = Evolution(w1, FREE)
     evo.step(10_000)
@@ -101,7 +98,7 @@ def test_unstable_step_detected():
             return v
 
     with pytest.raises(UnstableStep):
-        evolve_step(w, BrokenPotential())
+        Evolution(w, BrokenPotential()).step()
 
 
 def test_decompose_plane_wave_linear_phase():
@@ -177,7 +174,7 @@ def test_quantum_potential_fourth_order_convergence():
 def plane_wave_pair(dt=1e-3):
     grid = Grid(-20.0, 20.0, 512, dt=dt)
     w = plane_wave(grid, k_index=8)
-    w1 = evolve_step(w, FREE)
+    w1 = Evolution(w, FREE).step()
     return decompose_polar(w), decompose_polar(w1)
 
 
@@ -382,14 +379,18 @@ def test_screen_state_matches_density():
     assert np.abs(np.abs(w.psi) ** 2 - d.evaluate(grid.x())).max() < 1e-12
 
 
-def test_wavefield_csv_roundtrip(tmp_path):
+def test_polar_csv_roundtrip(tmp_path):
     grid = Grid(-8.0, 8.0, 64, dt=1e-3)
-    w = gaussian_packet(grid, sigma=1.0, k_index=2)
-    path = tmp_path / "field.csv"
-    write_wavefield_csv(w, path)
-    xs, psi = read_wavefield_csv(path)
-    assert np.array_equal(xs, grid.x())
-    assert np.array_equal(psi, w.psi)
+    p = decompose_polar(gaussian_packet(grid, sigma=0.3, k_index=2))
+    assert p.node_mask.any() and not p.node_mask.all()
+    path = tmp_path / "polar.csv"
+    write_polar_csv(p, path)
+    rows = np.array([line.split(",") for line in path.read_text().splitlines()[1:]])
+    assert np.array_equal(rows[:, 0].astype(float), grid.x())
+    assert np.array_equal(rows[:, 1].astype(float), p.R)
+    assert np.array_equal(rows[:, 2].astype(float), p.S)
+    assert set(rows[:, 3]) == {"0", "1"}
+    assert np.array_equal(rows[:, 3].astype(int).astype(bool), p.node_mask)
 
 
 def test_polar_and_trajectory_csv(tmp_path):

@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from bornlab import cli
 from bornlab.berry_esseen import BinningScheme, Origin
 from bornlab.born_density import SlitGeometry, cdf, double_slit_density, uniform_density
 from bornlab.errors import DegenerateState, EmptyFile, OutOfInterval, ParseError
 from bornlab.quadrature import Interval
+from bornlab.harness import experiment_density, load_config
 from bornlab.sampler import (
-    EventRecord,
-    bin_events,
     bin_positions,
     discrete_frequencies,
     inverse_cdf_sample,
     read_events_csv,
     rng_from_seed,
-    sample_events,
     sample_positions,
     write_events_csv,
 )
@@ -60,23 +59,27 @@ def test_monotone_in_u():
 
 def test_sample_zero_events():
     d = uniform_density(UNIT)
-    assert sample_events(d, UNIT, 0, seed=1) == []
+    assert sample_positions(d, UNIT, 0, seed=1).shape == (0,)
 
 
 def test_same_seed_identical_streams():
     g = SlitGeometry()
     d = double_slit_density(g)
-    a = sample_events(d, d.support, 64, seed=99)
-    b = sample_events(d, d.support, 64, seed=99)
-    assert a == b
-    assert [e.index for e in a] == list(range(64))
+    a = sample_positions(d, d.support, 64, seed=99)
+    b = sample_positions(d, d.support, 64, seed=99)
+    assert a.shape == (64,)
+    assert np.array_equal(a, b)
 
 
-def test_events_match_positions_fast_path():
-    d = uniform_density(UNIT)
-    ev = sample_events(d, UNIT, 32, seed=5)
-    pos = sample_positions(d, UNIT, 32, seed=5)
-    assert [e.position for e in ev] == list(pos)
+def test_events_match_positions_fast_path(tmp_path):
+    # the sample subcommand writes sample_positions' draws in draw order
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    out = tmp_path / "events.csv"
+    assert cli.main(["sample", "--config", str(config), "--n", "32", "--seed", "5",
+                     "--out", str(out)]) == 0
+    density, interval, _, _ = experiment_density(load_config(config))
+    assert np.array_equal(read_events_csv(out), sample_positions(density, interval, 32, 5))
 
 
 def test_dkw_acceptance_rate():
@@ -130,11 +133,16 @@ def test_bin_out_of_interval_lists_indices():
     with pytest.raises(OutOfInterval) as err:
         bin_positions([0.5, 1.5, -0.2], BinningScheme(4, Origin.FROM_A, UNIT))
     assert err.value.indices == (1, 2)
+    # NaN is outside every interval, not a count in the last bin
+    with pytest.raises(OutOfInterval) as err:
+        bin_positions([0.1, math.nan, 0.2], BinningScheme(2, Origin.FROM_A, UNIT))
+    assert err.value.indices == (1,)
 
 
-def test_bin_events_wraps_records():
-    ev = [EventRecord(0.1, 0), EventRecord(0.9, 1)]
-    h = bin_events(ev, BinningScheme(2, Origin.FROM_A, UNIT))
+def test_bin_positions_of_read_events(tmp_path):
+    p = tmp_path / "events.csv"
+    p.write_text("index,t_mm\n0,0.1\n1,0.9\n")
+    h = bin_positions(read_events_csv(p), BinningScheme(2, Origin.FROM_A, UNIT))
     assert h.counts == (1, 1)
 
 
@@ -176,12 +184,15 @@ def test_degenerate_state():
 def test_events_csv_roundtrip(tmp_path):
     g = SlitGeometry()
     d = double_slit_density(g)
-    events = sample_events(d, d.support, 25, seed=77)
+    positions = sample_positions(d, d.support, 25, seed=77)
     p = tmp_path / "events.csv"
-    write_events_csv(events, p)
-    assert p.read_text().splitlines()[0] == "index,t_mm"
+    write_events_csv(positions, p)
+    lines = p.read_text().splitlines()
+    assert lines[0] == "index,t_mm"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(25))
     back = read_events_csv(p)
-    assert back == events
+    assert isinstance(back, np.ndarray)
+    assert np.array_equal(back, positions)
 
 
 def test_events_csv_parse_errors(tmp_path):
@@ -196,6 +207,21 @@ def test_events_csv_parse_errors(tmp_path):
         read_events_csv(p)
     assert err.value.line == 2
 
+    p.write_text("index,t_mm\n0,0.5\n1.5,0.25\n")
+    with pytest.raises(ParseError) as err:
+        read_events_csv(p)
+    assert err.value.line == 3
+
     p.write_text("index,t_mm\n")
     with pytest.raises(EmptyFile):
         read_events_csv(p)
+
+
+def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
+    p = tmp_path / "events.csv"
+    write_events_csv([0.25, 0.5], p)
+    before = p.read_bytes()
+    with pytest.raises(ValueError):
+        write_events_csv([0.1, 0.2, "not-a-position"], p)  # raises on the third row
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["events.csv"]
