@@ -331,9 +331,9 @@ _BATCH_SAMPLE_LIMIT = 1_000_000
 def _positions_by_seed(density, interval, n, seeds, cfg) -> dict[int, np.ndarray]:
     """Per-seed draws, inverted in one vectorized pass per seed chunk.
 
-    The bisection is elementwise, so batching the uniform draws of several
-    seeds changes nothing in any individual result; it only cuts the Python
-    overhead of many small calls."""
+    The Newton inversion is elementwise, so batching the uniform draws of
+    several seeds changes nothing in any individual result; it only cuts the
+    Python overhead of many small calls."""
     seeds = list(seeds)
     out: dict[int, np.ndarray] = {}
     chunk = max(1, _BATCH_SAMPLE_LIMIT // max(n, 1))

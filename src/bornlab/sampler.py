@@ -6,18 +6,37 @@ algorithm name is part of this module's compatibility contract; changing it
 requires a version bump, since reports are expected to replicate
 byte-identically from (config, seed).
 
-Sampling inverts the quadrature CDF by bisection.  A CDF table on a 4096-knot
-grid (plus the density's advertised breakpoints) acts as the bracket
-accelerator: each uniform draw is bracketed into one panel by binary search
-on the table, then bisected against the exact CDF until the CDF value matches
-the draw to 1e-10.  Within-panel partial integrals use a fixed Gauss-Legendre
-rule whose adequacy is verified against the adaptive integrator when the
-table is built (the rule is escalated if the check fails), so the bisection
-target is the quadrature CDF itself, not an interpolation.
+Sampling inverts the quadrature CDF by safeguarded Newton iteration.  A CDF
+table on a 4096-knot grid (plus the density's advertised breakpoints) holds
+the cumulative mass at every knot.  Each uniform draw ``u`` is bracketed into
+one panel by binary search on the table and starts from linear interpolation
+of ``u`` across that panel.  Each pass evaluates the exact within-panel CDF
+``F(x) = cum[k] + partial(knot[k], x)``, stops once ``|F(x) - u| <= 1e-10``,
+shrinks the bracket to the side of ``x`` that holds the root, and takes the
+next point by the rule below.  The slope is ``f = density / total mass``, the
+derivative of that CDF.
+
+==========================================  ==========================
+at the current point                        next point
+==========================================  ==========================
+``f`` positive and finite, and the Newton   ``x - (F(x) - u) / f``
+step lands strictly inside the bracket
+``f`` zero (a null), negative, NaN or       bracket midpoint
+infinite, or the step leaves the bracket
+==========================================  ==========================
+
+Within-panel partial integrals use a fixed Gauss-Legendre rule whose adequacy
+is verified against the adaptive integrator when the table is built (the rule
+is escalated if the check fails), so the Newton target is the quadrature CDF
+itself, not an interpolation.  A density rougher than every fixed rule keeps
+the highest-order rule and gets a finer table instead: panels where that rule
+misses the adaptive panel mass, or its own sum over the two panel halves, are
+halved until it agrees, so the panel masses and the within-panel partials
+always come from the same rule.
 
 If a bracket collapses to adjacent floats before the CDF tolerance is met
 (the CDF climbs more than the tolerance between neighboring float values),
-the draw resolves to the bracket midpoint.
+the draw resolves to the current point, which lies inside that bracket.
 """
 
 from __future__ import annotations
@@ -31,7 +50,7 @@ import numpy as np
 
 from .berry_esseen import BinningScheme, EmpiricalHistogram, Origin
 from .born_density import DensityModel, total_mass
-from .errors import DegenerateState, EmptyFile, OutOfInterval, ParseError
+from .errors import DegenerateState, EmptyFile, NonConvergence, OutOfInterval, ParseError
 from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig, integrate_with_breakpoints
 
 __all__ = [
@@ -63,87 +82,135 @@ class _CdfTable:
         self.knots = np.unique(np.concatenate([base, extra]))
         self.density = d
         reference = total_mass(d, iv, cfg)
+        tol = max(1e-9 * abs(reference), 10 * cfg.abs_tol)
         for order in (3, 7, 15, 31):
             gx, gw = np.polynomial.legendre.leggauss(order)
             self._gx, self._gw = gx, gw
-            masses = self._panel_masses()
+            masses = self._rule(self.knots[:-1], self.knots[1:])
             total = float(masses.sum())
-            if abs(total - reference) <= max(1e-9 * abs(reference), 10 * cfg.abs_tol):
+            if abs(total - reference) <= tol:
                 break
         else:
-            # density rougher than any fixed rule: fall back to adaptive panels
-            masses = np.array([
-                integrate_with_breakpoints(d.evaluate, Interval(a, b), (), cfg)
-                for a, b in zip(self.knots[:-1], self.knots[1:])
-            ])
+            # density rougher than any fixed rule: refine the grid instead,
+            # giving each panel an equal share of the table tolerance
+            masses = self._refine_until_rule_agrees(tol / (self.knots.size - 1), cfg)
             total = float(masses.sum())
         self.total = total
-        cum = np.concatenate([[0.0], np.cumsum(masses)]) / total
-        cum[-1] = 1.0
-        self.cum = cum
+        cum = np.concatenate([[0.0], np.cumsum(masses)])
+        # dividing by the last entry makes every knot past the last positive
+        # mass exactly 1.0, so no u < 1 selects a trailing zero-mass panel
+        self.cum = cum / cum[-1]
 
-    def _panel_masses(self) -> np.ndarray:
-        lo, hi = self.knots[:-1], self.knots[1:]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nodes = mid[None, :] + half[None, :] * self._gx[:, None]
-        return (self.density.evaluate(nodes) * self._gw[:, None]).sum(axis=0) * half
-
-    def partial(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Normalized integral of the density from a to b, elementwise."""
+    def _rule(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Fixed-rule integral of the density from a to b, elementwise."""
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         nodes = mid[None, :] + half[None, :] * self._gx[:, None]
-        vals = (self.density.evaluate(nodes) * self._gw[:, None]).sum(axis=0) * half
-        return vals / self.total
+        return (self.density.evaluate(nodes) * self._gw[:, None]).sum(axis=0) * half
+
+    def _refine_until_rule_agrees(self, tol: float, cfg: QuadratureConfig) -> np.ndarray:
+        """Halve every panel where the fixed rule misses the adaptive mass, or
+        its own sum over the panel's two halves, by more than ``tol``.  Sets the
+        refined knots and returns the fixed-rule panel masses, so ``partial``
+        agrees with ``cum``.  The halves test catches a discontinuity that the
+        rule and the adaptive integrator misjudge alike, as both do for a step
+        close to a panel end."""
+        def adaptive(lo, hi):
+            return np.array([
+                integrate_with_breakpoints(self.density.evaluate, Interval(a, b), (), cfg)
+                for a, b in zip(lo, hi)
+            ])
+
+        lo, hi = self.knots[:-1], self.knots[1:]
+        exact = adaptive(lo, hi)
+        kept_lo, kept_mass = [], []
+        for _ in range(cfg.max_refinement_depth + 1):
+            rule = self._rule(lo, hi)
+            mid = 0.5 * (lo + hi)
+            halves = self._rule(lo, mid) + self._rule(mid, hi)
+            ok = (np.abs(rule - exact) <= tol) & (np.abs(halves - rule) <= tol)
+            kept_lo.append(lo[ok])
+            kept_mass.append(rule[ok])
+            if ok.all():
+                break
+            lo, mid, hi = lo[~ok], mid[~ok], hi[~ok]
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+            exact = adaptive(lo, hi)
+        else:
+            raise NonConvergence(
+                f"CDF table: fixed rule still misses the adaptive mass on "
+                f"{lo.size} panel(s) near {lo[0]} after halving"
+            )
+        lo = np.concatenate(kept_lo)
+        order = np.argsort(lo)
+        self.knots = np.append(lo[order], self.knots[-1])
+        return np.concatenate(kept_mass)[order]
+
+    def partial(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Normalized integral of the density from a to b, elementwise."""
+        return self._rule(a, b) / self.total
 
 
 def _cdf_table(d: DensityModel, iv: Interval, cfg: QuadratureConfig) -> _CdfTable:
     return d.memo(("cdf_table", iv.lo, iv.hi, cfg), lambda: _CdfTable(d, iv, cfg))
 
 
+def _next_point(table: _CdfTable, x, diff, lo, hi) -> np.ndarray:
+    """The Newton step ``x - (F(x) - u) / f(x)`` where it lands strictly inside
+    (lo, hi), else the bracket midpoint.  ``x`` is the bracket end away from
+    the root, so an f that is zero, negative, NaN or infinite puts the step at
+    or beyond that end, or makes it NaN: the one bracket test covers every
+    fallback case.  Its temporaries die on return, so they are
+    not held through the next pass."""
+    slope = table.density.evaluate(x) / table.total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = x - diff / slope
+    return np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+
+
 def _invert(table: _CdfTable, u: np.ndarray) -> np.ndarray:
     knots, cum = table.knots, table.cum
+    # cum[k] <= u < cum[k + 1], so the panel has positive mass
     idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(knots) - 2)
-    xlo = knots[idx].copy()
-    xhi = knots[idx + 1].copy()
-    flo = cum[idx].copy()
-    target = u.copy()
+    start = lo = knots[idx]  # lo is rebound, never written in place
+    hi = knots[idx + 1]
+    offset = cum[idx] - u  # F(x) - u = offset + partial(start, x)
+    x = lo - offset / (cum[idx + 1] - cum[idx]) * (hi - lo)
     out = np.empty_like(u)
     slot = np.arange(u.size)
     eps = np.finfo(float).eps
-    # bracket mass halves each pass; 200 passes bottoms out any float bracket
+    # a midpoint pass halves the bracket and a Newton pass lands strictly
+    # inside it; draws finish within a handful of passes, 200 bound the loop
     for _ in range(200):
         if slot.size == 0:
             break
-        xm = 0.5 * (xlo + xhi)
-        fm = flo + table.partial(xlo, xm)
-        diff = fm - target
+        diff = offset + table.partial(start, x)
         converged = np.abs(diff) <= CDF_VALUE_TOL
-        collapsed = (xhi - xlo) <= 4 * eps * np.maximum(np.abs(xhi), 1.0)
+        collapsed = (hi - lo) <= 4 * eps * np.maximum(np.abs(hi), 1.0)
         finished = converged | collapsed
         if finished.any():
-            # xm is also the midpoint-rule answer for a collapsed bracket
-            out[slot[finished]] = xm[finished]
+            out[slot[finished]] = x[finished]
             keep = ~finished
-            xlo, xhi, flo = xlo[keep], xhi[keep], flo[keep]
-            target, slot = target[keep], slot[keep]
-            xm, fm, diff = xm[keep], fm[keep], diff[keep]
+            start, lo, hi, offset = start[keep], lo[keep], hi[keep], offset[keep]
+            x, diff, slot = x[keep], diff[keep], slot[keep]
         go_right = diff < 0
-        xlo = np.where(go_right, xm, xlo)
-        flo = np.where(go_right, fm, flo)
-        xhi = np.where(go_right, xhi, xm)
+        lo = np.where(go_right, x, lo)
+        hi = np.where(go_right, hi, x)
+        x = _next_point(table, x, diff, lo, hi)
     if slot.size:
-        out[slot] = 0.5 * (xlo + xhi)
+        out[slot] = x
     return out
 
 
 def inverse_cdf_sample(d: DensityModel, iv: Interval, u,
                        cfg: QuadratureConfig = DEFAULT_QUADRATURE):
-    """Position x with cdf(x) = u to 1e-10 in CDF value; monotone in u.
+    """Position x with cdf(x) = u to 1e-10 in CDF value.
 
     Accepts a scalar or an ndarray of uniforms in [0, 1); u = 0 maps to
-    iv.lo exactly.
+    iv.lo exactly.  Each draw is inverted independently, so a batch gives
+    the same results as one call per element.  Draws whose u differ by more
+    than 2e-10 come out in the order of their u (the CDF is nondecreasing
+    and each result is within 1e-10 of its u); closer draws may swap places.
     """
     scalar = np.isscalar(u)
     uu = np.atleast_1d(np.asarray(u, dtype=float))
@@ -230,7 +297,8 @@ def write_events_csv(positions: Sequence[float], path) -> None:
 
 def read_events_csv(path) -> np.ndarray:
     """Parse an ``index,t_mm`` file into positions in row order.  The index
-    column must hold integers; its values are otherwise not used."""
+    column is only checked to hold integers: duplicates and ordering are not
+    checked, and rows are used in file order."""
     out: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

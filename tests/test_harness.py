@@ -184,7 +184,7 @@ def test_sweep_slope_and_block_stability():
 
 def test_batched_sampling_matches_sequential():
     # the harness batches per-seed draws into one vectorized inversion; the
-    # bisection is elementwise, so results must be bit-identical
+    # Newton inversion is elementwise, so results must be bit-identical
     from bornlab.harness import experiment_density, _positions_by_seed
 
     cfg = small_config()

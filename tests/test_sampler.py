@@ -5,11 +5,20 @@ import pytest
 
 from bornlab import cli
 from bornlab.berry_esseen import BinningScheme, Origin
-from bornlab.born_density import SlitGeometry, cdf, double_slit_density, uniform_density
+from bornlab.born_density import (
+    DensityModel,
+    SlitGeometry,
+    TabulatedDensity,
+    cdf,
+    double_slit_density,
+    uniform_density,
+)
 from bornlab.errors import DegenerateState, EmptyFile, OutOfInterval, ParseError
-from bornlab.quadrature import Interval
+from bornlab.quadrature import DEFAULT_QUADRATURE, Interval
 from bornlab.harness import experiment_density, load_config
 from bornlab.sampler import (
+    CDF_VALUE_TOL,
+    _cdf_table,
     bin_positions,
     discrete_frequencies,
     inverse_cdf_sample,
@@ -29,7 +38,10 @@ def test_u_zero_maps_to_left_end():
 
 def test_uniform_identity_cdf():
     d = uniform_density(UNIT)
-    assert inverse_cdf_sample(d, UNIT, 0.25) == pytest.approx(0.25, abs=1e-9)
+    # the interpolation start is already the root, so the first pass returns it
+    assert inverse_cdf_sample(d, UNIT, 0.25) == 0.25
+    u = 1.0 - 1e-16
+    assert inverse_cdf_sample(d, UNIT, u) == pytest.approx(u, abs=2e-10)
 
 
 def test_symmetric_median_at_center():
@@ -42,11 +54,124 @@ def test_symmetric_median_at_center():
 def test_result_hits_cdf_tolerance():
     g = SlitGeometry()
     d = double_slit_density(g)
-    us = rng_from_seed(17).random(200)
+    us = np.append(rng_from_seed(17).random(200), 1.0 - 1e-16)
     xs = inverse_cdf_sample(d, d.support, us)
     # cdf itself carries ~1e-12 quadrature error, so allow a small cushion
     for u, x in zip(us, xs):
         assert abs(cdf(d, d.support, float(x)) - u) <= 2e-10
+
+
+def _closed_form_intensity(g):
+    """The far-field two-slit intensity and its interior zeros, written out
+    from the formulas alone (independent of bornlab's density code)."""
+    w, dd, lam = g.slit_width_w * 1e-6, g.slit_separation_d * 1e-6, g.wavelength_lambda * 1e-9
+    big_l, mu = g.screen_distance_L, g.center_mu
+
+    def intensity(t):
+        m = math.pi * w / (lam * math.hypot(big_l, t - mu))
+        n = m * dd / w
+        return g.peak_height_I0 * math.cos(n * (t - mu)) ** 2 * np.sinc(m * (t - mu) / math.pi) ** 2
+
+    offsets = []
+    for width, shift in ((w, 0.0), (dd, 0.5)):
+        k = 0
+        while (k + shift) * lam < width:
+            if k + shift > 0:
+                kl = (k + shift) * lam
+                offsets.append(kl * big_l / math.sqrt(width * width - kl * kl))
+            k += 1
+    return intensity, sorted({mu + s * z for z in offsets for s in (-1, 1)})
+
+
+def test_draws_match_scipy_quad_cdf():
+    # oracle: scipy's QUADPACK on the closed-form intensity, split at its
+    # closed-form zeros, normalized by its own total mass
+    from scipy.integrate import quad
+
+    g = SlitGeometry()
+    d = double_slit_density(g)
+    iv = d.support
+    intensity, zeros = _closed_form_intensity(g)
+    edges = np.array([iv.lo, *[z for z in zeros if iv.lo < z < iv.hi], iv.hi])
+
+    def integral(a, b):
+        return quad(intensity, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    below = np.concatenate([[0.0], np.cumsum([integral(a, b) for a, b in zip(edges[:-1], edges[1:])])])
+    us = rng_from_seed(2024).random(200)
+    xs = inverse_cdf_sample(d, iv, us)
+    for u, x in zip(us, xs):
+        j = min(int(np.searchsorted(edges, x, side="right")) - 1, edges.size - 2)
+        f_scipy = (below[j] + integral(edges[j], x)) / below[-1]
+        assert abs(f_scipy - u) <= 2e-10
+
+
+def test_draws_at_null_knots():
+    # fringe and envelope nulls are table knots where the slope f is zero, so
+    # Newton has no step to take there; a little above a null the slope is
+    # tiny and the Newton step lands far outside the panel
+    g = SlitGeometry()
+    d = double_slit_density(g)
+    iv = d.support
+    table = _cdf_table(d, iv, DEFAULT_QUADRATURE)
+    nulls = np.flatnonzero(np.isin(table.knots, d.analytic_zeros))
+    assert nulls.size == len(d.analytic_zeros)
+    for k in nulls:
+        z = table.knots[k]
+        assert d.evaluate(np.array([z]))[0] < 1e-20
+        assert inverse_cdf_sample(d, iv, table.cum[k]) == z
+        mass = table.cum[k + 1] - table.cum[k]
+        us = [np.nextafter(table.cum[k], 1.0), table.cum[k] + 1e-6 * mass, table.cum[k] + 1e-3 * mass]
+        xs = inverse_cdf_sample(d, iv, np.array(us))
+        assert np.all((z <= xs) & (xs < table.knots[k + 1]))
+        for u, x in zip(us, xs):
+            assert abs(cdf(d, iv, x) - u) <= 2e-10
+
+
+def test_newton_start_where_density_vanishes():
+    # ramp density, zero left of 0.5, with no advertised breakpoint: for these
+    # u the interpolated start in the panel holding the kink sits where f = 0,
+    # so the first step must be the bracket midpoint
+    d = DensityModel(lambda t: np.maximum(np.asarray(t) - 0.5, 0.0), UNIT)
+    table = _cdf_table(d, UNIT, DEFAULT_QUADRATURE)
+    k = int(np.searchsorted(table.knots, 0.5)) - 1
+    us = np.array([1e-9, 1e-8])
+    start = table.knots[k] + (us - table.cum[k]) / (table.cum[k + 1] - table.cum[k]) \
+        * (table.knots[k + 1] - table.knots[k])
+    assert np.all(d.evaluate(start) == 0.0)
+    xs = inverse_cdf_sample(d, UNIT, us)
+    assert np.all(xs > 0.5)
+    reached = table.cum[k] + table.partial(np.full(2, table.knots[k]), xs)
+    assert np.all(np.abs(reached - us) <= CDF_VALUE_TOL)
+
+
+def test_tabulated_zero_runs_never_drawn():
+    t = np.arange(11.0)
+    d = TabulatedDensity(t, [0, 0, 1, 2, 0, 0, 0, 3, 1, 0, 0])
+    table = _cdf_table(d, d.support, DEFAULT_QUADRATURE)
+    # u where a zero run starts: several knots share one cum value there
+    edge_us = [table.cum[table.knots == 4.0][0], np.nextafter(1.0, 0.0)]
+    us = np.concatenate([rng_from_seed(8).random(2000), edge_us])
+    xs = inverse_cdf_sample(d, d.support, us)
+    assert np.all(((1.0 <= xs) & (xs <= 4.0)) | ((6.0 <= xs) & (xs <= 9.0)))
+
+
+def test_step_density_without_breakpoint():
+    # no fixed rule matches the reference mass here, so the table refines the
+    # panels around the step; draws must meet the tolerance on the exact CDF,
+    # also within the coarse panel that holds the step
+    s = 0.33371
+    d = DensityModel(lambda t: np.where(np.asarray(t) <= s, 1.0, 2.0), UNIT)
+
+    def exact_cdf(x):
+        return (np.minimum(x, s) + 2.0 * np.maximum(x - s, 0.0)) / (2.0 - s)
+
+    k = int(s * (4096 - 1))
+    panel = np.linspace(exact_cdf(k / 4095), exact_cdf((k + 1) / 4095), 51)[1:-1]
+    near_step = exact_cdf(s) + np.linspace(-3e-8, 3e-8, 61)
+    us = np.concatenate([panel, near_step, rng_from_seed(5).random(300)])
+    xs = inverse_cdf_sample(d, UNIT, us)
+    assert np.all(np.abs(exact_cdf(xs) - us) <= 2e-10)
 
 
 def test_monotone_in_u():
