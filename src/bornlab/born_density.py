@@ -24,6 +24,15 @@ singularity of sinc at the pattern center resolves to I(mu) = I0.
 
 Every zero of the intensity has a closed form, so densities advertise their
 zeros exactly and the quadrature layer subdivides there instead of guessing.
+
+Normalized CDFs come from one table per (density, interval, quadrature
+config), kept in the density's memo: a 4096-knot grid plus the advertised
+breakpoints, with the cumulative mass at every knot.  ``cdf`` and
+``cdf_at_points`` return ``cum[k] + partial(knot[k], x)`` for the panel ``k``
+that holds ``x``, and :mod:`sampler` inverts the same table.  ``partial`` is a
+fixed Gauss-Legendre rule, checked against the adaptive ``total_mass`` when
+the table is built (the rule is escalated, or the panels halved, until they
+agree).  ``total_mass`` and ``mean_position`` stay adaptive.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidGeometry, OutOfSupport, ParseError, EmptyFile, ZeroMass
+from .errors import InvalidGeometry, NonConvergence, OutOfSupport, ParseError, EmptyFile, ZeroMass
 from .quadrature import (
     DEFAULT_QUADRATURE,
     Interval,
@@ -59,6 +68,7 @@ __all__ = [
     "scaled",
 ]
 
+CDF_TABLE_KNOTS = 4096
 _NM_TO_MM = 1e-6
 _PM_TO_MM = 1e-9
 
@@ -348,39 +358,111 @@ def total_mass(d: DensityModel, iv: Interval | None = None,
     return mass
 
 
-def _cumulative(d: DensityModel, iv: Interval, cfg: QuadratureConfig):
-    """Breakpoint grid over ``iv`` and the cumulative integral at each point."""
-    def compute():
-        pts = np.array([iv.lo, *d.subdivision_points(iv), iv.hi], dtype=float)
-        segs = [
-            integrate_with_breakpoints(d.evaluate, Interval(a, b), (), cfg)
-            for a, b in zip(pts[:-1], pts[1:])
-        ]
-        return pts, np.concatenate([[0.0], np.cumsum(segs)])
+class _CdfTable:
+    """Panel grid with exact cumulative masses, shared via the density memo;
+    the one source of normalized CDF values and of the sampler's inversion."""
 
-    return d.memo(("cum", iv.lo, iv.hi, cfg), compute)
+    def __init__(self, d: DensityModel, iv: Interval, cfg: QuadratureConfig):
+        base = np.linspace(iv.lo, iv.hi, CDF_TABLE_KNOTS)
+        extra = np.asarray(d.subdivision_points(iv), dtype=float)
+        self.knots = np.unique(np.concatenate([base, extra]))
+        self.density = d
+        reference = total_mass(d, iv, cfg)
+        tol = max(1e-9 * abs(reference), 10 * cfg.abs_tol)
+        for order in (3, 7, 15, 31):
+            self._gx, self._gw = np.polynomial.legendre.leggauss(order)
+            masses = self._rule(self.knots[:-1], self.knots[1:])
+            total = float(masses.sum())
+            if abs(total - reference) <= tol:
+                break
+        else:
+            # density rougher than any fixed rule: refine the grid instead,
+            # giving each panel an equal share of the table tolerance
+            masses = self._refine_until_rule_agrees(tol / (self.knots.size - 1), cfg)
+            total = float(masses.sum())
+        self.total = total
+        cum = np.concatenate([[0.0], np.cumsum(masses)])
+        # dividing by the last entry makes every knot past the last positive
+        # mass exactly 1.0, so no u < 1 selects a trailing zero-mass panel
+        self.cum = cum / cum[-1]
+
+    def _rule(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Fixed-rule integral of the density from a to b, elementwise."""
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        nodes = mid[None, :] + half[None, :] * self._gx[:, None]
+        return (self.density.evaluate(nodes) * self._gw[:, None]).sum(axis=0) * half
+
+    def _refine_until_rule_agrees(self, tol: float, cfg: QuadratureConfig) -> np.ndarray:
+        """Halve every panel where the fixed rule misses the adaptive mass, or
+        its own sum over the panel's two halves, by more than ``tol``.  Sets the
+        refined knots and returns the fixed-rule panel masses, so ``partial``
+        agrees with ``cum``.  The halves test catches a discontinuity that the
+        rule and the adaptive integrator misjudge alike, as both do for a step
+        close to a panel end."""
+        def adaptive(lo, hi):
+            return np.array([
+                integrate_with_breakpoints(self.density.evaluate, Interval(a, b), (), cfg)
+                for a, b in zip(lo, hi)
+            ])
+
+        lo, hi = self.knots[:-1], self.knots[1:]
+        exact = adaptive(lo, hi)
+        kept_lo, kept_mass = [], []
+        for _ in range(cfg.max_refinement_depth + 1):
+            rule = self._rule(lo, hi)
+            mid = 0.5 * (lo + hi)
+            halves = self._rule(lo, mid) + self._rule(mid, hi)
+            ok = (np.abs(rule - exact) <= tol) & (np.abs(halves - rule) <= tol)
+            kept_lo.append(lo[ok])
+            kept_mass.append(rule[ok])
+            if ok.all():
+                break
+            lo, mid, hi = lo[~ok], mid[~ok], hi[~ok]
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+            exact = adaptive(lo, hi)
+        else:
+            raise NonConvergence(
+                f"CDF table: fixed rule still misses the adaptive mass on "
+                f"{lo.size} panel(s) near {lo[0]} after halving"
+            )
+        lo = np.concatenate(kept_lo)
+        order = np.argsort(lo)
+        self.knots = np.append(lo[order], self.knots[-1])
+        return np.concatenate(kept_mass)[order]
+
+    def partial(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Normalized integral of the density from a to b, elementwise."""
+        return self._rule(a, b) / self.total
+
+
+def _cdf_table(d: DensityModel, iv: Interval, cfg: QuadratureConfig) -> _CdfTable:
+    return d.memo(("cdf_table", iv.lo, iv.hi, cfg), lambda: _CdfTable(d, iv, cfg))
+
+
+def _cdf_values(d: DensityModel, iv: Interval, xs, cfg: QuadratureConfig) -> np.ndarray:
+    """Normalized CDF at each of ``xs``: ``cum[k] + partial(knot[k], x)``."""
+    xs = np.asarray(xs, dtype=float)
+    outside = ~iv.contains(xs)
+    if outside.any():
+        raise OutOfSupport(f"x={xs[outside][0]} outside [{iv.lo}, {iv.hi}]")
+    table = _cdf_table(d, iv, cfg)
+    # the knots run from iv.lo to iv.hi, so k is a valid knot for every x
+    k = np.searchsorted(table.knots, xs, side="right") - 1
+    return np.clip(table.cum[k] + table.partial(table.knots[k], xs), 0.0, 1.0)
 
 
 def cdf(d: DensityModel, iv: Interval, x: float,
         cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Normalized CDF of ``d`` restricted to ``iv``, evaluated at ``x``."""
-    if not iv.contains(x):
-        raise OutOfSupport(f"x={x} outside [{iv.lo}, {iv.hi}]")
-    mass = total_mass(d, iv, cfg)
-    pts, cums = _cumulative(d, iv, cfg)
-    j = int(np.searchsorted(pts, x, side="right") - 1)
-    j = min(max(j, 0), len(pts) - 2)
-    partial = 0.0
-    if x > pts[j]:
-        partial = integrate_with_breakpoints(d.evaluate, Interval(pts[j], x), (), cfg)
-    return min(max((cums[j] + partial) / mass, 0.0), 1.0)
+    return float(_cdf_values(d, iv, [x], cfg)[0])
 
 
 def cdf_at_points(d: DensityModel, iv: Interval, xs: Sequence[float],
                   cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
     """Normalized CDF at several points (memoized per point set)."""
     key = ("cdf_at", iv.lo, iv.hi, tuple(float(x) for x in xs), cfg)
-    return d.memo(key, lambda: np.array([cdf(d, iv, float(x), cfg) for x in xs]))
+    return d.memo(key, lambda: _cdf_values(d, iv, xs, cfg))
 
 
 def mean_position(d: DensityModel, iv: Interval | None = None,

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -156,8 +157,15 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _section(value, key: str) -> dict:
+    """A copy of the config object ``value`` found at ``key``."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{key} must be a JSON object", key=key)
+    return dict(value)
+
+
 def _madelung_setup(cfg: harness.ExperimentConfig):
-    section = dict(cfg.madelung or {})
+    section = _section({} if cfg.madelung is None else cfg.madelung, "madelung")
     unknown = set(section) - {"preset", "grid", "state", "potential", "trajectories"}
     if unknown:
         key = sorted(unknown)[0]
@@ -165,7 +173,7 @@ def _madelung_setup(cfg: harness.ExperimentConfig):
     preset = section.get("preset", "free_gaussian")
     if preset not in _PRESETS:
         raise ConfigError(f"madelung.preset must be one of {_PRESETS}", key="madelung.preset")
-    grid_cfg = dict(section.get("grid", {}))
+    grid_cfg = _section(section.get("grid", {}), "madelung.grid")
     try:
         grid = madelung.Grid(
             x_min=float(grid_cfg.pop("x_min", -20.0)),
@@ -180,7 +188,7 @@ def _madelung_setup(cfg: harness.ExperimentConfig):
     if grid_cfg:
         raise ConfigError(f"unknown madelung.grid key: {sorted(grid_cfg)[0]}",
                           key="madelung.grid")
-    state = dict(section.get("state", {}))
+    state = _section(section.get("state", {}), "madelung.state")
     if preset == "plane_wave":
         field = madelung.plane_wave(grid, k_index=int(state.get("k_index", 8)))
         potential = madelung.Potential.free()
@@ -200,6 +208,7 @@ def _madelung_setup(cfg: harness.ExperimentConfig):
         potential = madelung.Potential.free()
     pot_cfg = section.get("potential")
     if pot_cfg is not None:
+        pot_cfg = _section(pot_cfg, "madelung.potential")
         kind = pot_cfg.get("kind", "free")
         if kind == "free":
             potential = madelung.Potential.free()
@@ -254,7 +263,7 @@ def _cmd_madelung(args) -> int:
 def _cmd_trajectories(args) -> int:
     cfg = _load(args)
     _, field, potential, section = _madelung_setup(cfg)
-    traj_cfg = dict(section.get("trajectories", {}))
+    traj_cfg = _section(section.get("trajectories", {}), "madelung.trajectories")
     count = args.count if args.count is not None else int(traj_cfg.get("count", 10000))
     seed = args.seed if args.seed is not None else int(traj_cfg.get("seed", 1))
     evo = madelung.Evolution(field, potential)

@@ -6,11 +6,11 @@ algorithm name is part of this module's compatibility contract; changing it
 requires a version bump, since reports are expected to replicate
 byte-identically from (config, seed).
 
-Sampling inverts the quadrature CDF by safeguarded Newton iteration.  A CDF
-table on a 4096-knot grid (plus the density's advertised breakpoints) holds
-the cumulative mass at every knot.  Each uniform draw ``u`` is bracketed into
-one panel by binary search on the table and starts from linear interpolation
-of ``u`` across that panel.  Each pass evaluates the exact within-panel CDF
+Sampling inverts the Born CDF table of :mod:`born_density` (the table that
+also serves ``cdf`` and ``cdf_at_points``) by safeguarded Newton iteration.
+Each uniform draw ``u`` is bracketed into one panel by binary search on the
+table's cumulative masses and starts from linear interpolation of ``u``
+across that panel.  Each pass evaluates the table's within-panel CDF
 ``F(x) = cum[k] + partial(knot[k], x)``, stops once ``|F(x) - u| <= 1e-10``,
 shrinks the bracket to the side of ``x`` that holds the root, and takes the
 next point by the rule below.  The slope is ``f = density / total mass``, the
@@ -24,15 +24,6 @@ step lands strictly inside the bracket
 ``f`` zero (a null), negative, NaN or       bracket midpoint
 infinite, or the step leaves the bracket
 ==========================================  ==========================
-
-Within-panel partial integrals use a fixed Gauss-Legendre rule whose adequacy
-is verified against the adaptive integrator when the table is built (the rule
-is escalated if the check fails), so the Newton target is the quadrature CDF
-itself, not an interpolation.  A density rougher than every fixed rule keeps
-the highest-order rule and gets a finer table instead: panels where that rule
-misses the adaptive panel mass, or its own sum over the two panel halves, are
-halved until it agrees, so the panel masses and the within-panel partials
-always come from the same rule.
 
 If a bracket collapses to adjacent floats before the CDF tolerance is met
 (the CDF climbs more than the tolerance between neighboring float values),
@@ -49,9 +40,9 @@ from typing import Sequence
 import numpy as np
 
 from .berry_esseen import BinningScheme, EmpiricalHistogram, Origin
-from .born_density import DensityModel, total_mass
-from .errors import DegenerateState, EmptyFile, NonConvergence, OutOfInterval, ParseError
-from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig, integrate_with_breakpoints
+from .born_density import DensityModel, _cdf_table
+from .errors import DegenerateState, EmptyFile, OutOfInterval, ParseError
+from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig
 
 __all__ = [
     "rng_from_seed",
@@ -64,7 +55,6 @@ __all__ = [
     "read_events_csv",
 ]
 
-CDF_TABLE_KNOTS = 4096
 CDF_VALUE_TOL = 1e-10
 
 
@@ -73,89 +63,7 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-class _CdfTable:
-    """Panel grid with exact cumulative masses, shared via the density memo."""
-
-    def __init__(self, d: DensityModel, iv: Interval, cfg: QuadratureConfig):
-        base = np.linspace(iv.lo, iv.hi, CDF_TABLE_KNOTS)
-        extra = np.asarray(d.subdivision_points(iv), dtype=float)
-        self.knots = np.unique(np.concatenate([base, extra]))
-        self.density = d
-        reference = total_mass(d, iv, cfg)
-        tol = max(1e-9 * abs(reference), 10 * cfg.abs_tol)
-        for order in (3, 7, 15, 31):
-            gx, gw = np.polynomial.legendre.leggauss(order)
-            self._gx, self._gw = gx, gw
-            masses = self._rule(self.knots[:-1], self.knots[1:])
-            total = float(masses.sum())
-            if abs(total - reference) <= tol:
-                break
-        else:
-            # density rougher than any fixed rule: refine the grid instead,
-            # giving each panel an equal share of the table tolerance
-            masses = self._refine_until_rule_agrees(tol / (self.knots.size - 1), cfg)
-            total = float(masses.sum())
-        self.total = total
-        cum = np.concatenate([[0.0], np.cumsum(masses)])
-        # dividing by the last entry makes every knot past the last positive
-        # mass exactly 1.0, so no u < 1 selects a trailing zero-mass panel
-        self.cum = cum / cum[-1]
-
-    def _rule(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Fixed-rule integral of the density from a to b, elementwise."""
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        nodes = mid[None, :] + half[None, :] * self._gx[:, None]
-        return (self.density.evaluate(nodes) * self._gw[:, None]).sum(axis=0) * half
-
-    def _refine_until_rule_agrees(self, tol: float, cfg: QuadratureConfig) -> np.ndarray:
-        """Halve every panel where the fixed rule misses the adaptive mass, or
-        its own sum over the panel's two halves, by more than ``tol``.  Sets the
-        refined knots and returns the fixed-rule panel masses, so ``partial``
-        agrees with ``cum``.  The halves test catches a discontinuity that the
-        rule and the adaptive integrator misjudge alike, as both do for a step
-        close to a panel end."""
-        def adaptive(lo, hi):
-            return np.array([
-                integrate_with_breakpoints(self.density.evaluate, Interval(a, b), (), cfg)
-                for a, b in zip(lo, hi)
-            ])
-
-        lo, hi = self.knots[:-1], self.knots[1:]
-        exact = adaptive(lo, hi)
-        kept_lo, kept_mass = [], []
-        for _ in range(cfg.max_refinement_depth + 1):
-            rule = self._rule(lo, hi)
-            mid = 0.5 * (lo + hi)
-            halves = self._rule(lo, mid) + self._rule(mid, hi)
-            ok = (np.abs(rule - exact) <= tol) & (np.abs(halves - rule) <= tol)
-            kept_lo.append(lo[ok])
-            kept_mass.append(rule[ok])
-            if ok.all():
-                break
-            lo, mid, hi = lo[~ok], mid[~ok], hi[~ok]
-            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-            exact = adaptive(lo, hi)
-        else:
-            raise NonConvergence(
-                f"CDF table: fixed rule still misses the adaptive mass on "
-                f"{lo.size} panel(s) near {lo[0]} after halving"
-            )
-        lo = np.concatenate(kept_lo)
-        order = np.argsort(lo)
-        self.knots = np.append(lo[order], self.knots[-1])
-        return np.concatenate(kept_mass)[order]
-
-    def partial(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Normalized integral of the density from a to b, elementwise."""
-        return self._rule(a, b) / self.total
-
-
-def _cdf_table(d: DensityModel, iv: Interval, cfg: QuadratureConfig) -> _CdfTable:
-    return d.memo(("cdf_table", iv.lo, iv.hi, cfg), lambda: _CdfTable(d, iv, cfg))
-
-
-def _next_point(table: _CdfTable, x, diff, lo, hi) -> np.ndarray:
+def _next_point(table, x, diff, lo, hi) -> np.ndarray:
     """The Newton step ``x - (F(x) - u) / f(x)`` where it lands strictly inside
     (lo, hi), else the bracket midpoint.  ``x`` is the bracket end away from
     the root, so an f that is zero, negative, NaN or infinite puts the step at
@@ -168,7 +76,7 @@ def _next_point(table: _CdfTable, x, diff, lo, hi) -> np.ndarray:
     return np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
 
 
-def _invert(table: _CdfTable, u: np.ndarray) -> np.ndarray:
+def _invert(table, u: np.ndarray) -> np.ndarray:
     knots, cum = table.knots, table.cum
     # cum[k] <= u < cum[k + 1], so the panel has positive mass
     idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(knots) - 2)

@@ -13,6 +13,7 @@ from bornlab.berry_esseen import (
     REPORT_CSV_COLUMNS,
     bound_rhs,
     empirical_cdf,
+    raw_moments,
     report_from_csv_row,
     report_from_json_dict,
     sup_deviation,
@@ -29,7 +30,7 @@ from bornlab.born_density import (
     uniform_density,
 )
 from bornlab.errors import EmptyHistogram
-from bornlab.quadrature import Interval, central_moment
+from bornlab.quadrature import DEFAULT_QUADRATURE, Interval, central_moment
 from bornlab.sampler import bin_positions, sample_positions
 
 UNIT = Interval(-1.0, 1.0)
@@ -295,3 +296,46 @@ def test_report_is_value_object():
     h = bin_positions(pos, BinningScheme(10, Origin.FROM_A, d.support))
     assert verify_inequality(h, d) == verify_inequality(h, d)
     assert isinstance(verify_inequality(h, d), BoundReport)
+
+
+def test_raw_moments_match_mpmath():
+    # oracle: mpmath's tanh-sinh quadrature at 30 digits on the closed-form
+    # default intensity (centered at 0), split at its closed-form zeros and at
+    # the origin, where |t|^3 has a kink; it shares no code with bornlab's
+    # density or quadrature
+    import mpmath
+
+    g = SlitGeometry()
+    density = double_slit_density(g)
+    iv = density.support
+    with mpmath.workdps(30):
+        w = mpmath.mpf(g.slit_width_w) / 10**6
+        sep = mpmath.mpf(g.slit_separation_d) / 10**6
+        lam = mpmath.mpf(g.wavelength_lambda) / 10**9
+        big_l = mpmath.mpf(g.screen_distance_L)
+
+        def intensity(t):
+            m = mpmath.pi * w / (lam * mpmath.hypot(big_l, t))
+            return mpmath.cos(m * sep / w * t) ** 2 * mpmath.sinc(m * t) ** 2
+
+        # envelope nulls at m(t) t = k pi (k >= 1), fringe nulls at
+        # n(t) t = (j + 1/2) pi (j >= 0)
+        offsets = []
+        for width, order in ((w, mpmath.mpf(1)), (sep, mpmath.mpf(1) / 2)):
+            while order * lam < width:
+                kl = order * lam
+                offsets.append(kl * big_l / mpmath.sqrt(width**2 - kl**2))
+                order += 1
+        cuts = sorted({s * z for z in offsets for s in (-1, 1)} | {mpmath.mpf(0)})
+        pts = [mpmath.mpf(iv.lo), *[z for z in cuts if iv.lo < z < iv.hi], mpmath.mpf(iv.hi)]
+        want = [
+            mpmath.quad(intensity, pts),
+            mpmath.quad(lambda t: t**2 * intensity(t), pts),
+            mpmath.quad(lambda t: abs(t) ** 3 * intensity(t), pts),
+        ]
+    got = raw_moments(density, iv, DEFAULT_QUADRATURE)
+    for value, oracle in zip(got, want):
+        assert value == pytest.approx(float(oracle), rel=1e-12, abs=0.0)
+    mass, var, rho = got
+    ratio = float(want[2] * mpmath.sqrt(want[0]) / want[1] ** 1.5)
+    assert rho * math.sqrt(mass) / var**1.5 == pytest.approx(ratio, rel=1e-12, abs=0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bornlab.born_density import (
+    DensityModel,
     SlitGeometry,
     TabulatedDensity,
     cdf,
@@ -174,6 +175,18 @@ def test_cdf_monotone_on_scan(density):
     xs = np.linspace(iv.lo, iv.hi, 10_000)
     vals = np.array([cdf(density, iv, float(x)) for x in xs])
     assert np.all(np.diff(vals) >= -1e-13)
+
+
+def test_cdf_step_density_without_breakpoint():
+    # a jump that the density does not advertise: the table refines its panels
+    # around it, so the CDF meets the exact one also close to the step
+    s = 0.33371
+    iv = Interval(0.0, 1.0)
+    d = DensityModel(lambda t: np.where(np.asarray(t) <= s, 1.0, 2.0), iv)
+    xs = np.linspace(0.3, 0.36, 601)
+    exact = (np.minimum(xs, s) + 2.0 * np.maximum(xs - s, 0.0)) / (2.0 - s)
+    got = np.array([cdf(d, iv, float(x)) for x in xs])
+    assert np.max(np.abs(got - exact)) <= 1e-12
 
 
 def test_cdf_out_of_support(density):

@@ -92,12 +92,24 @@ def test_missing_config_exits_two(tmp_path):
 
 
 def test_bad_config_key_named_on_stderr(tmp_path, capsys):
+    # each malformed config exits 2 (not 1, the verdict-failure code, nor a
+    # traceback) and names the offending key
+    cases = [
+        ("replicate", {"n_valuess": [1]}, "n_valuess"),
+        ("madelung", {"madelung": 3}, "madelung must be"),
+        ("madelung", {"madelung": [["preset", "harmonic"]]}, "madelung must be"),
+        ("madelung", {"madelung": {"grid": 3}}, "madelung.grid"),
+        ("madelung", {"madelung": {"state": [1.0]}}, "madelung.state"),
+        ("madelung", {"madelung": {"potential": 3}}, "madelung.potential"),
+        ("trajectories", {"madelung": {"trajectories": 5}}, "madelung.trajectories"),
+    ]
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"n_valuess": [1]}))
-    rc = cli.main(["replicate", "--config", str(path), "--out",
-                   str(tmp_path / "r.json")])
-    assert rc == 2
-    assert "n_valuess" in capsys.readouterr().err
+    for command, cfg, key in cases:
+        path.write_text(json.dumps(cfg))
+        out = "--out-dir" if command == "madelung" else "--out"
+        rc = cli.main([command, "--config", str(path), out, str(tmp_path / "out")])
+        assert rc == 2, cfg
+        assert key in capsys.readouterr().err, cfg
 
 
 def test_moments_and_bound_stdout(config_path, capsys):

@@ -9,7 +9,9 @@ from bornlab.born_density import (
     DensityModel,
     SlitGeometry,
     TabulatedDensity,
+    _cdf_table,
     cdf,
+    cdf_at_points,
     double_slit_density,
     uniform_density,
 )
@@ -18,7 +20,6 @@ from bornlab.quadrature import DEFAULT_QUADRATURE, Interval
 from bornlab.harness import experiment_density, load_config
 from bornlab.sampler import (
     CDF_VALUE_TOL,
-    _cdf_table,
     bin_positions,
     discrete_frequencies,
     inverse_cdf_sample,
@@ -85,7 +86,8 @@ def _closed_form_intensity(g):
 
 def test_draws_match_scipy_quad_cdf():
     # oracle: scipy's QUADPACK on the closed-form intensity, split at its
-    # closed-form zeros, normalized by its own total mass
+    # closed-form zeros, normalized by its own total mass; it checks both the
+    # draws and the theoretical CDF at the bin edges that verification reads
     from scipy.integrate import quad
 
     g = SlitGeometry()
@@ -98,12 +100,20 @@ def test_draws_match_scipy_quad_cdf():
         return quad(intensity, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
     below = np.concatenate([[0.0], np.cumsum([integral(a, b) for a, b in zip(edges[:-1], edges[1:])])])
+
+    def f_scipy(x):
+        j = min(int(np.searchsorted(edges, x, side="right")) - 1, edges.size - 2)
+        return (below[j] + integral(edges[j], x)) / below[-1]
+
     us = rng_from_seed(2024).random(200)
     xs = inverse_cdf_sample(d, iv, us)
     for u, x in zip(us, xs):
-        j = min(int(np.searchsorted(edges, x, side="right")) - 1, edges.size - 2)
-        f_scipy = (below[j] + integral(edges[j], x)) / below[-1]
-        assert abs(f_scipy - u) <= 2e-10
+        assert abs(f_scipy(x) - u) <= 2e-10
+    for bins in (10, 100, 1000):
+        bin_edges = BinningScheme(bins, Origin.FROM_A, iv).edges()
+        theory = cdf_at_points(d, iv, bin_edges)
+        want = np.array([f_scipy(x) for x in bin_edges])
+        assert np.max(np.abs(theory - want)) <= 1e-12
 
 
 def test_draws_at_null_knots():
