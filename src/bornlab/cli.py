@@ -164,6 +164,28 @@ def _section(value, key: str) -> dict:
     return dict(value)
 
 
+_GRID_DEFAULTS = {"x_min": -20.0, "x_max": 20.0, "points": 512, "dt": 1e-3,
+                  "mass": 1.0, "hbar": 1.0}
+
+
+def _number(value, key: str) -> float:
+    """A finite JSON number (not a boolean) as a float, else a ConfigError."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}", key=key)
+    return float(value)
+
+
+def _numbers(section: Mapping, key: str, **defaults) -> dict:
+    """The entries of ``section`` named in ``defaults``, each taking its
+    default when absent: an integer (``harness._integer``) where the default
+    is an int, else a finite number (``_number``)."""
+    out = {}
+    for name, default in defaults.items():
+        parse = harness._integer if type(default) is int else _number
+        out[name] = parse(section.get(name, default), f"{key}.{name}")
+    return out
+
+
 def _madelung_setup(cfg: harness.ExperimentConfig):
     section = _section({} if cfg.madelung is None else cfg.madelung, "madelung")
     unknown = set(section) - {"preset", "grid", "state", "potential", "trajectories"}
@@ -174,34 +196,27 @@ def _madelung_setup(cfg: harness.ExperimentConfig):
     if preset not in _PRESETS:
         raise ConfigError(f"madelung.preset must be one of {_PRESETS}", key="madelung.preset")
     grid_cfg = _section(section.get("grid", {}), "madelung.grid")
-    try:
-        grid = madelung.Grid(
-            x_min=float(grid_cfg.pop("x_min", -20.0)),
-            x_max=float(grid_cfg.pop("x_max", 20.0)),
-            points=int(grid_cfg.pop("points", 512)),
-            dt=float(grid_cfg.pop("dt", 1e-3)),
-            mass=float(grid_cfg.pop("mass", 1.0)),
-            hbar=float(grid_cfg.pop("hbar", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"madelung.grid: {exc}", key="madelung.grid") from exc
-    if grid_cfg:
-        raise ConfigError(f"unknown madelung.grid key: {sorted(grid_cfg)[0]}",
+    unknown = set(grid_cfg) - set(_GRID_DEFAULTS)
+    if unknown:
+        raise ConfigError(f"unknown madelung.grid key: {sorted(unknown)[0]}",
                           key="madelung.grid")
+    grid_values = _numbers(grid_cfg, "madelung.grid", **_GRID_DEFAULTS)
+    try:
+        grid = madelung.Grid(**grid_values)
+    except ValueError as exc:
+        raise ConfigError(f"madelung.grid: {exc}", key="madelung.grid") from exc
     state = _section(section.get("state", {}), "madelung.state")
     if preset == "plane_wave":
-        field = madelung.plane_wave(grid, k_index=int(state.get("k_index", 8)))
+        field = madelung.plane_wave(grid, **_numbers(state, "madelung.state", k_index=8))
         potential = madelung.Potential.free()
     elif preset == "free_gaussian":
-        field = madelung.gaussian_packet(
-            grid, center=float(state.get("center", 0.0)),
-            sigma=float(state.get("sigma", 1.0)), k_index=int(state.get("k_index", 0)),
-        )
+        field = madelung.gaussian_packet(grid, **_numbers(
+            state, "madelung.state", center=0.0, sigma=1.0, k_index=0))
         potential = madelung.Potential.free()
     elif preset == "harmonic":
-        omega = float(state.get("omega", 1.0))
-        field = madelung.harmonic_ground_state(grid, omega, float(state.get("center", 0.0)))
-        potential = madelung.Potential.harmonic(omega, float(state.get("center", 0.0)))
+        well = _numbers(state, "madelung.state", omega=1.0, center=0.0)
+        field = madelung.harmonic_ground_state(grid, **well)
+        potential = madelung.Potential.harmonic(**well)
     else:  # double_slit_screen
         density, _, _, _ = harness.experiment_density(cfg)
         field = madelung.screen_state_from_density(grid, density)
@@ -213,10 +228,15 @@ def _madelung_setup(cfg: harness.ExperimentConfig):
         if kind == "free":
             potential = madelung.Potential.free()
         elif kind == "harmonic":
-            potential = madelung.Potential.harmonic(
-                float(pot_cfg.get("omega", 1.0)), float(pot_cfg.get("center", 0.0)))
+            potential = madelung.Potential.harmonic(**_numbers(
+                pot_cfg, "madelung.potential", omega=1.0, center=0.0))
         elif kind == "tabulated":
-            potential = madelung.Potential.tabulated(pot_cfg.get("values", ()))
+            values = pot_cfg.get("values", [])
+            if not isinstance(values, list):
+                raise ConfigError("madelung.potential.values must be a list of numbers",
+                                  key="madelung.potential.values")
+            potential = madelung.Potential.tabulated(
+                [_number(v, f"madelung.potential.values[{i}]") for i, v in enumerate(values)])
         else:
             raise ConfigError("madelung.potential.kind must be free, harmonic or tabulated",
                               key="madelung.potential.kind")
@@ -225,16 +245,16 @@ def _madelung_setup(cfg: harness.ExperimentConfig):
 
 def _cmd_madelung(args) -> int:
     cfg = _load(args)
+    if args.snapshot_every < 1:
+        raise ConfigError("--snapshot-every must be >= 1", key="--snapshot-every")
     _, field, potential, _ = _madelung_setup(cfg)
     out_dir = _out_path(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     evo = madelung.Evolution(field, potential)
-    prev_polar = None
-    polar = madelung.decompose_polar(evo.field)
     records = []
 
-    def record(step: int):
-        nonlocal prev_polar
+    def record(step: int, prev_polar=None) -> madelung.PolarField:
+        polar = madelung.decompose_polar(evo.field)
         madelung.write_polar_csv(polar, os.path.join(out_dir, f"snapshot_{step:06d}.csv"))
         row: dict = {"step": step, "time": polar.time, "norm": evo.field.norm()}
         if prev_polar is not None:
@@ -247,15 +267,21 @@ def _cmd_madelung(args) -> int:
                 "classical": classical,
             })
         records.append(row)
+        return polar
 
-    record(0)
+    # the residuals of a snapshot read it and the field one step before it,
+    # so only those fields are decomposed
+    polar = record(0)
+    done = 0
     for step in range(1, args.steps + 1):
-        before = polar
+        if step % args.snapshot_every and step != args.steps:
+            continue
+        if step - 1 > done:
+            evo.step(step - 1 - done)
+            polar = madelung.decompose_polar(evo.field)
         evo.step()
-        polar = madelung.decompose_polar(evo.field)
-        prev_polar = before
-        if step % args.snapshot_every == 0 or step == args.steps:
-            record(step)
+        polar = record(step, polar)
+        done = step
     _write_json(os.path.join(out_dir, "summary.json"), {"snapshots": records})
     return EXIT_OK
 
@@ -263,9 +289,10 @@ def _cmd_madelung(args) -> int:
 def _cmd_trajectories(args) -> int:
     cfg = _load(args)
     _, field, potential, section = _madelung_setup(cfg)
-    traj_cfg = _section(section.get("trajectories", {}), "madelung.trajectories")
-    count = args.count if args.count is not None else int(traj_cfg.get("count", 10000))
-    seed = args.seed if args.seed is not None else int(traj_cfg.get("seed", 1))
+    traj = _numbers(_section(section.get("trajectories", {}), "madelung.trajectories"),
+                    "madelung.trajectories", count=10000, seed=1)
+    count = args.count if args.count is not None else traj["count"]
+    seed = args.seed if args.seed is not None else traj["seed"]
     evo = madelung.Evolution(field, potential)
     polar = madelung.decompose_polar(evo.field)
     ensemble = madelung.sample_ensemble_from_field(polar, count, seed)

@@ -102,6 +102,16 @@ def test_bad_config_key_named_on_stderr(tmp_path, capsys):
         ("madelung", {"madelung": {"state": [1.0]}}, "madelung.state"),
         ("madelung", {"madelung": {"potential": 3}}, "madelung.potential"),
         ("trajectories", {"madelung": {"trajectories": 5}}, "madelung.trajectories"),
+        # bad values inside the sections: no TypeError, no silent truncation
+        ("madelung", {"madelung": {"state": {"sigma": [1]}}}, "madelung.state.sigma"),
+        ("madelung", {"madelung": {"potential": {"kind": "harmonic", "omega": "x"}}},
+         "madelung.potential.omega"),
+        ("madelung", {"madelung": {"state": {"k_index": 2.5}}}, "madelung.state.k_index"),
+        ("trajectories", {"madelung": {"trajectories": {"count": True}}},
+         "madelung.trajectories.count"),
+        ("madelung", {"madelung": {"grid": {"dt": True}}}, "madelung.grid.dt"),
+        ("madelung", {"madelung": {"potential": {"kind": "tabulated", "values": 3}}},
+         "madelung.potential.values"),
     ]
     path = tmp_path / "cfg.json"
     for command, cfg, key in cases:
@@ -185,6 +195,26 @@ def test_madelung_zero_steps(config_path, tmp_path):
     assert [r["step"] for r in summary["snapshots"]] == [0]
     snaps = sorted(p.name for p in out_dir.glob("snapshot_*.csv"))
     assert snaps == ["snapshot_000000.csv"]
+
+
+def test_madelung_decomposes_only_the_fields_snapshots_read(config_path, tmp_path,
+                                                           monkeypatch):
+    # each snapshot's residuals read it and the step before it: 1 + 2 + 2
+    calls = []
+    decompose = madelung.decompose_polar
+    monkeypatch.setattr(madelung, "decompose_polar",
+                        lambda w: calls.append(w.time) or decompose(w))
+    rc = cli.main(["madelung", "--config", str(config_path), "--steps", "20",
+                   "--snapshot-every", "10", "--out-dir", str(tmp_path / "run")])
+    assert rc == 0
+    assert calls == pytest.approx([0.0, 9e-3, 10e-3, 19e-3, 20e-3])
+
+
+def test_madelung_zero_snapshot_stride_exits_two(config_path, tmp_path, capsys):
+    rc = cli.main(["madelung", "--config", str(config_path), "--steps", "5",
+                   "--snapshot-every", "0", "--out-dir", str(tmp_path / "run")])
+    assert rc == 2
+    assert "--snapshot-every" in capsys.readouterr().err
 
 
 def test_madelung_two_resolutions_show_documented_order(tmp_path):

@@ -3,8 +3,12 @@
 ``tests/data/golden_*`` hold the outputs of ``replicate`` (JSON and CSV),
 ``sweep``, ``sample``, ``verify`` (on the sampled events file), ``bound`` and
 ``moments`` for ``golden_config.json``: 3 N x 3 seeds x bins 10/20, both
-orientations.  Counts, verdicts and every other non-float value must match
-exactly; floats must match to a relative 1e-12.  Unlike the in-process rerun
+orientations.  ``golden_madelung_config.json`` (a free Gaussian on 256 points,
+500 particles) pins the Madelung side: ``madelung`` (three polar snapshots
+and ``summary.json``) and ``trajectories`` (positions CSV and summary), both
+over 20 steps.  A file ``<dir>/<name>`` of the output is recorded as
+``golden_<dir>_<name>``.  Counts, verdicts and every other non-float value
+must match exactly; floats must match to a relative 1e-12.  Unlike the in-process rerun
 of acceptance criterion 9, these catch drift between versions; regenerate
 them only together with a version bump.
 """
@@ -19,6 +23,8 @@ from bornlab import cli
 
 DATA = Path(__file__).parent / "data"
 CONFIG = str(DATA / "golden_config.json")
+MADELUNG_CONFIG = str(DATA / "golden_madelung_config.json")
+SNAPSHOTS = [f"madelung/snapshot_{step:06d}.csv" for step in (0, 10, 20)]
 REL = 1e-12
 
 
@@ -54,20 +60,26 @@ def _load(path):
         return [[_cell(c) for c in row] for row in csv.reader(fh)]
 
 
-@pytest.mark.parametrize("argv, outputs", [
-    (["replicate", "--out", "{replicate.json}", "--csv", "{replicate.csv}"],
+@pytest.mark.parametrize("config, argv, outputs", [
+    (CONFIG, ["replicate", "--out", "{replicate.json}", "--csv", "{replicate.csv}"],
      ["replicate.json", "replicate.csv"]),
-    (["sweep", "--n-grid", "100,1000,10000", "--seed-base", "1000", "--seed-count", "3",
-      "--out", "{sweep.json}"], ["sweep.json"]),
-    (["sample", "--n", "500", "--seed", "7", "--out", "{events.csv}"], ["events.csv"]),
-    (["verify", "--events", str(DATA / "golden_events.csv"), "--out", "{verify.json}"],
+    (CONFIG, ["sweep", "--n-grid", "100,1000,10000", "--seed-base", "1000", "--seed-count", "3",
+              "--out", "{sweep.json}"], ["sweep.json"]),
+    (CONFIG, ["sample", "--n", "500", "--seed", "7", "--out", "{events.csv}"], ["events.csv"]),
+    (CONFIG, ["verify", "--events", str(DATA / "golden_events.csv"), "--out", "{verify.json}"],
      ["verify.json"]),
-    (["bound", "--out", "{bound.json}"], ["bound.json"]),
-    (["moments", "--out", "{moments.json}"], ["moments.json"]),
-], ids=["replicate", "sweep", "sample", "verify", "bound", "moments"])
-def test_cli_output_matches_golden(tmp_path, argv, outputs):
-    paths = {name: tmp_path / name for name in outputs}
-    args = [str(paths[a[1:-1]]) if a.startswith("{") else a for a in argv]
-    assert cli.main([args[0], "--config", CONFIG, *args[1:]]) == 0
+    (CONFIG, ["bound", "--out", "{bound.json}"], ["bound.json"]),
+    (CONFIG, ["moments", "--out", "{moments.json}"], ["moments.json"]),
+    (MADELUNG_CONFIG, ["madelung", "--steps", "20", "--snapshot-every", "10",
+                       "--out-dir", "{madelung}"], [*SNAPSHOTS, "madelung/summary.json"]),
+    (MADELUNG_CONFIG, ["trajectories", "--steps", "20", "--out", "{trajectories.csv}",
+                       "--summary", "{trajectories_summary.json}"],
+     ["trajectories.csv", "trajectories_summary.json"]),
+], ids=["replicate", "sweep", "sample", "verify", "bound", "moments", "madelung",
+        "trajectories"])
+def test_cli_output_matches_golden(tmp_path, config, argv, outputs):
+    args = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+    assert cli.main([args[0], "--config", config, *args[1:]]) == 0
     for name in outputs:
-        _assert_matches(_load(paths[name]), _load(DATA / f"golden_{name}"), name)
+        golden = DATA / ("golden_" + name.replace("/", "_"))
+        _assert_matches(_load(tmp_path / name), _load(golden), name)

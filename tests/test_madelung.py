@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bornlab import madelung
 from bornlab.born_density import SlitGeometry, double_slit_density
 from bornlab.errors import InsufficientHistory, UnstableStep
 from bornlab.madelung import (
@@ -316,6 +317,39 @@ def test_node_collision_freezes_and_counts():
     assert out.frozen[1] and not out.frozen[0]
     assert out.positions[1] == 27.5  # frozen in place
     assert out.positions[0] == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("block", [None, 4], ids=["one_block", "blocks_of_4"])
+@pytest.mark.parametrize("two_snapshots", [True, False], ids=["heun", "frozen_field"])
+def test_advect_result_does_not_depend_on_particle_order(two_snapshots, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(madelung, "_ADVECT_BLOCK", block)
+    grid = Grid(0.0, 64.0, 64, dt=1.0)
+    x = grid.x()
+    r = np.ones(64)
+    r[30:34] = 1e-9  # a node region; velocity is NaN on cells 26..37
+    mask = r < 1e-6 * r.max()
+    p = PolarField(grid, r, grid.hbar * (x + 0.01 * x * x), mask, 0.0)
+    p_next = PolarField(grid, r, grid.hbar * (1.1 * x + 0.01 * x * x), mask, 1.0)
+    # unsorted, with ties and three members frozen from the start; the steps
+    # from 24.0 (Heun) and 24.6 (midpoint) read velocity in the node cells, and
+    # probes from 62.0 (Heun) and 63.0 (midpoint) leave the domain; NaN and
+    # starts outside the domain only freeze
+    start = np.array([63.0, 5.0, 24.0, 27.5, 62.0, 24.6, 5.0, 40.0, 10.25, 0.5,
+                      61.5, 33.0, 24.0, 45.0, 62.5, np.nan, -5.0, 70.0])
+    frozen = np.zeros(start.size, dtype=bool)
+    frozen[[1, 7, 11]] = True
+    pair = (p, p_next) if two_snapshots else (p,)
+    whole = advect_trajectories(TrajectoryEnsemble(start, 0.0, frozen, 2), *pair)
+    alone = [advect_trajectories(TrajectoryEnsemble(start[i:i + 1], 0.0, frozen[i:i + 1]),
+                                 *pair) for i in range(start.size)]
+    assert whole.positions.tobytes() == np.concatenate([a.positions for a in alone]).tobytes()
+    assert np.array_equal(whole.frozen, np.concatenate([a.frozen for a in alone]))
+    assert whole.collisions == 2 + sum(a.collisions for a in alone)
+    newly = whole.frozen & ~frozen
+    assert newly[start < 30].any() and newly[start > 60].any()  # node and edge cases
+    moved = ~whole.frozen
+    assert moved.sum() >= 5 and (whole.positions[moved] > start[moved]).all()
 
 
 def test_ensemble_matches_density_after_free_flight():

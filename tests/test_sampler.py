@@ -1,7 +1,13 @@
+import csv
+import io
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bornlab import cli
 from bornlab.berry_esseen import BinningScheme, Origin
@@ -18,6 +24,7 @@ from bornlab.born_density import (
 from bornlab.errors import DegenerateState, EmptyFile, OutOfInterval, ParseError
 from bornlab.quadrature import DEFAULT_QUADRATURE, Interval
 from bornlab.harness import experiment_density, load_config
+from bornlab.madelung import TrajectoryEnsemble, write_trajectories_csv
 from bornlab.sampler import (
     CDF_VALUE_TOL,
     bin_positions,
@@ -328,6 +335,38 @@ def test_events_csv_roundtrip(tmp_path):
     back = read_events_csv(p)
     assert isinstance(back, np.ndarray)
     assert np.array_equal(back, positions)
+
+
+def _csv_writer_bytes(values, column):
+    """The per-row ``csv.writer`` loop the events and trajectory writers ran
+    before they shared one body: the reference for their bytes."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["index", column])
+    for i, x in enumerate(values):
+        writer.writerow([i, repr(float(x))])
+    return buf.getvalue().encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+@example([])
+@example([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+          1.7976931348623157e308, 0.1, 1e16, 123456789.0, -1e-7])
+@example(np.linspace(-1e3, 1e3, 9000).tolist())  # rows are joined 4,096 at a time
+def test_index_csv_writers_emit_csv_writer_bytes(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        events = os.path.join(tmp, "events.csv")
+        write_events_csv(values, events)
+        with open(events, "rb") as fh:
+            assert fh.read() == _csv_writer_bytes(values, "t_mm")
+        if values:
+            back = read_events_csv(events)
+            assert back.tobytes() == np.array(values, dtype=float).tobytes()  # -0.0 too
+            traj = os.path.join(tmp, "traj.csv")
+            write_trajectories_csv(TrajectoryEnsemble(np.array(values)), traj)
+            with open(traj, "rb") as fh:
+                assert fh.read() == _csv_writer_bytes(values, "x")
 
 
 def test_events_csv_parse_errors(tmp_path):
