@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -27,7 +26,9 @@ EXIT_VERDICT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNSTABLE = 3
 
-_PRESETS = ("plane_wave", "free_gaussian", "harmonic", "double_slit_screen")
+# the least value of each integer flag; a smaller one exits 2
+_FLAG_MINIMA = {"points": 2, "n": 1, "seed": 0, "seed_base": 0, "seed_count": 1, "steps": 0,
+                "snapshot_every": 1, "count": 1}
 
 
 def _out_path(path: str) -> str:
@@ -157,97 +158,26 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _section(value, key: str) -> dict:
-    """A copy of the config object ``value`` found at ``key``."""
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{key} must be a JSON object", key=key)
-    return dict(value)
-
-
-_GRID_DEFAULTS = {"x_min": -20.0, "x_max": 20.0, "points": 512, "dt": 1e-3,
-                  "mass": 1.0, "hbar": 1.0}
-
-
-def _number(value, key: str) -> float:
-    """A finite JSON number (not a boolean) as a float, else a ConfigError."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}", key=key)
-    return float(value)
-
-
-def _numbers(section: Mapping, key: str, **defaults) -> dict:
-    """The entries of ``section`` named in ``defaults``, each taking its
-    default when absent: an integer (``harness._integer``) where the default
-    is an int, else a finite number (``_number``)."""
-    out = {}
-    for name, default in defaults.items():
-        parse = harness._integer if type(default) is int else _number
-        out[name] = parse(section.get(name, default), f"{key}.{name}")
-    return out
-
-
 def _madelung_setup(cfg: harness.ExperimentConfig):
-    section = _section({} if cfg.madelung is None else cfg.madelung, "madelung")
-    unknown = set(section) - {"preset", "grid", "state", "potential", "trajectories"}
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"unknown madelung key: {key}", key=f"madelung.{key}")
-    preset = section.get("preset", "free_gaussian")
-    if preset not in _PRESETS:
-        raise ConfigError(f"madelung.preset must be one of {_PRESETS}", key="madelung.preset")
-    grid_cfg = _section(section.get("grid", {}), "madelung.grid")
-    unknown = set(grid_cfg) - set(_GRID_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown madelung.grid key: {sorted(unknown)[0]}",
-                          key="madelung.grid")
-    grid_values = _numbers(grid_cfg, "madelung.grid", **_GRID_DEFAULTS)
-    try:
-        grid = madelung.Grid(**grid_values)
-    except ValueError as exc:
-        raise ConfigError(f"madelung.grid: {exc}", key="madelung.grid") from exc
-    state = _section(section.get("state", {}), "madelung.state")
-    if preset == "plane_wave":
-        field = madelung.plane_wave(grid, **_numbers(state, "madelung.state", k_index=8))
-        potential = madelung.Potential.free()
-    elif preset == "free_gaussian":
-        field = madelung.gaussian_packet(grid, **_numbers(
-            state, "madelung.state", center=0.0, sigma=1.0, k_index=0))
-        potential = madelung.Potential.free()
-    elif preset == "harmonic":
-        well = _numbers(state, "madelung.state", omega=1.0, center=0.0)
-        field = madelung.harmonic_ground_state(grid, **well)
-        potential = madelung.Potential.harmonic(**well)
+    """The Madelung section with the initial field and the potential of its
+    preset (or its own potential, when it gives one)."""
+    m = cfg.madelung if cfg.madelung is not None else harness.MadelungConfig()
+    potential = madelung.Potential.free()
+    if m.preset == "plane_wave":
+        field = madelung.plane_wave(m.grid, **m.state)
+    elif m.preset == "free_gaussian":
+        field = madelung.gaussian_packet(m.grid, **m.state)
+    elif m.preset == "harmonic":
+        field = madelung.harmonic_ground_state(m.grid, **m.state)
+        potential = madelung.Potential.harmonic(**m.state)
     else:  # double_slit_screen
         density, _, _, _ = harness.experiment_density(cfg)
-        field = madelung.screen_state_from_density(grid, density)
-        potential = madelung.Potential.free()
-    pot_cfg = section.get("potential")
-    if pot_cfg is not None:
-        pot_cfg = _section(pot_cfg, "madelung.potential")
-        kind = pot_cfg.get("kind", "free")
-        if kind == "free":
-            potential = madelung.Potential.free()
-        elif kind == "harmonic":
-            potential = madelung.Potential.harmonic(**_numbers(
-                pot_cfg, "madelung.potential", omega=1.0, center=0.0))
-        elif kind == "tabulated":
-            values = pot_cfg.get("values", [])
-            if not isinstance(values, list):
-                raise ConfigError("madelung.potential.values must be a list of numbers",
-                                  key="madelung.potential.values")
-            potential = madelung.Potential.tabulated(
-                [_number(v, f"madelung.potential.values[{i}]") for i, v in enumerate(values)])
-        else:
-            raise ConfigError("madelung.potential.kind must be free, harmonic or tabulated",
-                              key="madelung.potential.kind")
-    return grid, field, potential, section
+        field = madelung.screen_state_from_density(m.grid, density)
+    return m, field, m.potential if m.potential is not None else potential
 
 
 def _cmd_madelung(args) -> int:
-    cfg = _load(args)
-    if args.snapshot_every < 1:
-        raise ConfigError("--snapshot-every must be >= 1", key="--snapshot-every")
-    _, field, potential, _ = _madelung_setup(cfg)
+    _, field, potential = _madelung_setup(_load(args))
     out_dir = _out_path(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     evo = madelung.Evolution(field, potential)
@@ -287,12 +217,9 @@ def _cmd_madelung(args) -> int:
 
 
 def _cmd_trajectories(args) -> int:
-    cfg = _load(args)
-    _, field, potential, section = _madelung_setup(cfg)
-    traj = _numbers(_section(section.get("trajectories", {}), "madelung.trajectories"),
-                    "madelung.trajectories", count=10000, seed=1)
-    count = args.count if args.count is not None else traj["count"]
-    seed = args.seed if args.seed is not None else traj["seed"]
+    m, field, potential = _madelung_setup(_load(args))
+    count = args.count if args.count is not None else m.count
+    seed = args.seed if args.seed is not None else m.seed
     evo = madelung.Evolution(field, potential)
     polar = madelung.decompose_polar(evo.field)
     ensemble = madelung.sample_ensemble_from_field(polar, count, seed)
@@ -380,6 +307,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, least in _FLAG_MINIMA.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                flag = "--" + name.replace("_", "-")
+                raise ConfigError(f"{flag} must be >= {least}, got {value}", key=flag)
         return args.func(args)
     except (UnstableStep, NonConvergence) as exc:
         print(f"bornlab: numerical instability: {exc}", file=sys.stderr)

@@ -1,4 +1,8 @@
-"""Replication protocol, convergence sweeps, event ingestion, reports.
+"""Config schema, replication protocol, convergence sweeps, event ingestion, reports.
+
+:func:`config_from_json_dict` alone reads config JSON: every section, ``madelung``
+included, into frozen dataclasses at load.  Integers are strict, every other value
+is a finite number, unknown keys and repeated list entries are errors naming the key.
 
 The whole pipeline is a pure function of (config, seeds): sampling uses the
 fixed PCG64 streams, binning and verification are deterministic, and report
@@ -10,7 +14,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
+from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,11 +33,13 @@ from .berry_esseen import (
 )
 from .born_density import SlitGeometry, default_support, double_slit_density
 from .errors import ConfigError, OutOfInterval, SlopeUndefined
+from .madelung import Grid, Potential, PotentialKind
 from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig
 from .sampler import atomic_open, bin_positions, inverse_cdf_sample, read_events_csv, rng_from_seed
 
 __all__ = [
     "ExperimentConfig",
+    "MadelungConfig",
     "ReportRow",
     "ConvergenceReport",
     "SweepResult",
@@ -62,6 +70,52 @@ _ALL_VARIANTS = (
 )
 
 
+# the config file's name of each SlitGeometry field
+_GEOMETRY = {"w_nm": "slit_width_w", "d_nm": "slit_separation_d", "L_mm": "screen_distance_L",
+             "lambda_pm": "wavelength_lambda", "mu_mm": "center_mu", "I0": "peak_height_I0"}
+# the state entries of each Madelung preset and the entries of each potential
+# kind, with their defaults
+_PRESETS = {
+    "plane_wave": {"k_index": 8},
+    "free_gaussian": {"center": 0.0, "sigma": 1.0, "k_index": 0},
+    "harmonic": {"omega": 1.0, "center": 0.0},
+    "double_slit_screen": {},
+}
+_POTENTIALS = {
+    PotentialKind.FREE: {},
+    PotentialKind.HARMONIC: {"omega": 1.0, "center": 0.0},
+    PotentialKind.TABULATED: {"values": ()},
+}
+
+
+@dataclass(frozen=True)
+class MadelungConfig:
+    """The ``madelung`` section: a preset with its grid and state entries, a
+    potential that replaces the preset's own when given, and the size and
+    seed of the trajectory ensemble."""
+
+    preset: str = "free_gaussian"
+    grid: Grid = Grid(x_min=-20.0, x_max=20.0, points=512, dt=1e-3)
+    state: Mapping = field(default_factory=lambda: dict(_PRESETS["free_gaussian"]))
+    potential: Potential | None = None
+    count: int = 10000
+    seed: int = 1
+
+    def __post_init__(self):
+        for name, least in (("count", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"madelung.trajectories.{name} must be >= {least}",
+                                  key=f"madelung.trajectories.{name}")
+        for name in ("sigma", "omega"):
+            if not self.state.get(name, 1.0) > 0:
+                raise ConfigError(f"madelung.state.{name} must be > 0",
+                                  key=f"madelung.state.{name}")
+        values = None if self.potential is None else self.potential.values
+        if values is not None and len(values) != self.grid.points:
+            raise ConfigError(f"madelung.potential.values must hold {self.grid.points} entries, "
+                              f"one per grid point", key="madelung.potential.values")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     geometry: SlitGeometry
@@ -74,20 +128,25 @@ class ExperimentConfig:
     moment_interval: Interval | None = None
     quadrature: QuadratureConfig = DEFAULT_QUADRATURE
     constant_override: float | None = None
-    madelung: Mapping | None = None
+    madelung: MadelungConfig | None = None
 
     def __post_init__(self):
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ConfigError("n_values must be nonempty with every entry >= 1", key="n_values")
-        if not self.bin_counts or any(b < 1 for b in self.bin_counts):
-            raise ConfigError("bin_counts must be nonempty with every entry >= 1",
-                              key="binning.bin_counts")
-        if not self.orientations:
-            raise ConfigError("at least one orientation is required", key="binning.orientations")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required", key="seeds")
-        if not self.variants:
-            raise ConfigError("at least one constant variant is required", key="variants")
+        # each list is nonempty and holds no entry twice
+        for key, values, least in (
+            ("n_values", self.n_values, 1), ("seeds", self.seeds, 0),
+            ("binning.bin_counts", self.bin_counts, 1),
+            ("binning.orientations", self.orientations, None), ("variants", self.variants, None),
+        ):
+            if not values:
+                raise ConfigError(f"{key} must not be empty", key=key)
+            seen = set()
+            for i, value in enumerate(values):
+                if least is not None and value < least:
+                    raise ConfigError(f"{key}[{i}] must be >= {least}, got {value}",
+                                      key=f"{key}[{i}]")
+                if value in seen:
+                    raise ConfigError(f"{key}[{i}] repeats an earlier entry", key=f"{key}[{i}]")
+                seen.add(value)
 
 
 def replication_config(seeds: Sequence[int] = (1,), **overrides) -> ExperimentConfig:
@@ -107,125 +166,131 @@ def pattern_buildup_config(seeds: Sequence[int] = (1,), **overrides) -> Experime
 # ---------------------------------------------------------------------------
 # config file schema
 
-_TOP_KEYS = {
-    "geometry", "interval", "binning", "n_values", "seeds",
-    "quadrature", "moment_interval", "variants", "constant_override", "madelung",
-}
-_GEOMETRY_KEYS = {"w_nm", "d_nm", "L_mm", "lambda_pm", "mu_mm", "I0"}
+def _join(key: str, name: str) -> str:
+    return f"{key}.{name}" if key else name
 
 
-def _interval_from(obj, key: str) -> Interval | None:
-    if obj is None:
-        return None
-    if not isinstance(obj, Mapping) or set(obj) != {"a_mm", "b_mm"}:
-        raise ConfigError(f"{key} must be an object with keys a_mm, b_mm", key=key)
-    try:
-        return Interval(float(obj["a_mm"]), float(obj["b_mm"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}", key=key) from exc
-
-
-def _integer(value, key: str) -> int:
-    """A JSON integer; an integral float such as 10.0 passes, booleans and
-    fractions do not."""
-    if type(value) is float and value.is_integer():
-        value = int(value)
-    if type(value) is not int:
-        raise ConfigError(f"{key} must be an integer, got {value!r}", key=key)
+def _section(value, key: str, allowed=None) -> Mapping:
+    """``value`` as a JSON object, every key of which is in ``allowed`` (any
+    key when ``allowed`` is None)."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{key or 'config root'} must be a JSON object", key=key or "<root>")
+    unknown = sorted(set(value) - set(value if allowed is None else allowed))
+    if unknown:
+        raise ConfigError(f"unknown config key: {_join(key, unknown[0])}",
+                          key=_join(key, unknown[0]))
     return value
 
 
-def _integers(values, key: str) -> tuple[int, ...]:
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{key} must be a list of integers", key=key)
-    return tuple(_integer(v, f"{key}[{i}]") for i, v in enumerate(values))
+def _value(value, key: str, default):
+    """``value`` parsed to the type of ``default``: a list parsed entry by
+    entry like the first entry of ``default`` (like a number when it is
+    empty), an enum member named by its value, an integer (an integral float
+    such as 10.0 passes, a boolean or a fraction does not), or a finite
+    number."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}", key=key)
+        like = default[0] if default else 0.0
+        return tuple(_value(v, f"{key}[{i}]", like) for i, v in enumerate(value))
+    if isinstance(default, Enum):
+        try:
+            return type(default)(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be one of {[e.value for e in type(default)]}, "
+                              f"got {value!r}", key=key) from None
+    if type(default) is int:
+        if type(value) is float and value.is_integer():
+            value = int(value)
+        if type(value) is not int:
+            raise ConfigError(f"{key} must be an integer, got {value!r}", key=key)
+        return value
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}", key=key)
+    return float(value)
+
+
+def _entries(value, key: str, defaults: Mapping, others=()) -> dict:
+    """The entries of the object ``value`` named in ``defaults``, each parsed
+    to the type of its default and taking it when absent.  A key in neither
+    ``defaults`` nor ``others`` is an error."""
+    section = _section(value, key, [*defaults, *others])
+    return {name: _value(section.get(name, default), _join(key, name), default)
+            for name, default in defaults.items()}
+
+
+def _build(make, key: str, *args, **kwargs):
+    """``make(*args, **kwargs)``, a ValueError from it raised as a ConfigError
+    naming ``key``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}", key=key) from exc
+
+
+def _interval(value, key: str) -> Interval | None:
+    if value is None:
+        return None
+    ends = _section(value, key, ("a_mm", "b_mm"))
+    return _build(Interval, key, *(_value(ends.get(end), _join(key, end), 0.0)
+                                   for end in ("a_mm", "b_mm")))
+
+
+def _madelung(value) -> MadelungConfig:
+    section = _section(value, "madelung", ("preset", "grid", "state", "potential", "trajectories"))
+    preset = section.get("preset", MadelungConfig.preset)
+    if not isinstance(preset, str) or preset not in _PRESETS:
+        raise ConfigError(f"madelung.preset must be one of {list(_PRESETS)}, got {preset!r}",
+                          key="madelung.preset")
+    potential = section.get("potential")
+    if potential is not None:
+        key = "madelung.potential"
+        kind = _value(_section(potential, key).get("kind", PotentialKind.FREE), f"{key}.kind",
+                      PotentialKind.FREE)
+        entries = _entries(potential, key, _POTENTIALS[kind], others=("kind",))
+        potential = _build(getattr(Potential, kind.value), key, **entries)
+    return MadelungConfig(
+        preset=preset,
+        grid=_build(Grid, "madelung.grid", **_entries(
+            section.get("grid", {}), "madelung.grid", asdict(MadelungConfig.grid))),
+        state=_entries(section.get("state", {}), "madelung.state", _PRESETS[preset]),
+        potential=potential,
+        **_entries(section.get("trajectories", {}), "madelung.trajectories",
+                   {"count": MadelungConfig.count, "seed": MadelungConfig.seed}),
+    )
 
 
 def config_from_json_dict(obj: Mapping) -> ExperimentConfig:
-    if not isinstance(obj, Mapping):
-        raise ConfigError("config root must be a JSON object", key="<root>")
-    unknown = set(obj) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key: {sorted(unknown)[0]}", key=sorted(unknown)[0])
-
-    geo = obj.get("geometry", {})
-    if not isinstance(geo, Mapping):
-        raise ConfigError("geometry must be an object", key="geometry")
-    bad = set(geo) - _GEOMETRY_KEYS
-    if bad:
-        raise ConfigError(f"unknown geometry key: {sorted(bad)[0]}",
-                          key=f"geometry.{sorted(bad)[0]}")
-    try:
-        geometry = SlitGeometry(
-            slit_width_w=float(geo.get("w_nm", 62.0)),
-            slit_separation_d=float(geo.get("d_nm", 272.0)),
-            screen_distance_L=float(geo.get("L_mm", 240.0)),
-            wavelength_lambda=float(geo.get("lambda_pm", 50.0)),
-            center_mu=float(geo.get("mu_mm", 0.0)),
-            peak_height_I0=float(geo.get("I0", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"geometry: {exc}", key="geometry") from exc
-
-    binning = obj.get("binning", {})
-    if not isinstance(binning, Mapping) or set(binning) - {"bin_counts", "orientations"}:
-        raise ConfigError("binning accepts keys bin_counts, orientations", key="binning")
-    bin_counts = _integers(binning.get("bin_counts", (10,)), "binning.bin_counts")
-    try:
-        orientations = tuple(Origin(o) for o in binning.get("orientations",
-                                                            ("from_a", "from_b")))
-    except ValueError as exc:
-        raise ConfigError(f"binning.orientations: {exc}", key="binning.orientations") from exc
-
-    try:
-        variants = tuple(BoundConstantVariant(v) for v in obj.get(
-            "variants", ("lower_bound_constant", "plus_16_percent")))
-    except ValueError as exc:
-        raise ConfigError(f"variants: {exc}", key="variants") from exc
-
-    quad = obj.get("quadrature", {})
-    if not isinstance(quad, Mapping) or set(quad) - {"rel_tol", "abs_tol", "max_refinement_depth"}:
-        raise ConfigError("quadrature accepts rel_tol, abs_tol, max_refinement_depth",
-                          key="quadrature")
-    depth = _integer(quad.get("max_refinement_depth", 60), "quadrature.max_refinement_depth")
-    try:
-        quadrature = QuadratureConfig(
-            rel_tol=float(quad.get("rel_tol", 1e-9)),
-            abs_tol=float(quad.get("abs_tol", 1e-12)),
-            max_refinement_depth=depth,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"quadrature: {exc}", key="quadrature") from exc
-
+    """The typed config of a parsed JSON object; every entry of every section
+    is checked here, and a bad one raises a ConfigError naming it."""
+    # the defaults are those of the dataclass fields
+    top = _entries(obj, "", {k: getattr(ExperimentConfig, k)
+                             for k in ("n_values", "seeds", "variants")},
+                   others=("geometry", "interval", "binning", "quadrature", "moment_interval",
+                           "constant_override", "madelung"))
+    binning = _entries(obj.get("binning", {}), "binning",
+                       {k: getattr(ExperimentConfig, k) for k in ("bin_counts", "orientations")})
+    geometry = _entries(obj.get("geometry", {}), "geometry",
+                        {name: getattr(SlitGeometry, f) for name, f in _GEOMETRY.items()})
     override = obj.get("constant_override")
-    try:
-        return ExperimentConfig(
-            geometry=geometry,
-            interval=_interval_from(obj.get("interval"), "interval"),
-            n_values=_integers(obj.get("n_values", PAPER_REPLICATION_N_VALUES), "n_values"),
-            bin_counts=bin_counts,
-            orientations=orientations,
-            seeds=_integers(obj.get("seeds", (1,)), "seeds"),
-            variants=variants,
-            moment_interval=_interval_from(obj.get("moment_interval"), "moment_interval"),
-            quadrature=quadrature,
-            constant_override=None if override is None else float(override),
-            madelung=obj.get("madelung"),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    if override is not None:
+        override = _value(override, "constant_override", 1.0)
+    return ExperimentConfig(
+        geometry=_build(SlitGeometry, "geometry",
+                        **{_GEOMETRY[name]: v for name, v in geometry.items()}),
+        interval=_interval(obj.get("interval"), "interval"),
+        moment_interval=_interval(obj.get("moment_interval"), "moment_interval"),
+        quadrature=_build(QuadratureConfig, "quadrature", **_entries(
+            obj.get("quadrature", {}), "quadrature", asdict(DEFAULT_QUADRATURE))),
+        constant_override=override,
+        madelung=None if obj.get("madelung") is None else _madelung(obj["madelung"]),
+        **top, **binning,
+    )
 
 
 def config_to_json_dict(cfg: ExperimentConfig) -> dict:
-    g = cfg.geometry
     out: dict = {
-        "geometry": {
-            "w_nm": g.slit_width_w, "d_nm": g.slit_separation_d,
-            "L_mm": g.screen_distance_L, "lambda_pm": g.wavelength_lambda,
-            "mu_mm": g.center_mu, "I0": g.peak_height_I0,
-        },
+        "geometry": {name: getattr(cfg.geometry, f) for name, f in _GEOMETRY.items()},
         "interval": None if cfg.interval is None else
             {"a_mm": cfg.interval.lo, "b_mm": cfg.interval.hi},
         "binning": {
@@ -234,19 +299,21 @@ def config_to_json_dict(cfg: ExperimentConfig) -> dict:
         },
         "n_values": list(cfg.n_values),
         "seeds": list(cfg.seeds),
-        "quadrature": {
-            "rel_tol": cfg.quadrature.rel_tol,
-            "abs_tol": cfg.quadrature.abs_tol,
-            "max_refinement_depth": cfg.quadrature.max_refinement_depth,
-        },
+        "quadrature": asdict(cfg.quadrature),
         "moment_interval": None if cfg.moment_interval is None else
             {"a_mm": cfg.moment_interval.lo, "b_mm": cfg.moment_interval.hi},
         "variants": [v.value for v in cfg.variants],
     }
     if cfg.constant_override is not None:
         out["constant_override"] = cfg.constant_override
-    if cfg.madelung is not None:
-        out["madelung"] = cfg.madelung
+    m = cfg.madelung
+    if m is not None:
+        out["madelung"] = {"preset": m.preset, "grid": asdict(m.grid), "state": dict(m.state),
+                           "trajectories": {"count": m.count, "seed": m.seed}}
+        if m.potential is not None:
+            kind = m.potential.kind
+            out["madelung"]["potential"] = {"kind": kind.value, **{
+                name: getattr(m.potential, name) for name in _POTENTIALS[kind]}}
     return out
 
 
@@ -376,10 +443,10 @@ def run_paper_replication(cfg: ExperimentConfig) -> ConvergenceReport:
     grid.  A failing verdict is recorded, never raised."""
     setup = experiment_density(cfg)
     density, interval, _, _ = setup
-    seeds = sorted(set(cfg.seeds))
-    bin_counts = sorted(set(cfg.bin_counts))
+    seeds = sorted(cfg.seeds)
+    bin_counts = sorted(cfg.bin_counts)
     rows: list[ReportRow] = []
-    for n in sorted(set(cfg.n_values)):
+    for n in sorted(cfg.n_values):
         positions_by_seed = _positions_by_seed(density, interval, n, seeds, cfg.quadrature)
         for seed in seeds:
             rows += _verify_positions(cfg, setup, positions_by_seed[seed], seed, bin_counts)
@@ -396,7 +463,7 @@ def run_convergence_sweep(cfg: ExperimentConfig, n_grid: Sequence[int],
         raise SlopeUndefined(f"need at least two N values to fit a slope, got {ns}")
     if ns[-1] < 100 * ns[0]:
         raise ValueError("n_grid must span at least two decades")
-    seed_list = sorted(set(seeds)) if seeds is not None else sorted(set(cfg.seeds))
+    seed_list = sorted(set(seeds)) if seeds is not None else sorted(cfg.seeds)
     setup = experiment_density(cfg)
     density, interval, _, _ = setup
     lead_orientation = cfg.orientations[0]
@@ -421,7 +488,7 @@ def run_convergence_sweep(cfg: ExperimentConfig, n_grid: Sequence[int],
 def verify_events(cfg: ExperimentConfig, positions: Sequence[float]) -> ConvergenceReport:
     """Run the verification stage alone on externally supplied event positions."""
     rows = _verify_positions(cfg, experiment_density(cfg), positions, None,
-                             sorted(set(cfg.bin_counts)))
+                             sorted(cfg.bin_counts))
     return ConvergenceReport.from_rows(rows)
 
 

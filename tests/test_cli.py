@@ -113,13 +113,57 @@ def test_bad_config_key_named_on_stderr(tmp_path, capsys):
         ("madelung", {"madelung": {"potential": {"kind": "tabulated", "values": 3}}},
          "madelung.potential.values"),
     ]
+    # values that were coerced or let through, and keys that were ignored: the
+    # config is checked whole on load, so every subcommand rejects each one
+    nan = float("nan")
+    cases += [
+        (command, cfg, key)
+        for cfg, key in [
+            ({"geometry": {"w_nm": True}}, "geometry.w_nm"),
+            ({"geometry": {"I0": "3"}}, "geometry.I0"),
+            ({"quadrature": {"rel_tol": "1e-9"}}, "quadrature.rel_tol"),
+            ({"interval": {"a_mm": "-1", "b_mm": False}}, "interval.a_mm"),
+            ({"interval": {"a_mm": -1.0, "b_mm": False}}, "interval.b_mm"),
+            ({"quadrature": {"abs_tol": nan}}, "quadrature.abs_tol"),
+            ({"constant_override": nan}, "constant_override"),
+            ({"madelung": {"preset": "bogus"}}, "madelung.preset"),
+            ({"madelung": {"state": {"sigmaa": 2.0}}}, "madelung.state.sigmaa"),
+            ({"madelung": {"trajectories": {"seedd": 2}}}, "madelung.trajectories.seedd"),
+            ({"madelung": {"potential": {"kind": "free", "omega": 2.0}}},
+             "madelung.potential.omega"),
+            ({"madelung": {"preset": "plane_wave", "state": {"sigma": 1.0}}},
+             "madelung.state.sigma"),
+            ({"madelung": {"grid": {"points": 100}}}, "madelung.grid"),
+        ]
+        for command in ("bound", "replicate", "madelung", "trajectories")
+    ]
     path = tmp_path / "cfg.json"
     for command, cfg, key in cases:
         path.write_text(json.dumps(cfg))
-        out = "--out-dir" if command == "madelung" else "--out"
-        rc = cli.main([command, "--config", str(path), out, str(tmp_path / "out")])
-        assert rc == 2, cfg
-        assert key in capsys.readouterr().err, cfg
+        out = {"bound": [], "madelung": ["--out-dir", str(tmp_path / "out")]}.get(
+            command, ["--out", str(tmp_path / "out")])
+        rc = cli.main([command, "--config", str(path), *out])
+        assert rc == 2, (command, cfg)
+        assert key in capsys.readouterr().err, (command, cfg)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--seed-count", "0"], "--seed-count"),
+    (["madelung", "--steps", "-3", "--out-dir", "run"], "--steps"),
+    (["trajectories", "--steps", "-4", "--out", "t.csv"], "--steps"),
+    (["density", "--points", "0", "--out", "d.csv"], "--points"),
+    (["density", "--points", "1", "--out", "d.csv"], "--points"),
+    (["trajectories", "--count", "-5", "--out", "t.csv"], "--count"),
+])
+def test_count_flag_below_its_least_exits_two(config_path, tmp_path, monkeypatch, capsys,
+                                              argv, flag):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main([argv[0], "--config", str(config_path), *argv[1:]])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / argv[-1]).exists()
 
 
 def test_moments_and_bound_stdout(config_path, capsys):

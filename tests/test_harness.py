@@ -1,7 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornlab import cli
 from bornlab.berry_esseen import BinningScheme, Origin
@@ -9,6 +12,7 @@ from bornlab.born_density import cdf, double_slit_density, SlitGeometry
 from bornlab.errors import ConfigError, EmptyFile, OutOfInterval, ParseError, SlopeUndefined
 from bornlab.harness import (
     ConvergenceReport,
+    MadelungConfig,
     PAPER_REPLICATION_N_VALUES,
     PATTERN_BUILDUP_N_VALUES,
     config_from_json_dict,
@@ -23,6 +27,7 @@ from bornlab.harness import (
     run_paper_replication,
     verify_events,
 )
+from bornlab.madelung import Grid, Potential
 from bornlab.quadrature import Interval
 from bornlab.sampler import sample_positions, write_events_csv
 
@@ -78,6 +83,29 @@ def test_config_validation_errors():
         config_from_json_dict({"interval": {"a_mm": 1.0}})
     with pytest.raises(ConfigError):
         config_from_json_dict({"variants": ["bogus"]})
+    for obj, key in [
+        # a list entry given twice is named, not dropped or run twice
+        ({"n_values": [13, 54, 13]}, "n_values[2]"),
+        ({"seeds": [1, 1]}, "seeds[1]"),
+        ({"binning": {"bin_counts": [10, 10.0]}}, "binning.bin_counts[1]"),
+        ({"binning": {"orientations": ["from_a", "from_a"]}}, "binning.orientations[1]"),
+        ({"variants": ["plus_16_percent", "plus_16_percent"]}, "variants[1]"),
+        # values out of range fail on load, not in the stage that uses them
+        ({"seeds": [3, -1]}, "seeds[1]"),
+        ({"madelung": {"state": {"sigma": -1.0}}}, "madelung.state.sigma"),
+        ({"madelung": {"preset": "harmonic", "state": {"omega": 0}}}, "madelung.state.omega"),
+        ({"madelung": {"trajectories": {"count": 0}}}, "madelung.trajectories.count"),
+        ({"madelung": {"trajectories": {"seed": -2}}}, "madelung.trajectories.seed"),
+        ({"madelung": {"potential": {"kind": "tabulated", "values": [0.0]}}},
+         "madelung.potential.values"),
+        ({"madelung": {"potential": {"kind": "harmonic", "omega": -1.0}}}, "madelung.potential"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            config_from_json_dict(obj)
+        assert err.value.key == key
+    with pytest.raises(ConfigError) as err:
+        replication_config(seeds=(3, 3))
+    assert err.value.key == "seeds[1]"
 
 
 def test_config_rejects_non_integral_entries(tmp_path):
@@ -101,6 +129,90 @@ def test_config_rejects_non_integral_entries(tmp_path):
         assert err.value.key == key
     # integral floats are integers
     assert config_from_json_dict({"n_values": [13.0], "seeds": [2.0]}).n_values == (13,)
+
+
+FINITE = st.floats(-1e6, 1e6)
+POSITIVE = st.floats(1e-3, 1e3)
+STATES = {
+    "plane_wave": {"k_index": st.integers(-64, 64)},
+    "free_gaussian": {"center": FINITE, "sigma": POSITIVE, "k_index": st.integers(-64, 64)},
+    "harmonic": {"omega": POSITIVE, "center": FINITE},
+    "double_slit_screen": {},
+}
+
+
+@st.composite
+def config_objects(draw, preset, kind):
+    """A JSON config object with every section; ``kind`` None leaves the
+    preset's own potential in place."""
+    def ints(least, size):
+        return draw(st.lists(st.integers(least, 10**6), min_size=1, max_size=size, unique=True))
+
+    def interval():
+        lo = draw(FINITE)
+        return draw(st.none() | st.just({"a_mm": lo, "b_mm": lo + draw(POSITIVE)}))
+
+    w = draw(st.floats(1.0, 100.0))
+    points = 2 ** draw(st.integers(4, 8))
+    x_min = draw(FINITE)
+    names = [name for name in sorted(STATES[preset]) if draw(st.booleans())]
+    madelung = {
+        "preset": preset,
+        "grid": {"x_min": x_min, "x_max": x_min + draw(POSITIVE), "points": points,
+                 "dt": draw(POSITIVE), "mass": draw(POSITIVE), "hbar": draw(POSITIVE)},
+        "state": {name: draw(STATES[preset][name]) for name in names},
+        "trajectories": {"count": draw(st.integers(1, 10**6)),
+                         "seed": draw(st.integers(0, 2**64))},
+    }
+    if kind is not None:
+        madelung["potential"] = {"kind": kind, **{
+            "free": {},
+            "harmonic": {"omega": draw(POSITIVE), "center": draw(FINITE)},
+            "tabulated": {"values": draw(st.lists(FINITE, min_size=points, max_size=points))},
+        }[kind]}
+    obj = {
+        "geometry": {"w_nm": w, "d_nm": w + draw(POSITIVE), "L_mm": draw(POSITIVE),
+                     "lambda_pm": draw(POSITIVE), "mu_mm": draw(FINITE), "I0": draw(POSITIVE)},
+        "interval": interval(),
+        "moment_interval": interval(),
+        "n_values": ints(1, 9),
+        "seeds": ints(0, 9),
+        "binning": {"bin_counts": ints(1, 4), "orientations": draw(st.lists(
+            st.sampled_from(["from_a", "from_b"]), min_size=1, unique=True))},
+        "variants": draw(st.lists(st.sampled_from(["lower_bound_constant", "plus_16_percent"]),
+                                  min_size=1, unique=True)),
+        "quadrature": {"rel_tol": draw(POSITIVE), "abs_tol": draw(st.floats(0.0, 1.0)),
+                       "max_refinement_depth": draw(st.integers(1, 100))},
+        "madelung": madelung,
+    }
+    if draw(st.booleans()):
+        obj["constant_override"] = draw(POSITIVE)
+    return obj
+
+
+@pytest.mark.parametrize("kind", [None, "free", "harmonic", "tabulated"])
+@pytest.mark.parametrize("preset", sorted(STATES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_config_json_round_trip(preset, kind, data):
+    cfg = config_from_json_dict(data.draw(config_objects(preset, kind)))
+    assert isinstance(cfg.madelung, MadelungConfig)
+    assert isinstance(cfg.madelung.grid, Grid)
+    assert config_from_json_dict(config_to_json_dict(cfg)) == cfg
+    assert config_from_json_dict(json.loads(json.dumps(config_to_json_dict(cfg)))) == cfg
+
+
+def test_madelung_section_typed_on_load():
+    cfg = load_config(Path(__file__).parent / "data" / "golden_madelung_config.json")
+    assert cfg.madelung == MadelungConfig(
+        preset="free_gaussian", grid=Grid(x_min=-20.0, x_max=20.0, points=256, dt=0.01),
+        state={"center": -1.0, "sigma": 1.0, "k_index": 8}, potential=None, count=500, seed=3)
+    assert type(cfg.madelung.state["k_index"]) is int
+    harmonic = config_from_json_dict({"madelung": {"preset": "harmonic", "potential": {
+        "kind": "harmonic", "omega": 2}}}).madelung
+    assert harmonic.state == {"omega": 1.0, "center": 0.0}
+    assert harmonic.potential == Potential.harmonic(2.0)
+    assert config_from_json_dict({}).madelung is None
 
 
 def test_load_config_file(tmp_path):
