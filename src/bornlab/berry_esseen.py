@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -126,6 +126,16 @@ def empirical_cdf(h: EmpiricalHistogram, x: float) -> float:
     return 0.0 if j == 0 else float(cum[j - 1]) / h.total_N
 
 
+def _sup_deviations(counts: np.ndarray, n: int, theory: np.ndarray, origin: Origin) -> np.ndarray:
+    """Sup-deviation of each row of a rows x bins count matrix, every row
+    holding ``n`` events with its counts in scheme order.  ``theory`` is the
+    theoretical CDF at the ascending edges."""
+    if n < 1:
+        raise EmptyHistogram("histogram holds no events")
+    theory_at = theory[1:] if origin is Origin.FROM_A else 1.0 - theory[-2::-1]
+    return np.abs(np.cumsum(counts, axis=1) / n - theory_at).max(axis=1)
+
+
 def sup_deviation(h: EmpiricalHistogram, d: DensityModel,
                   cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Max |empirical CDF - theoretical CDF| over the orientation's bin edges.
@@ -133,16 +143,8 @@ def sup_deviation(h: EmpiricalHistogram, d: DensityModel,
     Edge evaluation attains the sup up to within-bin mass: the empirical CDF
     is constant between edges and the theoretical CDF is monotone.
     """
-    if h.total_N < 1:
-        raise EmptyHistogram("histogram holds no events")
-    iv = h.scheme.interval
-    theory = born_density.cdf_at_points(d, iv, h.scheme.edges(), cfg)
-    if h.scheme.origin is Origin.FROM_A:
-        theory_at = theory[1:]
-    else:
-        theory_at = 1.0 - theory[-2::-1]
-    cum = np.cumsum(h.counts) / h.total_N
-    return float(np.abs(cum - theory_at).max())
+    theory = born_density.cdf_at_points(d, h.scheme.interval, h.scheme.edges(), cfg)
+    return _sup_deviations(np.array([h.counts]), h.total_N, theory, h.scheme.origin).item()
 
 
 def raw_moments(d: DensityModel, moment_iv: Interval,
@@ -185,14 +187,6 @@ class Verdicts:
     with_sqrtN_lower: bool
     with_sqrtN_upper: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "lower_const": self.lower_const,
-            "upper_const": self.upper_const,
-            "with_sqrtN_lower": self.with_sqrtN_lower,
-            "with_sqrtN_upper": self.with_sqrtN_upper,
-        }
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -215,7 +209,7 @@ class BoundReport:
             "rhs_upper_const": self.rhs_upper_const,
             "rhs_with_sqrtN_lower": self.rhs_with_sqrtN_lower,
             "rhs_with_sqrtN_upper": self.rhs_with_sqrtN_upper,
-            "verdicts": self.verdicts.to_dict(),
+            "verdicts": asdict(self.verdicts),
             "scheme": {
                 "bin_count": self.scheme.bin_count,
                 "origin": self.scheme.origin.value,
@@ -299,6 +293,31 @@ def report_from_csv_row(row: list[str]) -> BoundReport:
     )
 
 
+def _literal_rhs(d: DensityModel, iv: Interval, moment_iv: Interval | None,
+                 center: float | None, cfg: QuadratureConfig,
+                 constant_override: float | None) -> tuple[float, float]:
+    """The literal right-hand sides for both constants, with the defaults of
+    :func:`verify_inequality` for ``center`` and ``moment_iv``."""
+    if center is None:
+        center = d.center if d.center is not None else born_density.mean_position(d, iv, cfg)
+    centered = d.memo(("centered", center), lambda: born_density.recenter(d, center))
+    if moment_iv is None:
+        moment_iv = Interval(iv.lo - center, iv.hi - center)
+    return tuple(bound_rhs(centered, moment_iv, v, cfg, constant_override) for v in (
+        BoundConstantVariant.LOWER_BOUND_CONSTANT, BoundConstantVariant.PLUS_16_PERCENT))
+
+
+def _bound_reports(sups: np.ndarray, n: int, scheme: BinningScheme,
+                   rhs: tuple[float, float]) -> list[BoundReport]:
+    """One report per sup-deviation, all at ``n`` events under ``scheme``."""
+    rhs_lo, rhs_hi = rhs
+    root_n = math.sqrt(n)
+    lo_n, hi_n = rhs_lo / root_n, rhs_hi / root_n
+    return [BoundReport(n, sup, rhs_lo, rhs_hi, lo_n, hi_n,
+                        Verdicts(sup <= rhs_lo, sup <= rhs_hi, sup <= lo_n, sup <= hi_n), scheme)
+            for sup in sups.tolist()]
+
+
 def verify_inequality(
     h: EmpiricalHistogram,
     d: DensityModel,
@@ -316,31 +335,5 @@ def verify_inequality(
     """
     if h.total_N < 1:
         raise EmptyHistogram("histogram holds no events")
-    iv = h.scheme.interval
-    if center is None:
-        center = d.center if d.center is not None else born_density.mean_position(d, iv, cfg)
-    centered = d.memo(("centered", center), lambda: born_density.recenter(d, center))
-    if moment_iv is None:
-        moment_iv = Interval(iv.lo - center, iv.hi - center)
-
-    sup = sup_deviation(h, d, cfg)
-    rhs_lo = bound_rhs(centered, moment_iv, BoundConstantVariant.LOWER_BOUND_CONSTANT,
-                       cfg, constant_override)
-    rhs_hi = bound_rhs(centered, moment_iv, BoundConstantVariant.PLUS_16_PERCENT,
-                       cfg, constant_override)
-    root_n = math.sqrt(h.total_N)
-    return BoundReport(
-        N=h.total_N,
-        sup_deviation=sup,
-        rhs_lower_const=rhs_lo,
-        rhs_upper_const=rhs_hi,
-        rhs_with_sqrtN_lower=rhs_lo / root_n,
-        rhs_with_sqrtN_upper=rhs_hi / root_n,
-        verdicts=Verdicts(
-            lower_const=sup <= rhs_lo,
-            upper_const=sup <= rhs_hi,
-            with_sqrtN_lower=sup <= rhs_lo / root_n,
-            with_sqrtN_upper=sup <= rhs_hi / root_n,
-        ),
-        scheme=h.scheme,
-    )
+    rhs = _literal_rhs(d, h.scheme.interval, moment_iv, center, cfg, constant_override)
+    return _bound_reports(np.array([sup_deviation(h, d, cfg)]), h.total_N, h.scheme, rhs)[0]

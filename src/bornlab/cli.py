@@ -128,7 +128,7 @@ def _cmd_verify(args) -> int:
     if args.out:
         harness.emit_report(report, "json", _out_path(args.out))
     else:
-        _write_json(None, report.to_json_dict())
+        sys.stdout.write(harness.report_text(report, "json"))
     return EXIT_OK if report.all_literal_pass(cfg.variants) else EXIT_VERDICT_FAIL
 
 
@@ -146,7 +146,9 @@ def _cmd_sweep(args) -> int:
     try:
         n_grid = [int(tok) for tok in args.n_grid.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"--n-grid: {exc}") from exc
+        raise ConfigError(f"--n-grid: {exc}", key="--n-grid") from exc
+    if min(n_grid, default=1) < 1:
+        raise ConfigError(f"--n-grid entries must be >= 1, got {min(n_grid)}", key="--n-grid")
     seeds = range(args.seed_base, args.seed_base + args.seed_count)
     result = harness.run_convergence_sweep(cfg, n_grid, seeds)
     payload = {

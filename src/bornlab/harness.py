@@ -8,6 +8,12 @@ The whole pipeline is a pure function of (config, seeds): sampling uses the
 fixed PCG64 streams, binning and verification are deterministic, and report
 rows are canonically sorted before serialization, so two runs with the same
 config produce byte-identical report files.
+
+One loop, ``_verify_positions``, bins and judges: per bin count it reads the
+CDF at the edges once, bins a seeds x N position block with one
+``searchsorted`` and one ``bincount``, and takes each seed's sup-deviation as
+a row maximum (``from_b`` reverses the columns).  Replication, sweeps and
+``verify_events`` (a block of one row) all run it.
 """
 
 from __future__ import annotations
@@ -27,15 +33,17 @@ from .berry_esseen import (
     BoundConstantVariant,
     BoundReport,
     Origin,
+    _bound_reports,
+    _literal_rhs,
+    _sup_deviations,
     report_from_csv_row,
     report_from_json_dict,
-    verify_inequality,
 )
-from .born_density import SlitGeometry, default_support, double_slit_density
+from .born_density import SlitGeometry, cdf_at_points, default_support, double_slit_density
 from .errors import ConfigError, OutOfInterval, SlopeUndefined
 from .madelung import Grid, Potential, PotentialKind
 from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig
-from .sampler import atomic_open, bin_positions, inverse_cdf_sample, read_events_csv, rng_from_seed
+from .sampler import _bin_counts, atomic_open, inverse_cdf_sample, read_events_csv, rng_from_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -55,6 +63,7 @@ __all__ = [
     "run_convergence_sweep",
     "verify_events",
     "ingest_events",
+    "report_text",
     "emit_report",
     "load_report",
 ]
@@ -345,13 +354,9 @@ def _sort_key(row: ReportRow):
 
 
 def _summarize(rows: Sequence[ReportRow]) -> dict:
-    return {
-        "rows": len(rows),
-        "pass_lower_const": sum(r.report.verdicts.lower_const for r in rows),
-        "pass_upper_const": sum(r.report.verdicts.upper_const for r in rows),
-        "pass_with_sqrtN_lower": sum(r.report.verdicts.with_sqrtN_lower for r in rows),
-        "pass_with_sqrtN_upper": sum(r.report.verdicts.with_sqrtN_upper for r in rows),
-    }
+    names = ("lower_const", "upper_const", "with_sqrtN_lower", "with_sqrtN_upper")
+    return {"rows": len(rows), **{f"pass_{name}": sum(getattr(r.report.verdicts, name)
+                                                      for r in rows) for name in names}}
 
 
 @dataclass(frozen=True)
@@ -367,13 +372,10 @@ class ConvergenceReport:
     def all_literal_pass(self, variants: Sequence[BoundConstantVariant] = _ALL_VARIANTS) -> bool:
         """True when every row passes the literal (N-free) form for the
         requested constant variants."""
-        for row in self.rows:
-            v = row.report.verdicts
-            if BoundConstantVariant.LOWER_BOUND_CONSTANT in variants and not v.lower_const:
-                return False
-            if BoundConstantVariant.PLUS_16_PERCENT in variants and not v.upper_const:
-                return False
-        return True
+        lower = BoundConstantVariant.LOWER_BOUND_CONSTANT in variants
+        upper = BoundConstantVariant.PLUS_16_PERCENT in variants
+        return all((v.lower_const or not lower) and (v.upper_const or not upper)
+                   for v in (row.report.verdicts for row in self.rows))
 
     def to_json_dict(self) -> dict:
         return {
@@ -395,22 +397,16 @@ class SweepResult:
 _BATCH_SAMPLE_LIMIT = 1_000_000
 
 
-def _positions_by_seed(density, interval, n, seeds, cfg) -> dict[int, np.ndarray]:
-    """Per-seed draws, inverted in one vectorized pass per seed chunk.
-
-    The Newton inversion is elementwise, so batching the uniform draws of
-    several seeds changes nothing in any individual result; it only cuts the
-    Python overhead of many small calls."""
-    seeds = list(seeds)
-    out: dict[int, np.ndarray] = {}
-    chunk = max(1, _BATCH_SAMPLE_LIMIT // max(n, 1))
+def _seed_blocks(density, interval, n, seeds, cfg):
+    """Yield (seeds, block): each seed's draws as one row of a seeds x n block
+    of at most ``_BATCH_SAMPLE_LIMIT`` events (one seed at least), inverted in
+    one vectorized pass.  The Newton inversion is elementwise, so batching
+    changes no individual result; it only cuts the overhead of small calls."""
+    chunk = max(1, _BATCH_SAMPLE_LIMIT // n)
     for start in range(0, len(seeds), chunk):
         block = seeds[start:start + chunk]
         flat = np.concatenate([rng_from_seed(s).random(n) for s in block])
-        xs = np.asarray(inverse_cdf_sample(density, interval, flat, cfg))
-        for i, s in enumerate(block):
-            out[s] = xs[i * n:(i + 1) * n]
-    return out
+        yield block, np.asarray(inverse_cdf_sample(density, interval, flat, cfg)).reshape(-1, n)
 
 
 def experiment_density(cfg: ExperimentConfig):
@@ -423,18 +419,24 @@ def experiment_density(cfg: ExperimentConfig):
     return density, interval, center, moment_iv
 
 
-def _verify_positions(cfg: ExperimentConfig, setup, positions, seed: int | None,
-                      bin_counts: Sequence[int]) -> list[ReportRow]:
-    """bin -> verify one position set for every (bins, orientation) pair.
-    ``setup`` is the tuple returned by :func:`experiment_density`."""
+def _verify_positions(cfg: ExperimentConfig, setup, block: np.ndarray,
+                      seeds: Sequence[int | None], bin_counts: Sequence[int]) -> list[ReportRow]:
+    """bin -> sup -> verdict for a seeds x N position block, row i drawn with
+    ``seeds[i]``, for every (bins, orientation) pair.  ``setup`` is the tuple
+    returned by :func:`experiment_density`."""
     density, interval, center, moment_iv = setup
+    n = block.shape[1]
+    rhs = _literal_rhs(density, interval, moment_iv, center, cfg.quadrature, cfg.constant_override)
     rows = []
     for bins in bin_counts:
-        for orientation in cfg.orientations:
-            hist = bin_positions(positions, BinningScheme(bins, orientation, interval))
-            report = verify_inequality(hist, density, moment_iv, center,
-                                       cfg.quadrature, cfg.constant_override)
-            rows.append(ReportRow(seed, report))
+        ascending = BinningScheme(bins, Origin.FROM_A, interval)
+        theory = cdf_at_points(density, interval, ascending.edges(), cfg.quadrature)
+        counts = _bin_counts(block, ascending)
+        for origin in cfg.orientations:
+            oriented = counts if origin is Origin.FROM_A else counts[:, ::-1]
+            sups = _sup_deviations(oriented, n, theory, origin)
+            rows += map(ReportRow, seeds,
+                        _bound_reports(sups, n, BinningScheme(bins, origin, interval), rhs))
     return rows
 
 
@@ -447,9 +449,8 @@ def run_paper_replication(cfg: ExperimentConfig) -> ConvergenceReport:
     bin_counts = sorted(cfg.bin_counts)
     rows: list[ReportRow] = []
     for n in sorted(cfg.n_values):
-        positions_by_seed = _positions_by_seed(density, interval, n, seeds, cfg.quadrature)
-        for seed in seeds:
-            rows += _verify_positions(cfg, setup, positions_by_seed[seed], seed, bin_counts)
+        for block_seeds, block in _seed_blocks(density, interval, n, seeds, cfg.quadrature):
+            rows += _verify_positions(cfg, setup, block, block_seeds, bin_counts)
     return ConvergenceReport.from_rows(rows)
 
 
@@ -457,24 +458,27 @@ def run_convergence_sweep(cfg: ExperimentConfig, n_grid: Sequence[int],
                           seeds: Sequence[int] | None = None) -> SweepResult:
     """Replication rows over a geometric N grid (first bin count only) plus the
     fitted decay exponent of the per-N median sup-deviation of the first
-    orientation (least squares in log-log)."""
+    orientation (least squares in log-log).  ``seeds`` replaces the config's
+    seeds and is checked by the same rule."""
     ns = sorted(set(int(n) for n in n_grid))
     if len(ns) < 2:
         raise SlopeUndefined(f"need at least two N values to fit a slope, got {ns}")
+    if ns[0] < 1:
+        raise ValueError(f"n_grid entries must be >= 1, got {ns[0]}")
     if ns[-1] < 100 * ns[0]:
         raise ValueError("n_grid must span at least two decades")
-    seed_list = sorted(set(seeds)) if seeds is not None else sorted(cfg.seeds)
+    if seeds is not None:
+        cfg = replace(cfg, seeds=tuple(seeds))
+    seed_list = sorted(cfg.seeds)
     setup = experiment_density(cfg)
     density, interval, _, _ = setup
     lead_orientation = cfg.orientations[0]
     rows: list[ReportRow] = []
     medians: list[tuple[int, float]] = []
     for n in ns:
-        positions_by_seed = _positions_by_seed(density, interval, n, seed_list, cfg.quadrature)
         n_rows: list[ReportRow] = []
-        for seed in seed_list:
-            n_rows += _verify_positions(cfg, setup, positions_by_seed[seed], seed,
-                                        cfg.bin_counts[:1])
+        for block_seeds, block in _seed_blocks(density, interval, n, seed_list, cfg.quadrature):
+            n_rows += _verify_positions(cfg, setup, block, block_seeds, cfg.bin_counts[:1])
         sups = [r.report.sup_deviation for r in n_rows
                 if r.report.scheme.origin is lead_orientation]
         medians.append((n, float(np.median(sups))))
@@ -486,8 +490,10 @@ def run_convergence_sweep(cfg: ExperimentConfig, n_grid: Sequence[int],
 
 
 def verify_events(cfg: ExperimentConfig, positions: Sequence[float]) -> ConvergenceReport:
-    """Run the verification stage alone on externally supplied event positions."""
-    rows = _verify_positions(cfg, experiment_density(cfg), positions, None,
+    """Run the verification stage alone on externally supplied event positions:
+    a block of one row, whose seed is None."""
+    block = np.asarray(positions, dtype=float).reshape(1, -1)
+    rows = _verify_positions(cfg, experiment_density(cfg), block, [None],
                              sorted(cfg.bin_counts))
     return ConvergenceReport.from_rows(rows)
 
@@ -509,19 +515,48 @@ def ingest_events(path, interval: Interval) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 
-def emit_report(report: ConvergenceReport, fmt: str, path) -> None:
-    """Serialize to ``json`` or ``csv`` with stable key order; atomic write."""
-    if fmt not in ("json", "csv"):
+def _json_row_template(row: ReportRow) -> str:
+    """``row`` as json.dumps(indent=2) lays it out in "rows", with ``%s`` in
+    place of each value: the seed, then the texts of BoundReport.csv_row."""
+    def holes(obj):  # a string value keeps its quotes
+        if isinstance(obj, dict):
+            return {key: holes(value) for key, value in obj.items()}
+        return "\1" if isinstance(obj, str) else "\0"
+    text = json.dumps(holes({"seed": row.seed, **row.report.to_json_dict()}), indent=2)
+    return ("    " + text.replace("\n", "\n    ")).replace('"\\u0000"', "%s").replace(
+        "\\u0001", "%s")
+
+
+def report_text(report: ConvergenceReport, fmt: str) -> str:
+    """The text :func:`emit_report` writes.  ``json``: the bytes of
+    ``json.dumps(report.to_json_dict(), indent=2)`` and a newline, filled in
+    row by row from a template, since ``indent`` runs json's pure-Python
+    encoder.  ``csv``: the bytes of a ``csv.writer`` loop (no field needs
+    quotes), the header and then one ``seed,csv_row`` line per row."""
+    if fmt == "csv":
+        lines = [["seed", *REPORT_CSV_COLUMNS]]
+        lines += [["" if r.seed is None else str(r.seed), *r.report.csv_row()]
+                  for r in report.rows]
+        return "".join([",".join(line) + "\n" for line in lines])
+    if fmt != "json":
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
+    template = _json_row_template(report.rows[0]) if report.rows else ""
+    rows = ",\n".join([template % ("null" if r.seed is None else r.seed, *r.report.csv_row())
+                       for r in report.rows])
+    # json's spelling of the non-finite floats that repr writes; after ": "
+    # only numbers, true, false and null stand unquoted
+    rows = rows.replace(": nan", ": NaN").replace(": inf", ": Infinity").replace(
+        ": -inf", ": -Infinity")
+    rows = f"[\n{rows}\n  ]" if rows else "[]"
+    summary = json.dumps(report.summary, indent=2).replace("\n", "\n  ")
+    return f'{{\n  "rows": {rows},\n  "summary": {summary}\n}}\n'
+
+
+def emit_report(report: ConvergenceReport, fmt: str, path) -> None:
+    """Write :func:`report_text` (``json`` or ``csv``) to ``path`` atomically."""
+    text = report_text(report, fmt)
     with atomic_open(path) as fh:
-        if fmt == "json":
-            fh.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["seed", *REPORT_CSV_COLUMNS])
-            for row in report.rows:
-                writer.writerow(["" if row.seed is None else str(row.seed),
-                                 *row.report.csv_row()])
+        fh.write(text)
 
 
 def load_report(path, fmt: str | None = None) -> ConvergenceReport:

@@ -141,23 +141,32 @@ def sample_positions(d: DensityModel, iv: Interval, n: int, seed: int,
     return np.asarray(inverse_cdf_sample(d, iv, u, cfg))
 
 
-def bin_positions(positions: Sequence[float], scheme: BinningScheme) -> EmpiricalHistogram:
-    """Bin raw positions.  Half-open bins, boundary to the higher ascending
-    index, last bin closed; ``from_b`` relabels the same physical bins in
-    reverse order, so flipping orientation reverses the counts exactly."""
-    pos = np.asarray(positions, dtype=float)
+def _bin_counts(block: np.ndarray, scheme: BinningScheme) -> np.ndarray:
+    """The rows x bins count matrix of a rows x N position block, in ascending
+    bin order whatever the scheme's origin: one ``searchsorted`` over the
+    block, then one ``bincount`` with each row offset by ``row * bins``.
+    ``OutOfInterval.indices`` are flat indices into the block."""
     iv = scheme.interval
-    bad = np.flatnonzero(~iv.contains(pos))
+    bad = np.flatnonzero(~iv.contains(block))
     if bad.size:
         raise OutOfInterval(
             f"{bad.size} event(s) outside [{iv.lo}, {iv.hi}]", indices=bad.tolist()
         )
-    edges = scheme.edges()
-    idx = np.clip(np.searchsorted(edges, pos, side="right") - 1, 0, scheme.bin_count - 1)
-    counts = np.bincount(idx, minlength=scheme.bin_count)
+    rows, bins = block.shape[0], scheme.bin_count
+    idx = np.clip(np.searchsorted(scheme.edges(), block, side="right") - 1, 0, bins - 1)
+    idx += np.arange(0, rows * bins, bins)[:, None]
+    return np.bincount(idx.ravel(), minlength=rows * bins).reshape(rows, bins)
+
+
+def bin_positions(positions: Sequence[float], scheme: BinningScheme) -> EmpiricalHistogram:
+    """Bin raw positions.  Half-open bins, boundary to the higher ascending
+    index, last bin closed; ``from_b`` relabels the same physical bins in
+    reverse order, so flipping orientation reverses the counts exactly."""
+    pos = np.asarray(positions, dtype=float).reshape(1, -1)
+    counts = _bin_counts(pos, scheme)[0]
     if scheme.origin is Origin.FROM_B:
         counts = counts[::-1]
-    return EmpiricalHistogram(scheme, tuple(int(c) for c in counts), int(pos.size))
+    return EmpiricalHistogram(scheme, tuple(counts.tolist()), pos.shape[1])
 
 
 def discrete_frequencies(amplitudes: Sequence, n: int, seed: int) -> list[tuple[int, float]]:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornlab.berry_esseen import (
     BinningScheme,
@@ -133,6 +135,23 @@ def test_empirical_cdf_orientation_duality():
     hb = make_hist(counts[::-1], Origin.FROM_B)
     for edge in ha.scheme.edges():
         assert empirical_cdf(ha, float(edge)) + empirical_cdf(hb, float(edge)) == 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), bins=st.integers(1, 40))
+def test_orientation_duality_property(data, bins):
+    # the two orientations label the same physical bins from opposite ends:
+    # the counts reverse exactly, and at every shared edge the two empirical
+    # CDFs sum to exactly 1; events on edges and at both ends included
+    edges = BinningScheme(bins, Origin.FROM_A, UNIT).edges().tolist()
+    position = st.floats(UNIT.lo, UNIT.hi) | st.sampled_from(edges)
+    positions = data.draw(st.lists(position, min_size=1, max_size=60))
+    ha = bin_positions(positions, BinningScheme(bins, Origin.FROM_A, UNIT))
+    hb = bin_positions(positions, BinningScheme(bins, Origin.FROM_B, UNIT))
+    assert hb.counts == ha.counts[::-1]
+    assert sum(ha.counts) == ha.total_N == hb.total_N == len(positions)
+    for edge in edges:
+        assert empirical_cdf(ha, edge) + empirical_cdf(hb, edge) == 1.0
 
 
 def test_empirical_cdf_right_continuous_steps():

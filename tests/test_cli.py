@@ -214,6 +214,27 @@ def test_sweep_bad_grid_exits_two(config_path):
     assert cli.main(["sweep", "--config", str(config_path), "--n-grid", "100,200"]) == 2
 
 
+@pytest.mark.parametrize("grid", ["-5,1000", "0,1000"])
+def test_sweep_grid_below_one_names_the_flag(config_path, capsys, grid):
+    assert cli.main(["sweep", "--config", str(config_path), f"--n-grid={grid}"]) == 2
+    captured = capsys.readouterr()
+    assert "--n-grid" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_stdout_equals_out_file(config_path, tmp_path, capsys):
+    # both destinations write the one report text, byte for byte
+    events = tmp_path / "events.csv"
+    assert cli.main(["sample", "--config", str(config_path), "--n", "57", "--seed", "4",
+                     "--out", str(events)]) == 0
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--config", str(config_path), "--events", str(events)]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_madelung_plane_wave_residuals(config_path, tmp_path):
     out_dir = tmp_path / "run"
     rc = cli.main(["madelung", "--config", str(config_path), "--steps", "10",

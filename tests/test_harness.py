@@ -1,20 +1,32 @@
+import csv
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bornlab import cli
-from bornlab.berry_esseen import BinningScheme, Origin
-from bornlab.born_density import cdf, double_slit_density, SlitGeometry
+from bornlab.berry_esseen import (
+    REPORT_CSV_COLUMNS,
+    BinningScheme,
+    BoundReport,
+    Origin,
+    Verdicts,
+    verify_inequality,
+)
+from bornlab.born_density import cdf, cdf_at_points, double_slit_density, SlitGeometry
 from bornlab.errors import ConfigError, EmptyFile, OutOfInterval, ParseError, SlopeUndefined
 from bornlab.harness import (
     ConvergenceReport,
     MadelungConfig,
     PAPER_REPLICATION_N_VALUES,
     PATTERN_BUILDUP_N_VALUES,
+    ReportRow,
     config_from_json_dict,
     config_to_json_dict,
     emit_report,
@@ -23,13 +35,14 @@ from bornlab.harness import (
     load_report,
     pattern_buildup_config,
     replication_config,
+    report_text,
     run_convergence_sweep,
     run_paper_replication,
     verify_events,
 )
 from bornlab.madelung import Grid, Potential
 from bornlab.quadrature import Interval
-from bornlab.sampler import sample_positions, write_events_csv
+from bornlab.sampler import bin_positions, sample_positions, write_events_csv
 
 
 def small_config(**overrides):
@@ -294,17 +307,79 @@ def test_sweep_slope_and_block_stability():
     assert first.report.summary["rows"] == 3 * 60
 
 
-def test_batched_sampling_matches_sequential():
-    # the harness batches per-seed draws into one vectorized inversion; the
-    # Newton inversion is elementwise, so results must be bit-identical
-    from bornlab.harness import experiment_density, _positions_by_seed
+def test_sweep_rejects_n_below_one():
+    # before the check, N = 0 failed as an empty histogram and N < 0 inside numpy
+    for grid in ([0, 1000], [-5, 1000]):
+        with pytest.raises(ValueError, match="n_grid entries must be >= 1"):
+            run_convergence_sweep(small_config(), grid, seeds=(1,))
+
+
+@pytest.mark.parametrize("seeds, key", [((), "seeds"), ((1, -2), "seeds[1]"),
+                                        ((4, 2, 4), "seeds[2]")])
+def test_sweep_checks_explicit_seeds(seeds, key):
+    # explicit seeds follow the config's rule: nonempty, >= 0, none repeated
+    with pytest.raises(ConfigError) as err:
+        run_convergence_sweep(small_config(), [100, 10000], seeds=seeds)
+    assert err.value.key == key
+
+
+def test_block_verify_matches_per_row():
+    # _verify_positions bins, sups and judges a whole seeds x N block at once;
+    # every row must equal the one-row public path bit for bit, and its counts
+    # and sup the per-row arithmetic written out here
+    from bornlab.harness import _verify_positions, experiment_density
+
+    cfg = small_config(orientations=(Origin.FROM_B, Origin.FROM_A))
+    setup = experiment_density(cfg)
+    density, interval, center, moment_iv = setup
+    bin_counts = (1, 3, 7, 20)
+    edges = np.concatenate([BinningScheme(b, Origin.FROM_A, interval).edges()
+                            for b in bin_counts])
+    rng = np.random.default_rng(5)
+    block = rng.choice(edges, size=(6, 60))  # every event on an edge, ends included
+    block[0] = rng.uniform(interval.lo, interval.hi, 60)
+    block[1] = interval.hi
+    block[2, :40] = block[2, 0]
+    block[3] = block[4]
+    seeds = [11, 3, 7, 5, 2, 9]  # not in order
+    rows = _verify_positions(cfg, setup, block, seeds, bin_counts)
+    assert len(rows) == len(seeds) * len(bin_counts) * 2
+    assert {(r.seed, r.report.scheme.bin_count, r.report.scheme.origin) for r in rows} == {
+        (s, b, o) for s in seeds for b in bin_counts for o in Origin}
+    for row in rows:
+        got = row.report
+        positions = block[seeds.index(row.seed)]
+        hist = bin_positions(positions, got.scheme)
+        want = verify_inequality(hist, density, moment_iv, center, cfg.quadrature,
+                                 cfg.constant_override)
+        assert got == want and got.csv_row() == want.csv_row()
+        scheme_edges = got.scheme.edges()
+        counts = np.histogram(positions, bins=scheme_edges)[0]
+        theory = cdf_at_points(density, interval, scheme_edges, cfg.quadrature)
+        if got.scheme.origin is Origin.FROM_A:
+            theory_at = theory[1:]
+        else:
+            counts, theory_at = counts[::-1], 1.0 - theory[-2::-1]
+        assert hist.counts == tuple(counts.tolist())
+        assert got.sup_deviation == float(np.abs(np.cumsum(counts) / 60 - theory_at).max())
+
+
+def test_batched_sampling_matches_sequential(monkeypatch):
+    # the harness batches per-seed draws into one vectorized inversion per
+    # seed block; the Newton inversion is elementwise, so results must be
+    # bit-identical, also when the seeds are split over several blocks
+    from bornlab import harness
 
     cfg = small_config()
-    density, interval, _, _ = experiment_density(cfg)
-    batched = _positions_by_seed(density, interval, 200, [4, 9, 2], cfg.quadrature)
-    for seed in (4, 9, 2):
-        solo = sample_positions(density, interval, 200, seed, cfg.quadrature)
-        assert np.array_equal(batched[seed], solo)
+    density, interval, _, _ = harness.experiment_density(cfg)
+    monkeypatch.setattr(harness, "_BATCH_SAMPLE_LIMIT", 400)
+    blocks = list(harness._seed_blocks(density, interval, 200, [4, 9, 2], cfg.quadrature))
+    assert [seeds for seeds, _ in blocks] == [[4, 9], [2]]
+    for seeds, block in blocks:
+        assert block.shape == (len(seeds), 200)
+        for seed, row in zip(seeds, block):
+            solo = sample_positions(density, interval, 200, seed, cfg.quadrature)
+            assert np.array_equal(row, solo)
 
 
 def test_ingest_events_round_trip(tmp_path):
@@ -380,6 +455,55 @@ def test_emit_empty_report(tmp_path):
     assert len(cpath.read_text().splitlines()) == 1
     assert load_report(jpath) == empty
     assert load_report(cpath) == empty
+
+
+_ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
+               1.7976931348623157e308, 1e-5, 1e16]
+_REPORT_FLOAT = st.floats() | st.sampled_from(_ODD_FLOATS)
+_REPORT_ROW = st.builds(
+    lambda seed, n, floats, verdicts, bins, origin, ends: ReportRow(seed, BoundReport(
+        n, *floats, Verdicts(*verdicts), BinningScheme(bins, origin, Interval(*ends)))),
+    st.none() | st.integers(0, 2**64 - 1),
+    st.integers(1, 10**12),
+    st.tuples(*[_REPORT_FLOAT] * 5),
+    st.tuples(*[st.booleans()] * 4),
+    st.integers(1, 10**6),
+    st.sampled_from(Origin),
+    st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2).map(sorted).filter(
+        lambda ends: ends[0] < ends[1]),
+)
+
+
+def _csv_writer_text(report):
+    """The report CSV as the csv.writer loop that report_text replaced wrote it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["seed", *REPORT_CSV_COLUMNS])
+    for row in report.rows:
+        writer.writerow(["" if row.seed is None else str(row.seed), *row.report.csv_row()])
+    return buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_REPORT_ROW, max_size=5))
+@example([])
+@example([ReportRow(None, BoundReport(1, math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                      Verdicts(False, True, False, True),
+                                      BinningScheme(3, Origin.FROM_B, Interval(-0.0, 1e-300))))])
+def test_report_text_matches_json_dumps_and_csv_writer(rows):
+    # the templates must write exactly what json.dumps(indent=2) and a
+    # csv.writer loop write, NaN and Infinity spelled the json way, and both
+    # texts must read back through load_report to the same text
+    report = ConvergenceReport.from_rows(rows)
+    text = {"json": report_text(report, "json"), "csv": report_text(report, "csv")}
+    assert text["json"] == json.dumps(report.to_json_dict(), indent=2) + "\n"
+    assert text["csv"] == _csv_writer_text(report)
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("json", "csv"):
+            path = Path(tmp) / f"report.{fmt}"
+            emit_report(report, fmt, path)
+            assert path.read_text() == text[fmt]
+            assert report_text(load_report(path), fmt) == text[fmt]
 
 
 def test_emit_rejects_unknown_format(tmp_path):
