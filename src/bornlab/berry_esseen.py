@@ -14,13 +14,15 @@ Two normalization variants of the right-hand side are computed: the literal
 form with no N dependence, and the classical form carrying an extra
 1/sqrt(N).  Verdicts are reported for all four (constant x normalization)
 combinations; nothing is silently "fixed" either way.
+
+``BoundReport`` and ``Verdicts`` are plain data: :mod:`harness` writes and reads them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +44,6 @@ __all__ = [
     "raw_moments",
     "bound_rhs",
     "verify_inequality",
-    "REPORT_CSV_COLUMNS",
 ]
 
 
@@ -200,97 +201,6 @@ class BoundReport:
     rhs_with_sqrtN_upper: float
     verdicts: Verdicts
     scheme: BinningScheme
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "sup_deviation": self.sup_deviation,
-            "rhs_lower_const": self.rhs_lower_const,
-            "rhs_upper_const": self.rhs_upper_const,
-            "rhs_with_sqrtN_lower": self.rhs_with_sqrtN_lower,
-            "rhs_with_sqrtN_upper": self.rhs_with_sqrtN_upper,
-            "verdicts": asdict(self.verdicts),
-            "scheme": {
-                "bin_count": self.scheme.bin_count,
-                "origin": self.scheme.origin.value,
-                "interval": {"a_mm": self.scheme.interval.lo, "b_mm": self.scheme.interval.hi},
-            },
-        }
-
-    def csv_row(self) -> list[str]:
-        return [
-            str(self.N),
-            repr(self.sup_deviation),
-            repr(self.rhs_lower_const),
-            repr(self.rhs_upper_const),
-            repr(self.rhs_with_sqrtN_lower),
-            repr(self.rhs_with_sqrtN_upper),
-            "true" if self.verdicts.lower_const else "false",
-            "true" if self.verdicts.upper_const else "false",
-            "true" if self.verdicts.with_sqrtN_lower else "false",
-            "true" if self.verdicts.with_sqrtN_upper else "false",
-            str(self.scheme.bin_count),
-            self.scheme.origin.value,
-            repr(self.scheme.interval.lo),
-            repr(self.scheme.interval.hi),
-        ]
-
-
-REPORT_CSV_COLUMNS = [
-    "N",
-    "sup_deviation",
-    "rhs_lower_const",
-    "rhs_upper_const",
-    "rhs_with_sqrtN_lower",
-    "rhs_with_sqrtN_upper",
-    "verdict_lower_const",
-    "verdict_upper_const",
-    "verdict_with_sqrtN_lower",
-    "verdict_with_sqrtN_upper",
-    "bin_count",
-    "origin",
-    "a_mm",
-    "b_mm",
-]
-
-
-def report_from_json_dict(obj: dict) -> BoundReport:
-    scheme = BinningScheme(
-        bin_count=int(obj["scheme"]["bin_count"]),
-        origin=Origin(obj["scheme"]["origin"]),
-        interval=Interval(
-            float(obj["scheme"]["interval"]["a_mm"]),
-            float(obj["scheme"]["interval"]["b_mm"]),
-        ),
-    )
-    v = obj["verdicts"]
-    return BoundReport(
-        N=int(obj["N"]),
-        sup_deviation=float(obj["sup_deviation"]),
-        rhs_lower_const=float(obj["rhs_lower_const"]),
-        rhs_upper_const=float(obj["rhs_upper_const"]),
-        rhs_with_sqrtN_lower=float(obj["rhs_with_sqrtN_lower"]),
-        rhs_with_sqrtN_upper=float(obj["rhs_with_sqrtN_upper"]),
-        verdicts=Verdicts(
-            bool(v["lower_const"]), bool(v["upper_const"]),
-            bool(v["with_sqrtN_lower"]), bool(v["with_sqrtN_upper"]),
-        ),
-        scheme=scheme,
-    )
-
-
-def report_from_csv_row(row: list[str]) -> BoundReport:
-    (n, sup, rl, ru, rsl, rsu, vl, vu, vsl, vsu, bins, origin, a, b) = row
-    return BoundReport(
-        N=int(n),
-        sup_deviation=float(sup),
-        rhs_lower_const=float(rl),
-        rhs_upper_const=float(ru),
-        rhs_with_sqrtN_lower=float(rsl),
-        rhs_with_sqrtN_upper=float(rsu),
-        verdicts=Verdicts(vl == "true", vu == "true", vsl == "true", vsu == "true"),
-        scheme=BinningScheme(int(bins), Origin(origin), Interval(float(a), float(b))),
-    )
 
 
 def _literal_rhs(d: DensityModel, iv: Interval, moment_iv: Interval | None,

@@ -203,34 +203,50 @@ class TabulatedDensity(DensityModel):
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedDensity":
-        """Load from CSV with header ``t_mm,intensity``."""
-        ts: list[float] = []
-        vs: list[float] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: empty file", line=1)
-            if [h.strip() for h in header] != ["t_mm", "intensity"]:
-                raise ParseError(f"{path}: expected header 't_mm,intensity'", line=1)
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise ParseError(f"{path}: expected 2 columns", line=lineno)
-                try:
-                    t, v = float(row[0]), float(row[1])
-                except ValueError as exc:
-                    raise ParseError(f"{path}: {exc}", line=lineno) from exc
-                if v < 0:
-                    raise ParseError(f"{path}: intensity must be >= 0, got {v}", line=lineno)
-                if ts and t <= ts[-1]:
-                    raise ParseError(f"{path}: t_mm must be strictly increasing", line=lineno)
-                ts.append(t)
-                vs.append(v)
-        if not ts:
-            raise EmptyFile(f"{path}: no data rows")
-        return cls(ts, vs)
+        """Load from CSV with header ``t_mm,intensity``: two rows or more, t_mm
+        finite and strictly increasing, intensity finite and >= 0."""
+        last_t = -math.inf
+
+        def knot(row):
+            nonlocal last_t
+            t, v = float(row[0]), float(row[1])
+            if not (math.isfinite(t) and math.isfinite(v) and v >= 0):
+                raise ValueError(f"t_mm and intensity must be finite, intensity >= 0: {t}, {v}")
+            if t <= last_t:
+                raise ValueError("t_mm must be strictly increasing")
+            last_t = t
+            return t, v
+
+        return cls(*zip(*_read_csv(path, ("t_mm", "intensity"), knot, least=2)))
+
+
+def _read_csv(path, columns: Sequence[str], parse: Callable, least: int = 1) -> list:
+    """``parse(row)`` of each row of a CSV file with header ``columns``, blank
+    lines skipped.  A bad header, a row of another width, a ValueError from
+    ``parse`` or fewer than ``least`` rows raise a ParseError naming the line
+    (EmptyFile when there are none)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file", line=1)
+        if [h.strip() for h in header] != list(columns):
+            raise ParseError(f"{path}: expected header '{','.join(columns)}'", line=1)
+        width = len(columns)
+
+        def other_width(row):  # False for a blank line, an error for any other row
+            if row:
+                short = f", column {columns[len(row)]} missing" if len(row) < width else ""
+                raise ValueError(f"expected {width} columns{short}")
+            return False
+        try:
+            out = [parse(row) for row in reader if len(row) == width or other_width(row)]
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}", line=reader.line_num) from exc
+    if len(out) < least:
+        raise (ParseError(f"{path}: expected at least {least} data rows", line=reader.line_num)
+               if out else EmptyFile(f"{path}: no data rows"))
+    return out
 
 
 def _envelope_zero(g: SlitGeometry, k: int) -> float | None:

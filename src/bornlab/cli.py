@@ -39,17 +39,17 @@ def _out_path(path: str) -> str:
     return path
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str | None, text: str) -> None:
+    """``text`` to ``path`` atomically, or to stdout when ``path`` is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     with atomic_open(_out_path(path)) as fh:
         fh.write(text)
 
 
 def _write_json(path: str | None, obj) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(path, text)
+    _write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
 def _load(args) -> harness.ExperimentConfig:
@@ -151,12 +151,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--n-grid entries must be >= 1, got {min(n_grid)}", key="--n-grid")
     seeds = range(args.seed_base, args.seed_base + args.seed_count)
     result = harness.run_convergence_sweep(cfg, n_grid, seeds)
-    payload = {
-        "fitted_exponent": result.fitted_exponent,
-        "medians": [{"N": n, "median_sup_deviation": m} for n, m in result.medians],
-        **result.report.to_json_dict(),
-    }
-    _write_json(args.out, payload)
+    _write_text(args.out, harness.sweep_text(result))
     return EXIT_OK
 
 

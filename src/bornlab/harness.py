@@ -7,7 +7,9 @@ is a finite number, unknown keys and repeated list entries are errors naming the
 The whole pipeline is a pure function of (config, seeds): sampling uses the
 fixed PCG64 streams, binning and verification are deterministic, and report
 rows are canonically sorted before serialization, so two runs with the same
-config produce byte-identical report files.
+config produce byte-identical report files.  One table, ``_FIELDS``, gives each
+row field's CSV column, JSON key path and type; every report writer and the
+strict reader :func:`load_report` follow it.
 
 One loop, ``_verify_positions``, bins and judges: per bin count it reads the
 CDF at the edges once, bins a seeds x N position block with one
@@ -18,7 +20,6 @@ a row maximum (``from_b`` reverses the columns).  Replication, sweeps and
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -28,19 +29,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .berry_esseen import (
-    REPORT_CSV_COLUMNS,
     BinningScheme,
     BoundConstantVariant,
     BoundReport,
     Origin,
+    Verdicts,
     _bound_reports,
     _literal_rhs,
     _sup_deviations,
-    report_from_csv_row,
-    report_from_json_dict,
 )
-from .born_density import SlitGeometry, cdf_at_points, default_support, double_slit_density
-from .errors import ConfigError, OutOfInterval, SlopeUndefined
+from .born_density import (SlitGeometry, _read_csv, cdf_at_points, default_support,
+                           double_slit_density)
+from .errors import ConfigError, OutOfInterval, ParseError, SlopeUndefined
 from .madelung import Grid, Potential, PotentialKind
 from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig
 from .sampler import _bin_counts, atomic_open, inverse_cdf_sample, read_events_csv, rng_from_seed
@@ -63,7 +63,9 @@ __all__ = [
     "run_convergence_sweep",
     "verify_events",
     "ingest_events",
+    "REPORT_CSV_COLUMNS",
     "report_text",
+    "sweep_text",
     "emit_report",
     "load_report",
 ]
@@ -140,22 +142,24 @@ class ExperimentConfig:
     madelung: MadelungConfig | None = None
 
     def __post_init__(self):
-        # each list is nonempty and holds no entry twice
-        for key, values, least in (
-            ("n_values", self.n_values, 1), ("seeds", self.seeds, 0),
-            ("binning.bin_counts", self.bin_counts, 1),
-            ("binning.orientations", self.orientations, None), ("variants", self.variants, None),
-        ):
-            if not values:
-                raise ConfigError(f"{key} must not be empty", key=key)
-            seen = set()
-            for i, value in enumerate(values):
-                if least is not None and value < least:
-                    raise ConfigError(f"{key}[{i}] must be >= {least}, got {value}",
-                                      key=f"{key}[{i}]")
-                if value in seen:
-                    raise ConfigError(f"{key}[{i}] repeats an earlier entry", key=f"{key}[{i}]")
-                seen.add(value)
+        for key, least in (("n_values", 1), ("seeds", 0), ("binning.bin_counts", 1),
+                           ("binning.orientations", None), ("variants", None)):
+            _check_entries(key, getattr(self, key.split(".")[-1]), least)
+
+
+def _check_entries(key: str, values: Sequence, least) -> None:
+    """Raise a ConfigError naming ``key`` or ``key[i]`` unless ``values`` is
+    nonempty, holds no entry twice and none below ``least`` (when not None)."""
+    if not values:
+        raise ConfigError(f"{key} must not be empty", key=key)
+    seen = set()
+    for i, value in enumerate(values):
+        if least is not None and value < least:
+            raise ConfigError(f"{key} entries must be >= {least}, got {key}[{i}] = {value}",
+                              key=f"{key}[{i}]")
+        if value in seen:
+            raise ConfigError(f"{key}[{i}] repeats an earlier entry", key=f"{key}[{i}]")
+        seen.add(value)
 
 
 def replication_config(seeds: Sequence[int] = (1,), **overrides) -> ExperimentConfig:
@@ -378,10 +382,8 @@ class ConvergenceReport:
                    for v in (row.report.verdicts for row in self.rows))
 
     def to_json_dict(self) -> dict:
-        return {
-            "rows": [{"seed": r.seed, **r.report.to_json_dict()} for r in self.rows],
-            "summary": self.summary,
-        }
+        return {"rows": [_json_row([r.seed, *map(_text_value, _field_texts(r.report))])
+                         for r in self.rows], "summary": self.summary}
 
 
 @dataclass(frozen=True)
@@ -459,12 +461,13 @@ def run_convergence_sweep(cfg: ExperimentConfig, n_grid: Sequence[int],
     """Replication rows over a geometric N grid (first bin count only) plus the
     fitted decay exponent of the per-N median sup-deviation of the first
     orientation (least squares in log-log).  ``seeds`` replaces the config's
-    seeds and is checked by the same rule."""
-    ns = sorted(set(int(n) for n in n_grid))
+    seeds and is checked by the same rule; ``n_grid`` follows the rule of
+    ``n_values``."""
+    ns = _value(list(n_grid), "n_grid", (1,))
+    _check_entries("n_grid", ns, 1)
+    ns = sorted(ns)
     if len(ns) < 2:
         raise SlopeUndefined(f"need at least two N values to fit a slope, got {ns}")
-    if ns[0] < 1:
-        raise ValueError(f"n_grid entries must be >= 1, got {ns[0]}")
     if ns[-1] < 100 * ns[0]:
         raise ValueError("n_grid must span at least two decades")
     if seeds is not None:
@@ -513,43 +516,125 @@ def ingest_events(path, interval: Interval) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# report format
 
-def _json_row_template(row: ReportRow) -> str:
-    """``row`` as json.dumps(indent=2) lays it out in "rows", with ``%s`` in
-    place of each value: the seed, then the texts of BoundReport.csv_row."""
-    def holes(obj):  # a string value keeps its quotes
-        if isinstance(obj, dict):
-            return {key: holes(value) for key, value in obj.items()}
-        return "\1" if isinstance(obj, str) else "\0"
-    text = json.dumps(holes({"seed": row.seed, **row.report.to_json_dict()}), indent=2)
-    return ("    " + text.replace("\n", "\n    ")).replace('"\\u0000"', "%s").replace(
-        "\\u0001", "%s")
+# the fields of a report row in column order, each with its CSV column, its key
+# path in the row's JSON object and its type; a row is its seed, then these
+_FIELDS = (
+    ("N", "N", int),
+    ("sup_deviation", "sup_deviation", float),
+    ("rhs_lower_const", "rhs_lower_const", float),
+    ("rhs_upper_const", "rhs_upper_const", float),
+    ("rhs_with_sqrtN_lower", "rhs_with_sqrtN_lower", float),
+    ("rhs_with_sqrtN_upper", "rhs_with_sqrtN_upper", float),
+    ("verdict_lower_const", "verdicts.lower_const", bool),
+    ("verdict_upper_const", "verdicts.upper_const", bool),
+    ("verdict_with_sqrtN_lower", "verdicts.with_sqrtN_lower", bool),
+    ("verdict_with_sqrtN_upper", "verdicts.with_sqrtN_upper", bool),
+    ("bin_count", "scheme.bin_count", int),
+    ("origin", "scheme.origin", Origin),
+    ("a_mm", "scheme.interval.a_mm", float),
+    ("b_mm", "scheme.interval.b_mm", float),
+)
+REPORT_CSV_COLUMNS = [column for column, _, _ in _FIELDS]
+_ORIGINS = {origin.value: origin for origin in Origin}
+# the JSON text of the values that a CSV cell spells as Python does: a seed of
+# None is empty, and repr writes the non-finite floats nan, inf and -inf
+_JSON_SPELLING = {"": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _field_texts(r: BoundReport) -> tuple[str, ...]:
+    """The CSV text of each field of ``r`` in column order (its JSON text too,
+    an origin's quoted), in one expression because it runs per row."""
+    v, s = r.verdicts, r.scheme
+    return (str(r.N), repr(r.sup_deviation), repr(r.rhs_lower_const), repr(r.rhs_upper_const),
+            repr(r.rhs_with_sqrtN_lower), repr(r.rhs_with_sqrtN_upper),
+            "true" if v.lower_const else "false", "true" if v.upper_const else "false",
+            "true" if v.with_sqrtN_lower else "false", "true" if v.with_sqrtN_upper else "false",
+            str(s.bin_count), s.origin.value, repr(s.interval.lo), repr(s.interval.hi))
+
+
+def _text_value(text: str):
+    """The JSON value of a CSV cell: its JSON text, or the cell as a string."""
+    try:
+        return json.loads(_JSON_SPELLING.get(text, text))
+    except ValueError:
+        return text
+
+
+def _json_row(values: Sequence) -> dict:
+    """A row's JSON object from its seed and field values in column order."""
+    obj = {"seed": values[0]}
+    for (_, path, _), value in zip(_FIELDS, values[1:]):
+        *parents, key = path.split(".")
+        node = obj
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = value
+    return obj
+
+
+def _json_leaves(obj: Mapping, prefix: str = ""):
+    """(key path, value) of each value in a JSON object that is no object."""
+    for key, value in obj.items():
+        if isinstance(value, Mapping):
+            yield from _json_leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+def _json_row_template() -> str:
+    """A row as json.dumps(indent=2) lays it out in "rows", with %s for each
+    value's text; an origin keeps its quotes."""
+    holes = ["\0", *("\1" if kind is Origin else "\0" for _, _, kind in _FIELDS)]
+    text = "    " + json.dumps(_json_row(holes), indent=2).replace("\n", "\n    ")
+    return text.replace('"\\u0000"', "%s").replace("\\u0001", "%s")
+
+
+_JSON_ROW_TEMPLATE = _json_row_template()
+
+
+def _report_row(values: list, names: Sequence[str]) -> ReportRow:
+    """The row of a seed (an integer or null) and field values in column order,
+    each a JSON value of its field's type; a ValueError names it in ``names``."""
+    for i, (kind, value) in enumerate(zip((int, *(kind for _, _, kind in _FIELDS)), values)):
+        if kind is Origin and type(value) is str and value in _ORIGINS:
+            values[i] = _ORIGINS[value]
+        elif type(value) is not kind and (i or value is not None):
+            raise ValueError(f"{names[i]}: expected {kind.__name__}, got {value!r}")
+    seed, n, sup, lo, hi, lo_n, hi_n, v1, v2, v3, v4, bins, origin, a, b = values
+    return ReportRow(seed, BoundReport(n, sup, lo, hi, lo_n, hi_n, Verdicts(v1, v2, v3, v4),
+                                       BinningScheme(bins, origin, Interval(a, b))))
 
 
 def report_text(report: ConvergenceReport, fmt: str) -> str:
     """The text :func:`emit_report` writes.  ``json``: the bytes of
-    ``json.dumps(report.to_json_dict(), indent=2)`` and a newline, filled in
-    row by row from a template, since ``indent`` runs json's pure-Python
-    encoder.  ``csv``: the bytes of a ``csv.writer`` loop (no field needs
-    quotes), the header and then one ``seed,csv_row`` line per row."""
+    ``json.dumps(report.to_json_dict(), indent=2)`` and a newline, its rows
+    filled in from the template (``indent`` runs json's Python encoder).
+    ``csv``: those of a ``csv.writer`` loop (no cell needs quotes)."""
     if fmt == "csv":
-        lines = [["seed", *REPORT_CSV_COLUMNS]]
-        lines += [["" if r.seed is None else str(r.seed), *r.report.csv_row()]
+        lines = [",".join(["seed", *REPORT_CSV_COLUMNS])]
+        lines += [f"{'' if r.seed is None else r.seed},{','.join(_field_texts(r.report))}"
                   for r in report.rows]
-        return "".join([",".join(line) + "\n" for line in lines])
+        return "\n".join(lines) + "\n"
     if fmt != "json":
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
-    template = _json_row_template(report.rows[0]) if report.rows else ""
-    rows = ",\n".join([template % ("null" if r.seed is None else r.seed, *r.report.csv_row())
-                       for r in report.rows])
-    # json's spelling of the non-finite floats that repr writes; after ": "
-    # only numbers, true, false and null stand unquoted
+    rows = ",\n".join([_JSON_ROW_TEMPLATE % ("null" if r.seed is None else r.seed,
+                                             *_field_texts(r.report)) for r in report.rows])
+    # after ": " only numbers, true, false and null stand unquoted
     rows = rows.replace(": nan", ": NaN").replace(": inf", ": Infinity").replace(
         ": -inf", ": -Infinity")
     rows = f"[\n{rows}\n  ]" if rows else "[]"
     summary = json.dumps(report.summary, indent=2).replace("\n", "\n  ")
     return f'{{\n  "rows": {rows},\n  "summary": {summary}\n}}\n'
+
+
+def sweep_text(result: SweepResult) -> str:
+    """The ``sweep`` JSON: one object of the fitted exponent, the per-N medians
+    and then the members of :func:`report_text`'s object."""
+    head = json.dumps({"fitted_exponent": result.fitted_exponent, "medians": [
+        {"N": n, "median_sup_deviation": m} for n, m in result.medians]}, indent=2)
+    return f"{head[:-2]},\n{report_text(result.report, 'json')[2:]}"  # cut "\n}" and "{\n"
 
 
 def emit_report(report: ConvergenceReport, fmt: str, path) -> None:
@@ -560,27 +645,35 @@ def emit_report(report: ConvergenceReport, fmt: str, path) -> None:
 
 
 def load_report(path, fmt: str | None = None) -> ConvergenceReport:
-    """Parse a report emitted by :func:`emit_report` (format inferred from
-    the extension when not given)."""
+    """Parse a report emitted by :func:`emit_report` (format inferred from the
+    extension when not given), strictly: a ParseError names the row (JSON
+    ``rows[i]``) or line (CSV, also in ``line``) and the key or column."""
     if fmt is None:
         fmt = "csv" if str(path).endswith(".csv") else "json"
-    if fmt == "json":
-        with open(path) as fh:
-            obj = json.load(fh)
-        rows = tuple(
-            ReportRow(None if r["seed"] is None else int(r["seed"]), report_from_json_dict(r))
-            for r in obj["rows"]
-        )
-        return ConvergenceReport(rows, obj["summary"])
     if fmt == "csv":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["seed", *REPORT_CSV_COLUMNS]:
-                raise ValueError(f"{path}: unexpected report CSV header")
-            rows = tuple(
-                ReportRow(None if row[0] == "" else int(row[0]), report_from_csv_row(row[1:]))
-                for row in reader
-            )
-        return ConvergenceReport(rows, _summarize(rows))
-    raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
+        names = ["seed", *REPORT_CSV_COLUMNS]
+        rows = _read_csv(path, names, lambda cells: _report_row(
+            [_text_value(cell) for cell in cells], names), least=0)
+        return ConvergenceReport(tuple(rows), _summarize(rows))
+    if fmt != "json":
+        raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON ({exc})", line=exc.lineno) from exc
+    if not isinstance(obj, dict) or not isinstance(obj.get("rows"), list):
+        raise ParseError(f"{path}: expected an object holding a list of rows")
+    keys, rows = ["seed", *(key for _, key, _ in _FIELDS)], []
+    for i, row in enumerate(obj["rows"]):
+        leaves = dict(_json_leaves(row)) if isinstance(row, dict) else {}
+        odd = [key for key in keys if key not in leaves] + sorted(set(leaves) - set(keys))
+        try:
+            if odd:
+                raise ValueError(f"{odd[0]}: {'unknown key' if odd[0] in leaves else 'missing'}")
+            rows.append(_report_row([leaves[key] for key in keys], keys))
+        except ValueError as exc:
+            raise ParseError(f"{path}: rows[{i}]: {exc}") from exc
+    if obj.get("summary") != _summarize(rows):
+        raise ParseError(f"{path}: summary does not count the rows: {obj.get('summary')!r}")
+    return ConvergenceReport(tuple(rows), obj["summary"])

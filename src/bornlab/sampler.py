@@ -32,7 +32,6 @@ the draw resolves to the current point, which lies inside that bracket.
 
 from __future__ import annotations
 
-import csv
 import os
 from contextlib import contextmanager
 from typing import Sequence
@@ -40,8 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from .berry_esseen import BinningScheme, EmpiricalHistogram, Origin
-from .born_density import DensityModel, _cdf_table
-from .errors import DegenerateState, EmptyFile, OutOfInterval, ParseError
+from .born_density import DensityModel, _cdf_table, _read_csv
+from .errors import DegenerateState, OutOfInterval
 from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig
 
 __all__ = [
@@ -122,7 +121,7 @@ def inverse_cdf_sample(d: DensityModel, iv: Interval, u,
     """
     scalar = np.isscalar(u)
     uu = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any((uu < 0.0) | (uu >= 1.0)):
+    if not np.all((uu >= 0.0) & (uu < 1.0)):  # NaN fails both
         raise ValueError("u must lie in [0, 1)")
     table = _cdf_table(d, iv, cfg)
     out = _invert(table, uu)
@@ -220,28 +219,13 @@ def write_events_csv(positions: Sequence[float], path) -> None:
     _write_index_csv(positions, "t_mm", path)
 
 
+def _event(row) -> float:
+    int(row[0])
+    return float(row[1])
+
+
 def read_events_csv(path) -> np.ndarray:
     """Parse an ``index,t_mm`` file into positions in row order.  The index
     column is only checked to hold integers: duplicates and ordering are not
     checked, and rows are used in file order."""
-    out: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file", line=1)
-        if [h.strip() for h in header] != ["index", "t_mm"]:
-            raise ParseError(f"{path}: expected header 'index,t_mm'", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}: expected 2 columns", line=lineno)
-            try:
-                int(row[0])
-                out.append(float(row[1]))
-            except ValueError as exc:
-                raise ParseError(f"{path}: {exc}", line=lineno) from exc
-    if not out:
-        raise EmptyFile(f"{path}: no data rows")
-    return np.array(out)
+    return np.array(_read_csv(path, ("index", "t_mm"), _event))

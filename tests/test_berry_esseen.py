@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,12 +11,9 @@ from bornlab.berry_esseen import (
     BoundReport,
     EmpiricalHistogram,
     Origin,
-    REPORT_CSV_COLUMNS,
     bound_rhs,
     empirical_cdf,
     raw_moments,
-    report_from_csv_row,
-    report_from_json_dict,
     sup_deviation,
     verify_inequality,
     zolotarev_constant,
@@ -32,6 +28,7 @@ from bornlab.born_density import (
     uniform_density,
 )
 from bornlab.errors import EmptyHistogram
+from bornlab.harness import ConvergenceReport, ReportRow, emit_report, load_report
 from bornlab.quadrature import DEFAULT_QUADRATURE, Interval, central_moment
 from bornlab.sampler import bin_positions, sample_positions
 
@@ -286,26 +283,32 @@ def test_median_sup_scales_like_inverse_sqrt_n():
     assert 0.6 <= ratio <= 0.85
 
 
-def test_report_json_roundtrip():
+def _report_round_trip(r, fmt, tmp_path):
+    # a report row is written and read by harness; one row of one report
+    report = ConvergenceReport.from_rows([ReportRow(None, r)])
+    path = tmp_path / f"report.{fmt}"
+    emit_report(report, fmt, path)
+    return load_report(path)
+
+
+def test_report_json_roundtrip(tmp_path):
     g = SlitGeometry()
     d = double_slit_density(g)
     pos = sample_positions(d, d.support, 101, seed=9)
     h = bin_positions(pos, BinningScheme(10, Origin.FROM_A, d.support))
     r = verify_inequality(h, d)
-    blob = json.dumps(r.to_json_dict())
-    back = report_from_json_dict(json.loads(blob))
-    assert back == r
+    assert _report_round_trip(r, "json", tmp_path).rows[0].report == r
 
 
-def test_report_csv_roundtrip():
+def test_report_csv_roundtrip(tmp_path):
     g = SlitGeometry()
     d = double_slit_density(g)
     pos = sample_positions(d, d.support, 101, seed=9)
     h = bin_positions(pos, BinningScheme(10, Origin.FROM_B, d.support))
     r = verify_inequality(h, d)
-    row = r.csv_row()
-    assert len(row) == len(REPORT_CSV_COLUMNS)
-    assert report_from_csv_row(row) == r
+    back = _report_round_trip(r, "csv", tmp_path)
+    assert back.rows[0].report == r
+    assert len(back.rows) == 1
 
 
 def test_report_is_value_object():

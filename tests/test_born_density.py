@@ -235,6 +235,9 @@ def test_tabulated_csv_roundtrip(tmp_path):
         ("t_mm,intensity\n0.0,1.0\nx,2.0\n", 3),
         ("t_mm,intensity\n0.0,1.0\n0.0,2.0\n", 3),
         ("t_mm,intensity\n0.0,-1.0\n", 2),
+        ("t_mm,intensity\n0.0,1.0\n1.0,nan\n2.0,1.0\n", 3),
+        ("t_mm,intensity\n0.0,1.0\ninf,1.0\n", 3),
+        ("t_mm,intensity\n0.0,1.0\n", 2),
     ],
 )
 def test_tabulated_csv_parse_errors(tmp_path, body, line):

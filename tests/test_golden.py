@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from bornlab import cli
+from bornlab.harness import load_report, report_text
 
 DATA = Path(__file__).parent / "data"
 CONFIG = str(DATA / "golden_config.json")
@@ -83,3 +84,12 @@ def test_cli_output_matches_golden(tmp_path, config, argv, outputs):
     for name in outputs:
         golden = DATA / ("golden_" + name.replace("/", "_"))
         _assert_matches(_load(tmp_path / name), _load(golden), name)
+
+
+@pytest.mark.parametrize("name", ["golden_replicate.json", "golden_replicate.csv",
+                                  "golden_verify.json"])
+def test_golden_reports_survive_load_and_write(name):
+    # the goldens hold the bytes that json.dumps and a csv.writer loop wrote;
+    # reading a report and writing it again must give them back
+    path = DATA / name
+    assert report_text(load_report(path), path.suffix[1:]).encode() == path.read_bytes()

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from bornlab import cli
 from bornlab.berry_esseen import (
-    REPORT_CSV_COLUMNS,
     BinningScheme,
     BoundReport,
     Origin,
@@ -26,7 +26,10 @@ from bornlab.harness import (
     MadelungConfig,
     PAPER_REPLICATION_N_VALUES,
     PATTERN_BUILDUP_N_VALUES,
+    REPORT_CSV_COLUMNS,
     ReportRow,
+    SweepResult,
+    _field_texts,
     config_from_json_dict,
     config_to_json_dict,
     emit_report,
@@ -38,6 +41,7 @@ from bornlab.harness import (
     report_text,
     run_convergence_sweep,
     run_paper_replication,
+    sweep_text,
     verify_events,
 )
 from bornlab.madelung import Grid, Potential
@@ -314,6 +318,19 @@ def test_sweep_rejects_n_below_one():
             run_convergence_sweep(small_config(), grid, seeds=(1,))
 
 
+@pytest.mark.parametrize("grid, key", [([100.9, 10000], "n_grid[0]"),
+                                       ([100, True, 10000], "n_grid[1]"),
+                                       ([100, "1000", 10000], "n_grid[1]"),
+                                       ([100, 100.0, 10000], "n_grid[1]"),
+                                       ([100, 10000, 100], "n_grid[2]")])
+def test_sweep_n_grid_follows_the_n_values_rule(grid, key):
+    # strict integers, each >= 1, none repeated; once 100.9 ran as N = 100
+    # and True as N = 1, and repeats were merged
+    with pytest.raises(ConfigError, match=re.escape(key)) as err:
+        run_convergence_sweep(small_config(), grid, seeds=(1,))
+    assert err.value.key == key
+
+
 @pytest.mark.parametrize("seeds, key", [((), "seeds"), ((1, -2), "seeds[1]"),
                                         ((4, 2, 4), "seeds[2]")])
 def test_sweep_checks_explicit_seeds(seeds, key):
@@ -352,7 +369,7 @@ def test_block_verify_matches_per_row():
         hist = bin_positions(positions, got.scheme)
         want = verify_inequality(hist, density, moment_iv, center, cfg.quadrature,
                                  cfg.constant_override)
-        assert got == want and got.csv_row() == want.csv_row()
+        assert got == want and _field_texts(got) == _field_texts(want)
         scheme_edges = got.scheme.edges()
         counts = np.histogram(positions, bins=scheme_edges)[0]
         theory = cdf_at_points(density, interval, scheme_edges, cfg.quadrature)
@@ -480,7 +497,7 @@ def _csv_writer_text(report):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["seed", *REPORT_CSV_COLUMNS])
     for row in report.rows:
-        writer.writerow(["" if row.seed is None else str(row.seed), *row.report.csv_row()])
+        writer.writerow(["" if row.seed is None else str(row.seed), *_field_texts(row.report)])
     return buf.getvalue()
 
 
@@ -504,6 +521,91 @@ def test_report_text_matches_json_dumps_and_csv_writer(rows):
             emit_report(report, fmt, path)
             assert path.read_text() == text[fmt]
             assert report_text(load_report(path), fmt) == text[fmt]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_REPORT_ROW, max_size=3), _REPORT_FLOAT,
+       st.lists(st.tuples(st.integers(1, 10**12), _REPORT_FLOAT), max_size=3))
+def test_sweep_text_matches_json_dumps(rows, exponent, medians):
+    # sweep writes its rows with the report writer, the fit and medians first
+    report = ConvergenceReport.from_rows(rows)
+    want = {"fitted_exponent": exponent,
+            "medians": [{"N": n, "median_sup_deviation": m} for n, m in medians],
+            **report.to_json_dict()}
+    text = sweep_text(SweepResult(report, exponent, tuple(medians)))
+    assert text == json.dumps(want, indent=2) + "\n"
+
+
+def _edit_cells(text, line, edit):
+    """``text`` with the cells of its 1-based ``line`` replaced by ``edit(cells)``."""
+    lines = text.split("\n")
+    lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+    return "\n".join(lines)
+
+
+# a good report text edited into a bad one, the line (CSV) that ParseError
+# must name, and what its message must hold: the row or line and the column
+_BAD_REPORTS = {
+    "json_bool_as_string": (
+        "json", lambda t: t.replace('"lower_const": true', '"lower_const": "false"', 1),
+        None, "rows[0]: verdicts.lower_const: "),
+    "json_fractional_int": (
+        "json", lambda t: t.replace('"N": 13,', '"N": 13.9,', 1), None, "rows[0]: N: "),
+    "json_bool_as_int": (
+        "json", lambda t: t.replace('"bin_count": 10', '"bin_count": true', 1),
+        None, "rows[0]: scheme.bin_count: "),
+    "json_int_as_float": (
+        "json", lambda t: t.replace('"a_mm": -1.0', '"a_mm": -1', 1),
+        None, "rows[0]: scheme.interval.a_mm: "),
+    "json_missing_key": (
+        "json", lambda t: t.replace('"b_mm": 1.0', '"b": 1.0', 1),
+        None, "rows[0]: scheme.interval.b_mm: missing"),
+    "json_extra_key": (
+        "json", lambda t: t.replace('"seed": 2,', '"seed": 2, "x": 0,'),
+        None, "rows[1]: x: unknown key"),
+    "json_seed_as_string": (
+        "json", lambda t: t.replace('"seed": 2,', '"seed": "2",'), None, "rows[1]: seed: "),
+    "json_bad_origin": (
+        "json", lambda t: t.replace('"from_a"', '"from_c"', 1), None, "rows[0]: scheme.origin: "),
+    "json_summary": (
+        "json", lambda t: t.replace('"pass_lower_const": 2', '"pass_lower_const": 1'),
+        None, "summary"),
+    "json_not_json": ("json", lambda t: t[:-3], None, "invalid JSON"),
+    "csv_bool_spelled_python": (
+        "csv", lambda t: _edit_cells(t, 2, lambda c: c[:7] + ["True"] + c[8:]),
+        2, "verdict_lower_const: "),
+    "csv_fractional_int": (
+        "csv", lambda t: _edit_cells(t, 3, lambda c: c[:1] + ["13.9"] + c[2:]), 3, "N: "),
+    "csv_empty_file": ("csv", lambda t: "", 1, "empty file"),
+    "csv_short_row": (
+        "csv", lambda t: _edit_cells(t, 3, lambda c: c[:-1]), 3, "column b_mm missing"),
+    "csv_long_row": (
+        "csv", lambda t: _edit_cells(t, 2, lambda c: c + ["1.0"]), 2, "expected 15 columns"),
+    "csv_header": ("csv", lambda t: t.replace("verdict_", "v_", 1), 1, "expected header"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_REPORTS))
+def test_load_report_names_row_and_column(tmp_path, case):
+    # every one of these loaded (a string "false" as True, 13.9 as 13, a CSV
+    # True as False) or failed without a line before the strict parser
+    fmt, edit, line, words = _BAD_REPORTS[case]
+    rows = [ReportRow(seed, BoundReport(13, 0.25, 0.5, 0.58, 0.125, 0.145,
+                                        Verdicts(True, True, False, False),
+                                        BinningScheme(10, Origin.FROM_A, Interval(-1.0, 1.0))))
+            for seed in (1, 2)]
+    good = report_text(ConvergenceReport.from_rows(rows), fmt)
+    path = tmp_path / f"report.{fmt}"
+    path.write_text(good)
+    assert load_report(path).rows == tuple(rows)
+    bad = edit(good)
+    assert bad != good
+    path.write_text(bad)
+    with pytest.raises(ParseError) as err:
+        load_report(path)
+    assert words in str(err.value)
+    if line is not None:
+        assert err.value.line == line
 
 
 def test_emit_rejects_unknown_format(tmp_path):

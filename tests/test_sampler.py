@@ -44,6 +44,14 @@ def test_u_zero_maps_to_left_end():
     assert inverse_cdf_sample(d, UNIT, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("u", [-0.1, 1.0, math.nan, np.array([0.5, math.nan]),
+                               np.array([math.inf])])
+def test_u_outside_unit_interval_rejected(u):
+    # NaN passes neither end check by comparison, so it must be caught as such
+    with pytest.raises(ValueError, match=r"u must lie in \[0, 1\)"):
+        inverse_cdf_sample(uniform_density(UNIT), UNIT, u)
+
+
 def test_uniform_identity_cdf():
     d = uniform_density(UNIT)
     # the interpolation start is already the root, so the first pass returns it
