@@ -29,7 +29,8 @@ Normalized CDFs come from one table per (density, interval, quadrature
 config), kept in the density's memo: a 4096-knot grid plus the advertised
 breakpoints, with the cumulative mass at every knot.  ``cdf`` and
 ``cdf_at_points`` return ``cum[k] + partial(knot[k], x)`` for the panel ``k``
-that holds ``x``, and :mod:`sampler` inverts the same table.  ``partial`` is a
+that holds ``x`` (no memo of the values: a run reads them once per bin
+count), and :mod:`sampler` inverts the same table.  ``partial`` is a
 fixed Gauss-Legendre rule, checked against the adaptive ``total_mass`` when
 the table is built (the rule is escalated, or the panels halved, until they
 agree).  ``total_mass`` and ``mean_position`` stay adaptive.
@@ -456,7 +457,8 @@ def _cdf_table(d: DensityModel, iv: Interval, cfg: QuadratureConfig) -> _CdfTabl
     return d.memo(("cdf_table", iv.lo, iv.hi, cfg), lambda: _CdfTable(d, iv, cfg))
 
 
-def _cdf_values(d: DensityModel, iv: Interval, xs, cfg: QuadratureConfig) -> np.ndarray:
+def cdf_at_points(d: DensityModel, iv: Interval, xs: Sequence[float],
+                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
     """Normalized CDF at each of ``xs``: ``cum[k] + partial(knot[k], x)``."""
     xs = np.asarray(xs, dtype=float)
     outside = ~iv.contains(xs)
@@ -471,14 +473,7 @@ def _cdf_values(d: DensityModel, iv: Interval, xs, cfg: QuadratureConfig) -> np.
 def cdf(d: DensityModel, iv: Interval, x: float,
         cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Normalized CDF of ``d`` restricted to ``iv``, evaluated at ``x``."""
-    return float(_cdf_values(d, iv, [x], cfg)[0])
-
-
-def cdf_at_points(d: DensityModel, iv: Interval, xs: Sequence[float],
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
-    """Normalized CDF at several points (memoized per point set)."""
-    key = ("cdf_at", iv.lo, iv.hi, tuple(float(x) for x in xs), cfg)
-    return d.memo(key, lambda: _cdf_values(d, iv, xs, cfg))
+    return float(cdf_at_points(d, iv, [x], cfg)[0])
 
 
 def mean_position(d: DensityModel, iv: Interval | None = None,

@@ -3,7 +3,8 @@
 Exit codes: 0 success / all verdicts pass, 1 at least one literal-form
 verdict failed, 2 usage or configuration error, 3 numerical instability.
 The only environment variable honored is BORNLAB_OUT_DIR, which rebases
-relative output paths.
+relative output paths; :func:`main` rebases every output flag once, before the
+subcommand runs.
 """
 
 from __future__ import annotations
@@ -29,14 +30,18 @@ EXIT_UNSTABLE = 3
 # the least value of each integer flag; a smaller one exits 2
 _FLAG_MINIMA = {"points": 2, "n": 1, "seed": 0, "seed_base": 0, "seed_count": 1, "steps": 0,
                 "snapshot_every": 1, "count": 1}
+# the flags that name an output file or directory
+_OUTPUT_FLAGS = ("out", "out_dir", "csv", "svg", "summary")
 
 
-def _out_path(path: str) -> str:
+def _rebase_outputs(args) -> None:
+    """Rebase each relative output path of ``args`` onto BORNLAB_OUT_DIR, when set."""
     base = os.environ.get("BORNLAB_OUT_DIR")
-    if base and not os.path.isabs(path):
-        os.makedirs(base, exist_ok=True)
-        return os.path.join(base, path)
-    return path
+    for name in _OUTPUT_FLAGS:
+        path = getattr(args, name, None)
+        if base and path and not os.path.isabs(path):
+            os.makedirs(base, exist_ok=True)
+            setattr(args, name, os.path.join(base, path))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -44,7 +49,7 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with atomic_open(_out_path(path)) as fh:
+    with atomic_open(path) as fh:
         fh.write(text)
 
 
@@ -52,15 +57,11 @@ def _write_json(path: str | None, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
-def _load(args) -> harness.ExperimentConfig:
-    return harness.load_config(args.config)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_density(args) -> int:
-    cfg = _load(args)
+    cfg = harness.load_config(args.config)
     density, interval, _, _ = harness.experiment_density(cfg)
     ts = np.linspace(interval.lo, interval.hi, args.points)
     vals = density.evaluate(ts)
@@ -73,7 +74,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    cfg = _load(args)
+    cfg = harness.load_config(args.config)
     density, interval, center, moment_iv = harness.experiment_density(cfg)
     centered = born_density.recenter(density, center)
     mass, var_raw, rho_raw = berry_esseen.raw_moments(centered, moment_iv, cfg.quadrature)
@@ -92,7 +93,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    cfg = _load(args)
+    cfg = harness.load_config(args.config)
     density, _, center, moment_iv = harness.experiment_density(cfg)
     centered = born_density.recenter(density, center)
     rhs = {
@@ -113,36 +114,33 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    cfg = _load(args)
+    cfg = harness.load_config(args.config)
     density, interval, _, _ = harness.experiment_density(cfg)
     positions = sampler.sample_positions(density, interval, args.n, args.seed, cfg.quadrature)
-    sampler.write_events_csv(positions, _out_path(args.out))
+    sampler.write_events_csv(positions, args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load(args)
+    cfg = harness.load_config(args.config)
     _, interval, _, _ = harness.experiment_density(cfg)
     positions = harness.ingest_events(args.events, interval)
     report = harness.verify_events(cfg, positions)
-    if args.out:
-        harness.emit_report(report, "json", _out_path(args.out))
-    else:
-        sys.stdout.write(harness.report_text(report, "json"))
+    _write_text(args.out, harness.report_text(report, "json"))
     return EXIT_OK if report.all_literal_pass(cfg.variants) else EXIT_VERDICT_FAIL
 
 
 def _cmd_replicate(args) -> int:
-    cfg = _load(args)
+    cfg = harness.load_config(args.config)
     report = harness.run_paper_replication(cfg)
-    harness.emit_report(report, "json", _out_path(args.out))
+    harness.emit_report(report, "json", args.out)
     if args.csv:
-        harness.emit_report(report, "csv", _out_path(args.csv))
+        harness.emit_report(report, "csv", args.csv)
     return EXIT_OK if report.all_literal_pass(cfg.variants) else EXIT_VERDICT_FAIL
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load(args)
+    cfg = harness.load_config(args.config)
     try:
         n_grid = [int(tok) for tok in args.n_grid.split(",") if tok.strip()]
     except ValueError as exc:
@@ -174,15 +172,14 @@ def _madelung_setup(cfg: harness.ExperimentConfig):
 
 
 def _cmd_madelung(args) -> int:
-    _, field, potential = _madelung_setup(_load(args))
-    out_dir = _out_path(args.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    _, field, potential = _madelung_setup(harness.load_config(args.config))
+    os.makedirs(args.out_dir, exist_ok=True)
     evo = madelung.Evolution(field, potential)
     records = []
 
     def record(step: int, prev_polar=None) -> madelung.PolarField:
         polar = madelung.decompose_polar(evo.field)
-        madelung.write_polar_csv(polar, os.path.join(out_dir, f"snapshot_{step:06d}.csv"))
+        madelung.write_polar_csv(polar, os.path.join(args.out_dir, f"snapshot_{step:06d}.csv"))
         row: dict = {"step": step, "time": polar.time, "norm": evo.field.norm()}
         if prev_polar is not None:
             hj = madelung.hj_residual(prev_polar, polar, potential)
@@ -209,12 +206,12 @@ def _cmd_madelung(args) -> int:
         evo.step()
         polar = record(step, polar)
         done = step
-    _write_json(os.path.join(out_dir, "summary.json"), {"snapshots": records})
+    _write_json(os.path.join(args.out_dir, "summary.json"), {"snapshots": records})
     return EXIT_OK
 
 
 def _cmd_trajectories(args) -> int:
-    m, field, potential = _madelung_setup(_load(args))
+    m, field, potential = _madelung_setup(harness.load_config(args.config))
     count = args.count if args.count is not None else m.count
     seed = args.seed if args.seed is not None else m.seed
     evo = madelung.Evolution(field, potential)
@@ -225,7 +222,7 @@ def _cmd_trajectories(args) -> int:
         evo.step()
         polar = madelung.decompose_polar(evo.field)
         ensemble = madelung.advect_trajectories(ensemble, prev, polar)
-    madelung.write_trajectories_csv(ensemble, _out_path(args.out))
+    madelung.write_trajectories_csv(ensemble, args.out)
     if args.summary:
         _write_json(args.summary, {
             "count": count, "seed": seed, "steps": args.steps, "time": ensemble.time,
@@ -309,12 +306,15 @@ def main(argv=None) -> int:
             if value is not None and value < least:
                 flag = "--" + name.replace("_", "-")
                 raise ConfigError(f"{flag} must be >= {least}, got {value}", key=flag)
+        _rebase_outputs(args)
         return args.func(args)
     except (UnstableStep, NonConvergence) as exc:
         print(f"bornlab: numerical instability: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
     except (BornLabError, OSError, ValueError) as exc:
-        print(f"bornlab: error: {exc}", file=sys.stderr)
+        line = getattr(exc, "line", None)  # a ParseError's line in its file
+        print(f"bornlab: error: {exc}" + ("" if line is None else f" (line {line})"),
+              file=sys.stderr)
         return EXIT_USAGE
 
 

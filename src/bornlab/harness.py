@@ -11,11 +11,14 @@ config produce byte-identical report files.  One table, ``_FIELDS``, gives each
 row field's CSV column, JSON key path and type; every report writer and the
 strict reader :func:`load_report` follow it.
 
-One loop, ``_verify_positions``, bins and judges: per bin count it reads the
-CDF at the edges once, bins a seeds x N position block with one
+One loop, ``_verify_blocks``, bins and judges every run: it takes (seeds,
+block) pairs, computes the right-hand sides once and the CDF at the edges
+once per bin count, bins each seeds x N position block with one
 ``searchsorted`` and one ``bincount``, and takes each seed's sup-deviation as
-a row maximum (``from_b`` reverses the columns).  Replication, sweeps and
-``verify_events`` (a block of one row) all run it.
+a row maximum (``from_b`` reverses the columns).  Replication feeds it the
+sampled seed blocks of every N; a sweep is a replication at its N grid and
+first bin count, whose per-N medians are read from the report's rows;
+``verify_events`` feeds it one block of one row, whose seed is None.
 """
 
 from __future__ import annotations
@@ -330,12 +333,26 @@ def config_to_json_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
+class _RepeatedKey(ValueError):
+    """A JSON object gives one key twice (plain ``json.load`` keeps the last)."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The ``object_pairs_hook`` of both JSON readers: a repeated key raises _RepeatedKey."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise _RepeatedKey(next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i])))
+    return obj
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except _RepeatedKey as exc:
+        raise ConfigError(f"{path}: repeated config key: {exc}", key=str(exc)) from exc
     return config_from_json_dict(raw)
 
 
@@ -421,25 +438,27 @@ def experiment_density(cfg: ExperimentConfig):
     return density, interval, center, moment_iv
 
 
-def _verify_positions(cfg: ExperimentConfig, setup, block: np.ndarray,
-                      seeds: Sequence[int | None], bin_counts: Sequence[int]) -> list[ReportRow]:
-    """bin -> sup -> verdict for a seeds x N position block, row i drawn with
-    ``seeds[i]``, for every (bins, orientation) pair.  ``setup`` is the tuple
-    returned by :func:`experiment_density`."""
+def _verify_blocks(cfg: ExperimentConfig, setup, blocks) -> ConvergenceReport:
+    """The one bin -> sup -> verdict loop: every (seeds, block) pair of
+    ``blocks``, a seeds x N position block whose row i was drawn with
+    ``seeds[i]``, under every configured (bins, orientation) pair.  The
+    right-hand sides are computed once and the CDF at the edges once per bin
+    count.  ``setup`` is the tuple returned by :func:`experiment_density`."""
     density, interval, center, moment_iv = setup
-    n = block.shape[1]
     rhs = _literal_rhs(density, interval, moment_iv, center, cfg.quadrature, cfg.constant_override)
-    rows = []
-    for bins in bin_counts:
-        ascending = BinningScheme(bins, Origin.FROM_A, interval)
-        theory = cdf_at_points(density, interval, ascending.edges(), cfg.quadrature)
-        counts = _bin_counts(block, ascending)
-        for origin in cfg.orientations:
-            oriented = counts if origin is Origin.FROM_A else counts[:, ::-1]
-            sups = _sup_deviations(oriented, n, theory, origin)
-            rows += map(ReportRow, seeds,
-                        _bound_reports(sups, n, BinningScheme(bins, origin, interval), rhs))
-    return rows
+    ascending = [BinningScheme(bins, Origin.FROM_A, interval) for bins in cfg.bin_counts]
+    theories = [cdf_at_points(density, interval, s.edges(), cfg.quadrature) for s in ascending]
+    rows: list[ReportRow] = []
+    for seeds, block in blocks:
+        n = block.shape[1]
+        for scheme, theory in zip(ascending, theories):
+            counts = _bin_counts(block, scheme)
+            for origin in cfg.orientations:
+                oriented = counts if origin is Origin.FROM_A else counts[:, ::-1]
+                sups = _sup_deviations(oriented, n, theory, origin)
+                rows += map(ReportRow, seeds, _bound_reports(
+                    sups, n, replace(scheme, origin=origin), rhs))
+    return ConvergenceReport.from_rows(rows)
 
 
 def run_paper_replication(cfg: ExperimentConfig) -> ConvergenceReport:
@@ -448,12 +467,9 @@ def run_paper_replication(cfg: ExperimentConfig) -> ConvergenceReport:
     setup = experiment_density(cfg)
     density, interval, _, _ = setup
     seeds = sorted(cfg.seeds)
-    bin_counts = sorted(cfg.bin_counts)
-    rows: list[ReportRow] = []
-    for n in sorted(cfg.n_values):
-        for block_seeds, block in _seed_blocks(density, interval, n, seeds, cfg.quadrature):
-            rows += _verify_positions(cfg, setup, block, block_seeds, bin_counts)
-    return ConvergenceReport.from_rows(rows)
+    return _verify_blocks(cfg, setup, (
+        block for n in sorted(cfg.n_values)
+        for block in _seed_blocks(density, interval, n, seeds, cfg.quadrature)))
 
 
 def run_convergence_sweep(cfg: ExperimentConfig, n_grid: Sequence[int],
@@ -472,33 +488,18 @@ def run_convergence_sweep(cfg: ExperimentConfig, n_grid: Sequence[int],
         raise ValueError("n_grid must span at least two decades")
     if seeds is not None:
         cfg = replace(cfg, seeds=tuple(seeds))
-    seed_list = sorted(cfg.seeds)
-    setup = experiment_density(cfg)
-    density, interval, _, _ = setup
-    lead_orientation = cfg.orientations[0]
-    rows: list[ReportRow] = []
-    medians: list[tuple[int, float]] = []
-    for n in ns:
-        n_rows: list[ReportRow] = []
-        for block_seeds, block in _seed_blocks(density, interval, n, seed_list, cfg.quadrature):
-            n_rows += _verify_positions(cfg, setup, block, block_seeds, cfg.bin_counts[:1])
-        sups = [r.report.sup_deviation for r in n_rows
-                if r.report.scheme.origin is lead_orientation]
-        medians.append((n, float(np.median(sups))))
-        rows += n_rows
-    slope = float(np.polyfit(
-        np.log([n for n, _ in medians]), np.log([m for _, m in medians]), 1
-    )[0])
-    return SweepResult(ConvergenceReport.from_rows(rows), slope, tuple(medians))
+    report = run_paper_replication(replace(cfg, n_values=tuple(ns), bin_counts=cfg.bin_counts[:1]))
+    lead = [r.report for r in report.rows if r.report.scheme.origin is cfg.orientations[0]]
+    medians = tuple((n, float(np.median([r.sup_deviation for r in lead if r.N == n]))) for n in ns)
+    slope = float(np.polyfit(np.log(ns), np.log([m for _, m in medians]), 1)[0])
+    return SweepResult(report, slope, medians)
 
 
 def verify_events(cfg: ExperimentConfig, positions: Sequence[float]) -> ConvergenceReport:
     """Run the verification stage alone on externally supplied event positions:
     a block of one row, whose seed is None."""
     block = np.asarray(positions, dtype=float).reshape(1, -1)
-    rows = _verify_positions(cfg, experiment_density(cfg), block, [None],
-                             sorted(cfg.bin_counts))
-    return ConvergenceReport.from_rows(rows)
+    return _verify_blocks(cfg, experiment_density(cfg), [([None], block)])
 
 
 def ingest_events(path, interval: Interval) -> np.ndarray:
@@ -659,9 +660,11 @@ def load_report(path, fmt: str | None = None) -> ConvergenceReport:
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc})", line=exc.lineno) from exc
+        except _RepeatedKey as exc:
+            raise ParseError(f"{path}: repeated key: {exc}") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("rows"), list):
         raise ParseError(f"{path}: expected an object holding a list of rows")
     keys, rows = ["seed", *(key for _, key, _ in _FIELDS)], []

@@ -368,12 +368,37 @@ def test_trajectories_smoke(tmp_path):
 
 
 def test_out_dir_env_override(config_path, tmp_path, monkeypatch):
-    target = tmp_path / "redirected"
-    monkeypatch.setenv("BORNLAB_OUT_DIR", str(target))
-    rc = cli.main(["density", "--config", str(config_path), "--out", "d.csv",
-                   "--points", "11"])
-    assert rc == 0
-    assert (target / "d.csv").exists()
+    # every relative output path is rebased exactly once, onto an absolute or
+    # a relative base, madelung's summary.json inside the rebased --out-dir too
+    monkeypatch.chdir(tmp_path)
+    cfg = ["--config", str(config_path)]
+    for base in (tmp_path / "absolute", "relative"):
+        monkeypatch.setenv("BORNLAB_OUT_DIR", str(base))
+        for argv in (["density", "--out", "d.csv", "--points", "11", "--svg", "d.svg"],
+                     ["moments", "--out", "m.json"],
+                     ["bound", "--out", "b.json"],
+                     ["sample", "--n", "50", "--seed", "1", "--out", "e.csv"],
+                     ["verify", "--events", f"{base}/e.csv", "--out", "v.json"],
+                     ["replicate", "--out", "r.json", "--csv", "r.csv"],
+                     ["sweep", "--n-grid", "10,1000", "--seed-count", "2", "--out", "s.json"],
+                     ["madelung", "--steps", "2", "--snapshot-every", "1", "--out-dir", "run"],
+                     ["trajectories", "--count", "50", "--steps", "2", "--out", "t.csv",
+                      "--summary", "t.json"]):
+            assert cli.main([argv[0], *cfg, *argv[1:]]) == 0, (base, argv[0])
+        written = {str(p.relative_to(tmp_path / base)) for p in (tmp_path / base).rglob("*")}
+        assert written == {"d.csv", "d.svg", "m.json", "b.json", "e.csv", "v.json", "r.json",
+                           "r.csv", "s.json", "run", "run/summary.json", "t.csv", "t.json",
+                           *(f"run/snapshot_{step:06d}.csv" for step in range(3))}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["absolute", "config.json", "relative"]
+
+
+def test_verify_parse_error_names_the_line(config_path, tmp_path, capsys):
+    events = tmp_path / "bad.csv"
+    events.write_text("index,t_mm\n0,0.1\n1,x\n")
+    rc = cli.main(["verify", "--config", str(config_path), "--events", str(events)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"bornlab: error: {events}: could not convert string "
+                                       "to float: 'x' (line 3)\n")
 
 
 EXPECTED_FLAGS = {

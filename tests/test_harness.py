@@ -19,7 +19,8 @@ from bornlab.berry_esseen import (
     Verdicts,
     verify_inequality,
 )
-from bornlab.born_density import cdf, cdf_at_points, double_slit_density, SlitGeometry
+from bornlab.born_density import (SlitGeometry, cdf, cdf_at_points, double_slit_density,
+                                  uniform_density)
 from bornlab.errors import ConfigError, EmptyFile, OutOfInterval, ParseError, SlopeUndefined
 from bornlab.harness import (
     ConvergenceReport,
@@ -91,7 +92,7 @@ def test_config_unknown_key_named():
     assert err.value.key == "geometry.w_um"
 
 
-def test_config_validation_errors():
+def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError):
         config_from_json_dict({"n_values": []})
     with pytest.raises(ConfigError):
@@ -123,6 +124,20 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError) as err:
         replication_config(seeds=(3, 3))
     assert err.value.key == "seeds[1]"
+    # a key given twice in one object is named, not overwritten by the last
+    path = tmp_path / "cfg.json"
+    for text, key in [
+        ('{"seeds": [1], "seeds": [2]}', "seeds"),
+        ('{"binning": {"bin_counts": [10]}, "binning": {"orientations": ["from_a"]}}',
+         "binning"),
+        ('{"binning": {"bin_counts": [10], "bin_counts": [20]}}', "bin_counts"),
+        ('{"madelung": {"grid": {"points": 64, "points": 128}}}', "points"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.key == key and f"repeated config key: {key}" in str(err.value)
+        assert cli.main(["bound", "--config", str(path)]) == 2
 
 
 def test_config_rejects_non_integral_entries(tmp_path):
@@ -341,15 +356,16 @@ def test_sweep_checks_explicit_seeds(seeds, key):
 
 
 def test_block_verify_matches_per_row():
-    # _verify_positions bins, sups and judges a whole seeds x N block at once;
+    # _verify_blocks bins, sups and judges a whole seeds x N block at once;
     # every row must equal the one-row public path bit for bit, and its counts
     # and sup the per-row arithmetic written out here
-    from bornlab.harness import _verify_positions, experiment_density
+    from bornlab.harness import _verify_blocks, experiment_density
 
-    cfg = small_config(orientations=(Origin.FROM_B, Origin.FROM_A))
+    bin_counts = (1, 3, 7, 20)
+    cfg = replication_config(seeds=(1, 2), n_values=(13, 54), bin_counts=bin_counts,
+                             orientations=(Origin.FROM_B, Origin.FROM_A))
     setup = experiment_density(cfg)
     density, interval, center, moment_iv = setup
-    bin_counts = (1, 3, 7, 20)
     edges = np.concatenate([BinningScheme(b, Origin.FROM_A, interval).edges()
                             for b in bin_counts])
     rng = np.random.default_rng(5)
@@ -359,7 +375,7 @@ def test_block_verify_matches_per_row():
     block[2, :40] = block[2, 0]
     block[3] = block[4]
     seeds = [11, 3, 7, 5, 2, 9]  # not in order
-    rows = _verify_positions(cfg, setup, block, seeds, bin_counts)
+    rows = _verify_blocks(cfg, setup, [(seeds, block)]).rows
     assert len(rows) == len(seeds) * len(bin_counts) * 2
     assert {(r.seed, r.report.scheme.bin_count, r.report.scheme.origin) for r in rows} == {
         (s, b, o) for s in seeds for b in bin_counts for o in Origin}
@@ -379,6 +395,38 @@ def test_block_verify_matches_per_row():
             counts, theory_at = counts[::-1], 1.0 - theory[-2::-1]
         assert hist.counts == tuple(counts.tolist())
         assert got.sup_deviation == float(np.abs(np.cumsum(counts) / 60 - theory_at).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(bins=st.integers(1, 40), lo=st.floats(-1e3, 1e3), width=st.floats(0.1, 1e3))
+@example(bins=1, lo=0.0, width=1.0)
+def test_event_on_an_edge_goes_to_the_higher_bin(bins, lo, width):
+    # an event exactly on edge k < bins is in ascending bin k, and one at iv.hi
+    # in the last bin; bin_positions and the block loop bin it the same way
+    from bornlab.harness import _verify_blocks
+
+    iv = Interval(lo, lo + width)
+    edges = BinningScheme(bins, Origin.FROM_A, iv).edges()
+    want = np.eye(bins + 1, bins, dtype=int)  # row k: the counts of one event on edge k
+    want[bins, bins - 1] = 1
+    for k, edge in enumerate(edges.tolist()):
+        assert bin_positions([edge], BinningScheme(bins, Origin.FROM_A, iv)).counts == tuple(
+            want[k].tolist())
+        assert bin_positions([edge], BinningScheme(bins, Origin.FROM_B, iv)).counts == tuple(
+            want[k, ::-1].tolist())
+    # row k of the block is one event on edge k, its seed k
+    density = uniform_density(iv)
+    setup = (density, iv, lo + width / 2, Interval(-width / 2, width / 2))
+    report = _verify_blocks(replication_config(bin_counts=(bins,)), setup,
+                            [(list(range(bins + 1)), edges.reshape(-1, 1))])
+    theory = cdf_at_points(density, iv, edges)
+    assert len(report.rows) == 2 * (bins + 1)
+    for row in report.rows:
+        if row.report.scheme.origin is Origin.FROM_A:
+            counts, theory_at = want[row.seed], theory[1:]
+        else:
+            counts, theory_at = want[row.seed, ::-1], 1.0 - theory[-2::-1]
+        assert row.report.sup_deviation == float(np.abs(np.cumsum(counts) - theory_at).max())
 
 
 def test_batched_sampling_matches_sequential(monkeypatch):
@@ -571,6 +619,14 @@ _BAD_REPORTS = {
         "json", lambda t: t.replace('"pass_lower_const": 2', '"pass_lower_const": 1'),
         None, "summary"),
     "json_not_json": ("json", lambda t: t[:-3], None, "invalid JSON"),
+    # json.load keeps the last of a repeated key
+    "json_repeated_key": (
+        "json", lambda t: t.replace('"sup_deviation": 0.25,', '"sup_deviation": 0.25,\n'
+                                    '      "sup_deviation": 0.5,', 1),
+        None, "repeated key: sup_deviation"),
+    "json_repeated_scheme": (
+        "json", lambda t: t.replace('"scheme": {', '"scheme": {}, "scheme": {', 1),
+        None, "repeated key: scheme"),
     "csv_bool_spelled_python": (
         "csv", lambda t: _edit_cells(t, 2, lambda c: c[:7] + ["True"] + c[8:]),
         2, "verdict_lower_const: "),
