@@ -39,6 +39,7 @@ agree).  ``total_mass`` and ``mean_position`` stay adaptive.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -250,31 +251,23 @@ def _read_csv(path, columns: Sequence[str], parse: Callable, least: int = 1) -> 
     return out
 
 
-def _envelope_zero(g: SlitGeometry, k: int) -> float | None:
-    """Offset from center of the k-th envelope null (m(t)*(t-mu) = k*pi)."""
-    klam = k * g.lambda_mm
-    if klam >= g.w_mm:
+def _null_offset(g: SlitGeometry, slit_mm: float, order: float) -> float | None:
+    """Offset from center where slit * sin(theta) = order * lambda: an envelope
+    null for the slit width and k = 1, 2, ..., a fringe null for the slit
+    separation and j + 1/2.  None when order * lambda reaches the slit."""
+    s = order * g.lambda_mm
+    if s >= slit_mm:
         return None
-    return klam * g.screen_distance_L / math.sqrt(g.w_mm**2 - klam**2)
+    return s * g.screen_distance_L / math.sqrt(slit_mm**2 - s**2)
 
 
-def _fringe_zero(g: SlitGeometry, j: int) -> float | None:
-    """Offset of the j-th fringe null (n(t)*(t-mu) = (j+1/2)*pi)."""
-    hlam = (j + 0.5) * g.lambda_mm
-    if hlam >= g.d_mm:
-        return None
-    return hlam * g.screen_distance_L / math.sqrt(g.d_mm**2 - hlam**2)
-
-
-def default_support(g: SlitGeometry, envelope_nulls: int = 5) -> Interval:
-    """Symmetric support holding the central peak plus >= 4 envelope nulls per side."""
-    z = _envelope_zero(g, envelope_nulls)
-    if z is None:
-        z = _envelope_zero(g, 1)
-        if z is None:
-            raise InvalidGeometry("wavelength exceeds slit width: no envelope nulls exist")
-        z *= envelope_nulls
-    half = 1.05 * z
+def default_support(g: SlitGeometry) -> Interval:
+    """Symmetric support holding the central peak plus >= 4 envelope nulls per
+    side: 1.05 times the fifth null, or five times the first when fewer exist."""
+    first = _null_offset(g, g.w_mm, 1)
+    if first is None:
+        raise InvalidGeometry("wavelength exceeds slit width: no envelope nulls exist")
+    half = 1.05 * (_null_offset(g, g.w_mm, 5) or 5 * first)
     return Interval(g.center_mu - half, g.center_mu + half)
 
 
@@ -306,20 +299,12 @@ def double_slit_density(g: SlitGeometry, support: Interval | None = None) -> Den
 
     half = max(abs(support.lo - mu), abs(support.hi - mu))
     zeros: list[float] = []
-    k = 1
-    while True:
-        z = _envelope_zero(g, k)
-        if z is None or z > half:
-            break
-        zeros.append(z)
-        k += 1
-    j = 0
-    while True:
-        z = _fringe_zero(g, j)
-        if z is None or z > half:
-            break
-        zeros.append(z)
-        j += 1
+    for slit_mm, first in ((g.w_mm, 1), (g.d_mm, 0.5)):
+        for order in itertools.count(first):
+            z = _null_offset(g, slit_mm, order)
+            if z is None or z > half:
+                break
+            zeros.append(z)
     offsets = sorted(set(zeros))
     two_sided = [mu - z for z in reversed(offsets)] + [mu + z for z in offsets]
     in_support = [z for z in two_sided if support.lo < z < support.hi]
@@ -363,13 +348,10 @@ def recenter(d: DensityModel, center: float) -> DensityModel:
 
 def total_mass(d: DensityModel, iv: Interval | None = None,
                cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Integral of ``d`` over ``iv`` (memoized).  Raises ZeroMass when degenerate."""
+    """Integral of ``d`` over ``iv``.  Raises ZeroMass when degenerate."""
     if iv is None:
         iv = d.support
-    mass = d.memo(
-        ("mass", iv.lo, iv.hi, cfg),
-        lambda: integrate_with_breakpoints(d.evaluate, iv, d.subdivision_points(iv), cfg),
-    )
+    mass = integrate_with_breakpoints(d.evaluate, iv, d.subdivision_points(iv), cfg)
     if not mass > max(cfg.abs_tol, 0.0):
         raise ZeroMass(f"density mass over [{iv.lo}, {iv.hi}] is {mass}")
     return mass

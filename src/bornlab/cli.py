@@ -3,8 +3,8 @@
 Exit codes: 0 success / all verdicts pass, 1 at least one literal-form
 verdict failed, 2 usage or configuration error, 3 numerical instability.
 The only environment variable honored is BORNLAB_OUT_DIR, which rebases
-relative output paths; :func:`main` rebases every output flag once, before the
-subcommand runs.
+relative output paths.  :func:`main` rebases every output flag, then loads the
+config, once each, and passes it to the subcommand.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ def _write_json(path: str | None, obj) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_density(args) -> int:
-    cfg = harness.load_config(args.config)
+def _cmd_density(args, cfg: harness.ExperimentConfig) -> int:
     density, interval, _, _ = harness.experiment_density(cfg)
     ts = np.linspace(interval.lo, interval.hi, args.points)
     vals = density.evaluate(ts)
@@ -73,8 +72,7 @@ def _cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _cmd_moments(args) -> int:
-    cfg = harness.load_config(args.config)
+def _cmd_moments(args, cfg: harness.ExperimentConfig) -> int:
     density, interval, center, moment_iv = harness.experiment_density(cfg)
     centered = born_density.recenter(density, center)
     mass, var_raw, rho_raw = berry_esseen.raw_moments(centered, moment_iv, cfg.quadrature)
@@ -92,8 +90,7 @@ def _cmd_moments(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bound(args) -> int:
-    cfg = harness.load_config(args.config)
+def _cmd_bound(args, cfg: harness.ExperimentConfig) -> int:
     density, _, center, moment_iv = harness.experiment_density(cfg)
     centered = born_density.recenter(density, center)
     rhs = {
@@ -113,16 +110,14 @@ def _cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sample(args) -> int:
-    cfg = harness.load_config(args.config)
+def _cmd_sample(args, cfg: harness.ExperimentConfig) -> int:
     density, interval, _, _ = harness.experiment_density(cfg)
     positions = sampler.sample_positions(density, interval, args.n, args.seed, cfg.quadrature)
     sampler.write_events_csv(positions, args.out)
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    cfg = harness.load_config(args.config)
+def _cmd_verify(args, cfg: harness.ExperimentConfig) -> int:
     _, interval, _, _ = harness.experiment_density(cfg)
     positions = harness.ingest_events(args.events, interval)
     report = harness.verify_events(cfg, positions)
@@ -130,8 +125,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.all_literal_pass(cfg.variants) else EXIT_VERDICT_FAIL
 
 
-def _cmd_replicate(args) -> int:
-    cfg = harness.load_config(args.config)
+def _cmd_replicate(args, cfg: harness.ExperimentConfig) -> int:
     report = harness.run_paper_replication(cfg)
     harness.emit_report(report, "json", args.out)
     if args.csv:
@@ -139,8 +133,7 @@ def _cmd_replicate(args) -> int:
     return EXIT_OK if report.all_literal_pass(cfg.variants) else EXIT_VERDICT_FAIL
 
 
-def _cmd_sweep(args) -> int:
-    cfg = harness.load_config(args.config)
+def _cmd_sweep(args, cfg: harness.ExperimentConfig) -> int:
     try:
         n_grid = [int(tok) for tok in args.n_grid.split(",") if tok.strip()]
     except ValueError as exc:
@@ -171,8 +164,8 @@ def _madelung_setup(cfg: harness.ExperimentConfig):
     return m, field, m.potential if m.potential is not None else potential
 
 
-def _cmd_madelung(args) -> int:
-    _, field, potential = _madelung_setup(harness.load_config(args.config))
+def _cmd_madelung(args, cfg: harness.ExperimentConfig) -> int:
+    _, field, potential = _madelung_setup(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     evo = madelung.Evolution(field, potential)
     records = []
@@ -210,8 +203,8 @@ def _cmd_madelung(args) -> int:
     return EXIT_OK
 
 
-def _cmd_trajectories(args) -> int:
-    m, field, potential = _madelung_setup(harness.load_config(args.config))
+def _cmd_trajectories(args, cfg: harness.ExperimentConfig) -> int:
+    m, field, potential = _madelung_setup(cfg)
     count = args.count if args.count is not None else m.count
     seed = args.seed if args.seed is not None else m.seed
     evo = madelung.Evolution(field, potential)
@@ -307,7 +300,7 @@ def main(argv=None) -> int:
                 flag = "--" + name.replace("_", "-")
                 raise ConfigError(f"{flag} must be >= {least}, got {value}", key=flag)
         _rebase_outputs(args)
-        return args.func(args)
+        return args.func(args, harness.load_config(args.config))
     except (UnstableStep, NonConvergence) as exc:
         print(f"bornlab: numerical instability: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE

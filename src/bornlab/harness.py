@@ -333,16 +333,27 @@ def config_to_json_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-class _RepeatedKey(ValueError):
-    """A JSON object gives one key twice (plain ``json.load`` keeps the last)."""
-
-
 def _unique_keys(pairs: list) -> dict:
-    """The ``object_pairs_hook`` of both JSON readers: a repeated key raises _RepeatedKey."""
+    """The ``object_pairs_hook`` of both JSON readers.  Plain ``json.load``
+    keeps the last of a repeated key; this object also holds the first
+    repeated key under ``None``, a key no JSON text can give."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        raise _RepeatedKey(next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i])))
+        obj[None] = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
     return obj
+
+
+def _repeated_keys(node, path: str = ""):
+    """Yield the path (``binning.bin_counts``, ``rows[0].scheme``) of each
+    key given twice in a value read with :func:`_unique_keys`."""
+    if isinstance(node, dict):
+        if None in node:
+            yield _join(path, node[None])
+        for key, value in node.items():
+            yield from _repeated_keys(value, _join(path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _repeated_keys(value, f"{path}[{i}]")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -351,8 +362,9 @@ def load_config(path) -> ExperimentConfig:
             raw = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    except _RepeatedKey as exc:
-        raise ConfigError(f"{path}: repeated config key: {exc}", key=str(exc)) from exc
+    key = next(_repeated_keys(raw), None)
+    if key is not None:
+        raise ConfigError(f"{path}: repeated config key: {key}", key=key)
     return config_from_json_dict(raw)
 
 
@@ -663,8 +675,10 @@ def load_report(path, fmt: str | None = None) -> ConvergenceReport:
             obj = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc})", line=exc.lineno) from exc
-        except _RepeatedKey as exc:
-            raise ParseError(f"{path}: repeated key: {exc}") from exc
+    repeated = next(_repeated_keys(obj), None)
+    if repeated is not None:
+        row, _, key = repeated.rpartition("].")  # rows[i] and the path inside it
+        raise ParseError(f"{path}: {row + ']: ' if row else ''}repeated key: {key}")
     if not isinstance(obj, dict) or not isinstance(obj.get("rows"), list):
         raise ParseError(f"{path}: expected an object holding a list of rows")
     keys, rows = ["seed", *(key for _, key, _ in _FIELDS)], []

@@ -28,7 +28,6 @@ plus the validity mask left after node masking and stencil-halo erosion.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ import numpy as np
 
 from .born_density import DensityModel, TabulatedDensity
 from .errors import InsufficientHistory, UnstableStep
-from .sampler import _write_index_csv, atomic_open, sample_positions
+from .sampler import _write_csv, sample_positions
 
 __all__ = [
     "Grid",
@@ -557,12 +556,8 @@ def screen_state_from_density(grid: Grid, d: DensityModel) -> WaveField:
 # snapshot I/O
 
 def write_polar_csv(p: PolarField, path) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "R", "S", "node_mask"])
-        for x, r, s, m in zip(p.grid.x(), p.R, p.S, p.node_mask):
-            writer.writerow([repr(float(x)), repr(float(r)), repr(float(s)), int(m)])
+    _write_csv(path, ("x", "R", "S", "node_mask"), (p.grid.x(), p.R, p.S, p.node_mask.astype(int)))
 
 
 def write_trajectories_csv(e: TrajectoryEnsemble, path) -> None:
-    _write_index_csv(e.positions, "x", path)
+    _write_csv(path, ("index", "x"), (np.arange(e.positions.size), e.positions))

@@ -201,22 +201,23 @@ def atomic_open(path):
             os.remove(tmp)
 
 
-def _write_index_csv(values: Sequence[float], column: str, path) -> None:
-    """Header ``index,<column>``, then one ``i,repr(float(x))`` row per value,
-    every line ending in CRLF: the bytes a ``csv.writer`` loop writes.  Rows
-    are joined 4,096 at a time, so memory does not grow with the file."""
-    xs = np.asarray(values, dtype=float)
+def _write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Header ``header``, then one row per index of the equal-length
+    ``columns``, each value the ``repr`` of its Python int or float and every
+    line ending in CRLF: the bytes a ``csv.writer`` loop writes.  Rows are
+    joined 4,096 at a time, so memory does not grow with the file."""
     with atomic_open(path) as fh:
-        fh.write(f"index,{column}\r\n")
-        for start in range(0, xs.size, 4096):
-            block = enumerate(xs[start:start + 4096].tolist(), start)
-            fh.write("".join([f"{i},{x!r}\r\n" for i, x in block]))
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), 4096):
+            cells = [map(repr, c[start:start + 4096].tolist()) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_events_csv(positions: Sequence[float], path) -> None:
     """Export with header ``index,t_mm`` (also the real-data ingestion format);
     the index is the row's detection order, starting at 0."""
-    _write_index_csv(positions, "t_mm", path)
+    xs = np.asarray(positions, dtype=float)
+    _write_csv(path, ("index", "t_mm"), (np.arange(xs.size), xs))
 
 
 def _event(row) -> float:

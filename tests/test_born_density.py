@@ -1,8 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bornlab import cli
 from bornlab.born_density import (
     DensityModel,
     SlitGeometry,
@@ -263,5 +267,58 @@ def test_explicit_support_override():
     assert all(iv.lo < z < iv.hi for z in d.analytic_zeros)
 
 
-def test_default_support_rejects_subwavelength_slits():
-    assert default_support(SlitGeometry()).width > 0
+def test_default_support_rejects_subwavelength_slits(tmp_path):
+    # lambda >= w (62 nm): not even a first envelope null exists
+    for lam in (62_000.0, 100_000.0):
+        with pytest.raises(InvalidGeometry):
+            default_support(SlitGeometry(wavelength_lambda=lam))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"geometry": {"lambda_pm": 62_000.0}}))
+    assert cli.main(["bound", "--config", str(path)]) == 2
+
+
+def test_default_support_with_fewer_than_five_envelope_nulls():
+    # lambda = 20,000 pm leaves three envelope nulls per side, so the
+    # half-width is 1.05 * 5 * the first null instead of 1.05 * the fifth
+    g = SlitGeometry(wavelength_lambda=20_000.0)
+    first = 20e-6 * 240.0 / math.sqrt(62e-6**2 - 20e-6**2)
+    support = default_support(g)
+    assert support.hi == -support.lo == 429.4068512523282
+    assert support.hi == pytest.approx(1.05 * 5 * first, rel=1e-14)
+    d = double_slit_density(g)
+    assert d.support == support
+    assert d.analytic_zeros and all(support.lo < z < support.hi for z in d.analytic_zeros)
+
+
+@settings(max_examples=12, deadline=None)
+@given(w=st.floats(20.0, 200.0), d_over_w=st.floats(1.1, 6.0), lam_over_w=st.floats(0.01, 0.9),
+       big_l=st.floats(50.0, 1000.0), mu=st.floats(-5.0, 5.0))
+def test_advertised_zeros_match_mpmath_roots(w, d_over_w, lam_over_w, big_l, mu):
+    # oracle: mpmath.findroot at 50 digits on the envelope sin(m(t)(t - mu))
+    # or the fringe cos(n(t)(t - mu)), whichever is nearer zero at the
+    # advertised zero it starts from; lam_over_w > 0.2 takes the support
+    # fallback of fewer than five envelope nulls
+    import mpmath
+
+    g = SlitGeometry(slit_width_w=w, slit_separation_d=w * d_over_w, screen_distance_L=big_l,
+                     wavelength_lambda=1000.0 * w * lam_over_w, center_mu=mu)
+    d = double_slit_density(g)
+    half = d.support.hi - mu
+    assert d.analytic_zeros
+    with mpmath.workdps(50):
+        lam, length, center = (mpmath.mpf(v) for v in (g.lambda_mm, big_l, mu))
+
+        def phase(slit_mm, t):
+            return (mpmath.pi * mpmath.mpf(slit_mm) * (t - center)
+                    / (lam * mpmath.hypot(length, t - center)))
+
+        def envelope(t):
+            return mpmath.sin(phase(g.w_mm, t))
+
+        def fringe(t):
+            return mpmath.cos(phase(g.d_mm, t))
+
+        for z in d.analytic_zeros:
+            f = min((envelope, fringe), key=lambda f: abs(f(z)))
+            root = mpmath.findroot(f, (mpmath.mpf(z), mpmath.mpf(z) + 1e-12 * half))
+            assert abs(root - z) <= 1e-14 * half

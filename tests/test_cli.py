@@ -329,6 +329,45 @@ def test_madelung_double_slit_screen_preset(tmp_path):
     assert np.abs(ss).max() == 0.0
 
 
+_GRID_64 = {"x_min": -8.0, "x_max": 8.0, "points": 64, "dt": 1e-3}
+_POTENTIALS = {
+    "none": None,
+    "free": {"kind": "free"},
+    "harmonic": {"kind": "harmonic", "omega": 1.5, "center": 0.25},
+    "tabulated": {"kind": "tabulated", "values": madelung.Potential.harmonic(1.5, 0.25).on_grid(
+        madelung.Grid(**_GRID_64)).tolist()},
+}
+
+
+def _madelung_outputs(out, section) -> dict:
+    """The bytes of each file that ``madelung`` and ``trajectories`` write
+    into ``out`` for the config section ``section``."""
+    out.mkdir()
+    path = out / "cfg.json"
+    path.write_text(json.dumps({"madelung": section}))
+    assert cli.main(["madelung", "--config", str(path), "--steps", "4", "--snapshot-every", "2",
+                     "--out-dir", str(out / "run")]) == 0
+    assert cli.main(["trajectories", "--config", str(path), "--steps", "4",
+                     "--out", str(out / "run" / "traj.csv"),
+                     "--summary", str(out / "run" / "traj.json")]) == 0
+    return {f.name: f.read_bytes() for f in (out / "run").iterdir()}
+
+
+@pytest.mark.parametrize("potential", list(_POTENTIALS))
+@pytest.mark.parametrize("preset", ["plane_wave", "free_gaussian", "harmonic",
+                                    "double_slit_screen"])
+def test_every_madelung_preset_and_potential_runs(tmp_path, preset, potential):
+    section = {"preset": preset, "grid": _GRID_64, "trajectories": {"count": 200}}
+    if _POTENTIALS[potential] is not None:
+        section["potential"] = _POTENTIALS[potential]
+    files = _madelung_outputs(tmp_path / potential, section)
+    assert sorted(files) == ["snapshot_000000.csv", "snapshot_000002.csv", "snapshot_000004.csv",
+                             "summary.json", "traj.csv", "traj.json"]
+    if potential == "tabulated":  # the harmonic potential's values on the grid
+        section["potential"] = _POTENTIALS["harmonic"]
+        assert files == _madelung_outputs(tmp_path / "harmonic", section)
+
+
 def test_no_subcommand_exits_two():
     with pytest.raises(SystemExit) as err:
         cli.main([])

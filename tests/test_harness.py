@@ -1,9 +1,11 @@
 import csv
+import functools
 import io
 import json
 import math
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -130,8 +132,8 @@ def test_config_validation_errors(tmp_path):
         ('{"seeds": [1], "seeds": [2]}', "seeds"),
         ('{"binning": {"bin_counts": [10]}, "binning": {"orientations": ["from_a"]}}',
          "binning"),
-        ('{"binning": {"bin_counts": [10], "bin_counts": [20]}}', "bin_counts"),
-        ('{"madelung": {"grid": {"points": 64, "points": 128}}}', "points"),
+        ('{"binning": {"bin_counts": [10], "bin_counts": [20]}}', "binning.bin_counts"),
+        ('{"madelung": {"grid": {"points": 64, "points": 128}}}', "madelung.grid.points"),
     ]:
         path.write_text(text)
         with pytest.raises(ConfigError) as err:
@@ -623,10 +625,16 @@ _BAD_REPORTS = {
     "json_repeated_key": (
         "json", lambda t: t.replace('"sup_deviation": 0.25,', '"sup_deviation": 0.25,\n'
                                     '      "sup_deviation": 0.5,', 1),
-        None, "repeated key: sup_deviation"),
+        None, "rows[0]: repeated key: sup_deviation"),
     "json_repeated_scheme": (
         "json", lambda t: t.replace('"scheme": {', '"scheme": {}, "scheme": {', 1),
-        None, "repeated key: scheme"),
+        None, "rows[0]: repeated key: scheme"),
+    "json_repeated_nested_key": (
+        "json", lambda t: t.replace('"bin_count": 10', '"bin_count": 10, "bin_count": 10', 1),
+        None, "rows[0]: repeated key: scheme.bin_count"),
+    "json_repeated_summary_key": (
+        "json", lambda t: t.replace('"rows": 2', '"rows": 2, "rows": 2'),
+        None, ": repeated key: summary.rows"),
     "csv_bool_spelled_python": (
         "csv", lambda t: _edit_cells(t, 2, lambda c: c[:7] + ["True"] + c[8:]),
         2, "verdict_lower_const: "),
@@ -662,6 +670,42 @@ def test_load_report_names_row_and_column(tmp_path, case):
     assert words in str(err.value)
     if line is not None:
         assert err.value.line == line
+
+
+@functools.cache
+def _replication_at(i0: float):
+    """The 3 N x 3 seeds x bins 1/10/20 replication at peak height ``i0``."""
+    return run_paper_replication(replication_config(
+        seeds=(1, 2, 3), n_values=(13, 101, 803), bin_counts=(1, 10, 20),
+        geometry=replace(SlitGeometry(), peak_height_I0=i0)))
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(-15, 20))
+@example(-15)
+@example(20)
+def test_report_unchanged_when_i0_scales_by_a_power_of_four(j):
+    # scaling by 4^j is exact in every density value and in the sqrt of the
+    # mass that bound_rhs takes, so no byte may move; an odd power of two
+    # leaves an inexact sqrt and moves the right-hand sides in the last bits
+    assert report_text(_replication_at(4.0**j), "json") == report_text(_replication_at(1.0), "json")
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.floats(1e-3, 1e3))
+@example(1e-3)
+@example(1e3)
+@example(2.0)
+def test_report_floats_scale_free_in_i0(i0):
+    base, scaled_rows = _replication_at(1.0).rows, _replication_at(i0).rows
+    assert len(scaled_rows) == len(base)
+    for a, b in zip(base, scaled_rows):
+        assert (a.seed, a.report.N, a.report.verdicts, a.report.scheme) == (
+            b.seed, b.report.N, b.report.verdicts, b.report.scheme)
+        for name in ("sup_deviation", "rhs_lower_const", "rhs_upper_const",
+                     "rhs_with_sqrtN_lower", "rhs_with_sqrtN_upper"):
+            assert getattr(b.report, name) == pytest.approx(getattr(a.report, name), rel=1e-12,
+                                                            abs=0.0)
 
 
 def test_emit_rejects_unknown_format(tmp_path):

@@ -24,7 +24,8 @@ from bornlab.born_density import (
 from bornlab.errors import DegenerateState, EmptyFile, OutOfInterval, ParseError
 from bornlab.quadrature import DEFAULT_QUADRATURE, Interval
 from bornlab.harness import experiment_density, load_config
-from bornlab.madelung import TrajectoryEnsemble, write_trajectories_csv
+from bornlab.madelung import (Grid, PolarField, TrajectoryEnsemble, write_polar_csv,
+                              write_trajectories_csv)
 from bornlab.sampler import (
     CDF_VALUE_TOL,
     bin_positions,
@@ -356,6 +357,17 @@ def _csv_writer_bytes(values, column):
     return buf.getvalue().encode()
 
 
+def _polar_csv_writer_bytes(p):
+    """The per-row ``csv.writer`` loop of ``write_polar_csv`` before it shared
+    the events and trajectory writer: the reference for its bytes."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["x", "R", "S", "node_mask"])
+    for x, r, s, m in zip(p.grid.x(), p.R, p.S, p.node_mask):
+        writer.writerow([repr(float(x)), repr(float(r)), repr(float(s)), int(m)])
+    return buf.getvalue().encode()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
 @example([])
@@ -375,6 +387,14 @@ def test_index_csv_writers_emit_csv_writer_bytes(values):
             write_trajectories_csv(TrajectoryEnsemble(np.array(values)), traj)
             with open(traj, "rb") as fh:
                 assert fh.read() == _csv_writer_bytes(values, "x")
+            # a grid of the next power of two >= 16 points, the values repeated
+            points = max(16, 1 << (len(values) - 1).bit_length())
+            vals = np.resize(np.array(values, dtype=float), points)
+            polar = PolarField(Grid(-7.3, 11.9, points, dt=1e-3), vals, vals[::-1], vals > 0)
+            path = os.path.join(tmp, "polar.csv")
+            write_polar_csv(polar, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == _polar_csv_writer_bytes(polar)
 
 
 def test_events_csv_parse_errors(tmp_path):
