@@ -28,6 +28,12 @@ infinite, or the step leaves the bracket
 If a bracket collapses to adjacent floats before the CDF tolerance is met
 (the CDF climbs more than the tolerance between neighboring float values),
 the draw resolves to the current point, which lies inside that bracket.
+
+A batch is visited in ascending ``u``: one ``argsort`` orders the draws, so
+the panel search and the table gathers run in memory order, as do the
+``np.interp`` lookups of a tabulated density.  Every step above is
+elementwise and each result is written back to its draw's own index, so the
+visiting order cannot move a bit of any result.
 """
 
 from __future__ import annotations
@@ -77,14 +83,18 @@ def _next_point(table, x, diff, lo, hi) -> np.ndarray:
 
 def _invert(table, u: np.ndarray) -> np.ndarray:
     knots, cum = table.knots, table.cum
+    # visit the draws in ascending u (see the module notes); slot holds each
+    # visited draw's batch index, where the one scatter below writes its result
+    slot = np.argsort(u)
+    u = u[slot]
     # cum[k] <= u < cum[k + 1], so the panel has positive mass
     idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(knots) - 2)
     start = lo = knots[idx]  # lo is rebound, never written in place
     hi = knots[idx + 1]
     offset = cum[idx] - u  # F(x) - u = offset + partial(start, x)
+    del u  # the sorted copy; offset carries u from here on
     x = lo - offset / (cum[idx + 1] - cum[idx]) * (hi - lo)
-    out = np.empty_like(u)
-    slot = np.arange(u.size)
+    out = np.empty(slot.size)
     eps = np.finfo(float).eps
     # a midpoint pass halves the bracket and a Newton pass lands strictly
     # inside it; draws finish within a handful of passes, 200 bound the loop
@@ -113,20 +123,23 @@ def inverse_cdf_sample(d: DensityModel, iv: Interval, u,
                        cfg: QuadratureConfig = DEFAULT_QUADRATURE):
     """Position x with cdf(x) = u to 1e-10 in CDF value.
 
-    Accepts a scalar or an ndarray of uniforms in [0, 1); u = 0 maps to
-    iv.lo exactly.  Each draw is inverted independently, so a batch gives
-    the same results as one call per element.  Draws whose u differ by more
-    than 2e-10 come out in the order of their u (the CDF is nondecreasing
-    and each result is within 1e-10 of its u); closer draws may swap places.
+    Accepts a scalar (gives a float) or an ndarray of uniforms in [0, 1) of
+    any shape (gives an array of that shape); u = 0 maps to iv.lo exactly.
+    Each draw is inverted independently and lands at its own index, so a
+    batch in any order gives the same bits as one call per element.  Draws
+    whose u differ by more than 2e-10 come out in the order of their u (the
+    CDF is nondecreasing and each result is within 1e-10 of its u); closer
+    draws may swap places.
     """
     scalar = np.isscalar(u)
-    uu = np.atleast_1d(np.asarray(u, dtype=float))
+    uu = np.asarray(u, dtype=float)
     if not np.all((uu >= 0.0) & (uu < 1.0)):  # NaN fails both
         raise ValueError("u must lie in [0, 1)")
     table = _cdf_table(d, iv, cfg)
-    out = _invert(table, uu)
-    out[uu == 0.0] = iv.lo
-    return float(out[0]) if scalar else out
+    flat = uu.ravel()
+    out = _invert(table, flat)
+    out[flat == 0.0] = iv.lo
+    return float(out[0]) if scalar else out.reshape(uu.shape)
 
 
 def sample_positions(d: DensityModel, iv: Interval, n: int, seed: int,
@@ -136,8 +149,7 @@ def sample_positions(d: DensityModel, iv: Interval, n: int, seed: int,
         raise ValueError("n must be >= 0")
     if n == 0:
         return np.empty(0, dtype=float)
-    u = rng_from_seed(seed).random(n)
-    return np.asarray(inverse_cdf_sample(d, iv, u, cfg))
+    return inverse_cdf_sample(d, iv, rng_from_seed(seed).random(n), cfg)
 
 
 def _bin_counts(block: np.ndarray, scheme: BinningScheme) -> np.ndarray:

@@ -200,6 +200,48 @@ def test_step_density_without_breakpoint():
     assert np.all(np.abs(exact_cdf(xs) - us) <= 2e-10)
 
 
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: double_slit_density(SlitGeometry()),
+    lambda: TabulatedDensity(np.arange(11.0), [0, 0, 1, 2, 0, 0, 0, 3, 1, 0, 0]),
+], ids=["double_slit", "tabulated_zero_runs"])
+def test_batch_inversion_order_invariant(make):
+    # the batch is visited in ascending u and scattered back; a shuffled batch
+    # with ties, both ends and u exactly at table knots must give, bit for
+    # bit, what each draw gives inverted alone
+    d = make()
+    iv = d.support
+    table = _cdf_table(d, iv, DEFAULT_QUADRATURE)
+    at_knots = np.unique(table.cum[table.cum < 1.0])
+    at_knots = at_knots[:: max(1, at_knots.size // 40)]
+    rng = rng_from_seed(31)
+    draws = rng.random(120)
+    u = np.concatenate([draws, draws[:30], at_knots, at_knots[:5],
+                        [0.0, 0.0, 1.0 - 2.0**-53, 1.0 - 2.0**-53]])
+    u = u[rng.permutation(u.size)]
+    batch = inverse_cdf_sample(d, iv, u)
+    solo = [inverse_cdf_sample(d, iv, v) for v in u.tolist()]
+    assert np.array_equal(_bits(batch), _bits(solo))
+    assert np.array_equal(_bits(inverse_cdf_sample(d, iv, u[::-1])), _bits(solo[::-1]))
+
+
+def test_batch_keeps_input_shape():
+    d = double_slit_density(SlitGeometry())
+    iv = d.support
+    u = rng_from_seed(3).random((2, 3))
+    xs = inverse_cdf_sample(d, iv, u)
+    assert xs.shape == (2, 3)
+    solo = [[inverse_cdf_sample(d, iv, v) for v in row] for row in u.tolist()]
+    assert np.array_equal(_bits(xs), _bits(solo))
+    zero_d = inverse_cdf_sample(d, iv, np.array(0.25))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+    assert zero_d == inverse_cdf_sample(d, iv, 0.25)
+    assert type(inverse_cdf_sample(d, iv, np.float64(0.25))) is float
+
+
 def test_monotone_in_u():
     g = SlitGeometry()
     d = double_slit_density(g)
