@@ -254,11 +254,20 @@ def _read_csv(path, columns: Sequence[str], parse: Callable, least: int = 1) -> 
 def _null_offset(g: SlitGeometry, slit_mm: float, order: float) -> float | None:
     """Offset from center where slit * sin(theta) = order * lambda: an envelope
     null for the slit width and k = 1, 2, ..., a fringe null for the slit
-    separation and j + 1/2.  None when order * lambda reaches the slit."""
-    s = order * g.lambda_mm
-    if s >= slit_mm:
+    separation and j + 1/2.  None when order * lambda reaches the slit.
+
+    slit**2 - s**2 is formed exactly in integers and rounded once: near the
+    last null it cancels to a small fraction of slit**2, where rounding s and
+    s**2 first costs the offset two or more digits."""
+    twice = int(2 * order)  # exact for whole and half orders
+    p, q = g.lambda_mm.as_integer_ratio()
+    a, b = slit_mm.as_integer_ratio()
+    # slit**2 - s**2 == gap / (2*b*q)**2 with s = twice * p / (2*q)
+    gap = (2 * a * q) ** 2 - (twice * p * b) ** 2
+    if gap <= 0:
         return None
-    return s * g.screen_distance_L / math.sqrt(slit_mm**2 - s**2)
+    s = order * g.lambda_mm
+    return s * g.screen_distance_L / math.sqrt(gap / (2 * b * q) ** 2)
 
 
 def default_support(g: SlitGeometry) -> Interval:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bornlab import cli
@@ -293,6 +293,8 @@ def test_default_support_with_fewer_than_five_envelope_nulls():
 @settings(max_examples=12, deadline=None)
 @given(w=st.floats(20.0, 200.0), d_over_w=st.floats(1.1, 6.0), lam_over_w=st.floats(0.01, 0.9),
        big_l=st.floats(50.0, 1000.0), mu=st.floats(-5.0, 5.0))
+# the fifth envelope null at 5 * lambda within 1% of w: slit**2 - s**2 cancels
+@example(w=31.0, d_over_w=2.0, lam_over_w=0.1990156939447932, big_l=50.0, mu=0.0)
 def test_advertised_zeros_match_mpmath_roots(w, d_over_w, lam_over_w, big_l, mu):
     # oracle: mpmath.findroot at 50 digits on the envelope sin(m(t)(t - mu))
     # or the fringe cos(n(t)(t - mu)), whichever is nearer zero at the
