@@ -430,11 +430,13 @@ _BATCH_SAMPLE_LIMIT = 1_000_000
 
 def _seed_blocks(density, interval, n, seeds, cfg):
     """Yield (seeds, block): each seed's draws as one row of a seeds x n block
-    of at most ``_BATCH_SAMPLE_LIMIT`` events (one seed at least), inverted in
-    one vectorized pass.  The Newton inversion is elementwise and visits the
-    whole block in ascending u, whatever seed each draw came from, so
-    batching changes no individual result.  What it buys is speed: fewer
-    small calls, and one sorted visit over all of the block's draws."""
+    of at most ``_BATCH_SAMPLE_LIMIT`` events (one seed at least), inverted by
+    one call.  The Newton inversion is elementwise and visits the whole block
+    in ascending u, whatever seed each draw came from, so batching changes no
+    individual result.  What it buys is speed: fewer small calls, and one
+    sorted visit over all of the block's draws.  The inversion's temporaries
+    hold one ``sampler._INVERT_BLOCK`` of draws, so the limit bounds only u,
+    its sort order and the positions: about 32 bytes per draw."""
     chunk = max(1, _BATCH_SAMPLE_LIMIT // n)
     for start in range(0, len(seeds), chunk):
         block = seeds[start:start + chunk]

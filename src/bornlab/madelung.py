@@ -448,15 +448,15 @@ def advect_trajectories(e: TrajectoryEnsemble, p: PolarField,
     Trajectories whose step would read velocity inside the node mask (or
     leave the domain) are frozen in place and counted as collisions.
 
-    The velocity lookups visit the active trajectories in ascending grid
-    cell, because ``np.interp`` starts each search at the previous query's
-    cell; the cells are ordered by a radix sort on int16 keys, whose cost
-    does not depend on the positions.  The step runs over blocks of
-    ``_ADVECT_BLOCK`` trajectories, so its temporaries stay small and are
+    The step takes the trajectories ``_ADVECT_BLOCK`` at a time in index
+    order, so every temporary, the sort included, holds one block and is
     reused rather than freshly mapped (and page-faulted) on every step.
-    Every result is elementwise, so the outcome does not depend on the order
-    of the particles or on the blocks: each one moves exactly as it would
-    alone.
+    Within a block the velocity lookups visit the active trajectories in
+    ascending grid cell, because ``np.interp`` starts each search at the
+    previous query's cell; the cells are ordered by a radix sort on int16
+    keys, whose cost does not depend on the positions.  Every result is
+    elementwise, so the outcome does not depend on the order of the
+    particles or on the blocks: each one moves exactly as it would alone.
     """
     grid = p.grid
     dt_step = (p_next.time - p.time) if p_next is not None else grid.dt
@@ -468,15 +468,14 @@ def advect_trajectories(e: TrajectoryEnsemble, p: PolarField,
 
     pos = e.positions.copy()
     frozen = e.frozen.copy()
-    active = np.flatnonzero(~frozen)
-    # fmin/fmax clip NaN and infinities too, so every key is a valid int16
     buckets = min(grid.points, 1 << 15)
-    key = (pos[active] - grid.x_min) * (buckets / grid.length)
-    key = np.fmax(np.fmin(key, buckets - 1), 0).astype(np.int16)
-    order = active[np.argsort(key, kind="stable")]
     new_collisions = 0
-    for start in range(0, order.size, _ADVECT_BLOCK):
-        idx = order[start:start + _ADVECT_BLOCK]
+    for start in range(0, pos.size, _ADVECT_BLOCK):
+        idx = start + np.flatnonzero(~frozen[start:start + _ADVECT_BLOCK])
+        # fmin/fmax clip NaN and infinities too, so every key is a valid int16
+        key = (pos[idx] - grid.x_min) * (buckets / grid.length)
+        key = np.fmax(np.fmin(key, buckets - 1), 0).astype(np.int16)
+        idx = idx[np.argsort(key, kind="stable")]
         p0 = pos[idx]
         k1 = np.interp(p0, x, v_now)
         if p_next is not None:

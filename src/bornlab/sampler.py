@@ -31,9 +31,13 @@ the draw resolves to the current point, which lies inside that bracket.
 
 A batch is visited in ascending ``u``: one ``argsort`` orders the draws, so
 the panel search and the table gathers run in memory order, as do the
-``np.interp`` lookups of a tabulated density.  Every step above is
-elementwise and each result is written back to its draw's own index, so the
-visiting order cannot move a bit of any result.
+``np.interp`` lookups of a tabulated density.  The Newton loop then runs over
+consecutive blocks of ``_INVERT_BLOCK`` sorted draws, so its temporaries (the
+3-node density evaluations above all) hold one block, not the batch: what
+grows with the batch is only ``u``, the order and the output, about 24 bytes
+per draw.  Every step above is elementwise and each result is written back
+to its draw's own index, so neither the visiting order nor the block size
+can move a bit of any result.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ __all__ = [
 ]
 
 CDF_VALUE_TOL = 1e-10
+_INVERT_BLOCK = 16384  # sorted draws per Newton loop of _invert
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -82,10 +87,17 @@ def _next_point(table, x, diff, lo, hi) -> np.ndarray:
 
 
 def _invert(table, u: np.ndarray) -> np.ndarray:
+    # sort once, then invert _INVERT_BLOCK sorted draws at a time (module notes)
+    order = np.argsort(u)
+    out = np.empty(u.size)
+    for start in range(0, u.size, _INVERT_BLOCK):
+        _invert_block(table, u, order[start:start + _INVERT_BLOCK], out)
+    return out
+
+
+def _invert_block(table, u: np.ndarray, slot: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out[slot]`` the inverse of each ``u[slot]``."""
     knots, cum = table.knots, table.cum
-    # visit the draws in ascending u (see the module notes); slot holds each
-    # visited draw's batch index, where the one scatter below writes its result
-    slot = np.argsort(u)
     u = u[slot]
     # cum[k] <= u < cum[k + 1], so the panel has positive mass
     idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(knots) - 2)
@@ -94,7 +106,6 @@ def _invert(table, u: np.ndarray) -> np.ndarray:
     offset = cum[idx] - u  # F(x) - u = offset + partial(start, x)
     del u  # the sorted copy; offset carries u from here on
     x = lo - offset / (cum[idx + 1] - cum[idx]) * (hi - lo)
-    out = np.empty(slot.size)
     eps = np.finfo(float).eps
     # a midpoint pass halves the bracket and a Newton pass lands strictly
     # inside it; draws finish within a handful of passes, 200 bound the loop
@@ -116,7 +127,6 @@ def _invert(table, u: np.ndarray) -> np.ndarray:
         x = _next_point(table, x, diff, lo, hi)
     if slot.size:
         out[slot] = x
-    return out
 
 
 def inverse_cdf_sample(d: DensityModel, iv: Interval, u,

@@ -331,14 +331,15 @@ def test_advect_result_does_not_depend_on_particle_order(two_snapshots, block, m
     mask = r < 1e-6 * r.max()
     p = PolarField(grid, r, grid.hbar * (x + 0.01 * x * x), mask, 0.0)
     p_next = PolarField(grid, r, grid.hbar * (1.1 * x + 0.01 * x * x), mask, 1.0)
-    # unsorted, with ties and three members frozen from the start; the steps
-    # from 24.0 (Heun) and 24.6 (midpoint) read velocity in the node cells, and
-    # probes from 62.0 (Heun) and 63.0 (midpoint) leave the domain; NaN and
-    # starts outside the domain only freeze
-    start = np.array([63.0, 5.0, 24.0, 27.5, 62.0, 24.6, 5.0, 40.0, 10.25, 0.5,
-                      61.5, 33.0, 24.0, 45.0, 62.5, np.nan, -5.0, 70.0])
+    # unsorted, with ties and seven members frozen from the start, 8..11 a
+    # whole block of 4 with no active member; the steps from 24.0 (Heun) and
+    # 24.6 (midpoint) read velocity in the node cells, and probes from 62.0
+    # (Heun) and 63.0 (midpoint) leave the domain; NaN and starts outside the
+    # domain only freeze
+    start = np.array([63.0, 5.0, 24.0, 27.5, 62.0, 24.6, 5.0, 40.0, 12.0, 50.0, 12.0,
+                      20.0, 10.25, 0.5, 61.5, 33.0, 24.0, 45.0, 62.5, np.nan, -5.0, 70.0])
     frozen = np.zeros(start.size, dtype=bool)
-    frozen[[1, 7, 11]] = True
+    frozen[[1, 7, 8, 9, 10, 11, 15]] = True
     pair = (p, p_next) if two_snapshots else (p,)
     whole = advect_trajectories(TrajectoryEnsemble(start, 0.0, frozen, 2), *pair)
     alone = [advect_trajectories(TrajectoryEnsemble(start[i:i + 1], 0.0, frozen[i:i + 1]),

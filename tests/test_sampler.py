@@ -3,13 +3,14 @@ import io
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bornlab import cli
+from bornlab import cli, sampler
 from bornlab.berry_esseen import BinningScheme, Origin
 from bornlab.born_density import (
     DensityModel,
@@ -204,14 +205,17 @@ def _bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
+@pytest.mark.parametrize("block", [None, 4], ids=["one_block", "blocks_of_4"])
 @pytest.mark.parametrize("make", [
     lambda: double_slit_density(SlitGeometry()),
     lambda: TabulatedDensity(np.arange(11.0), [0, 0, 1, 2, 0, 0, 0, 3, 1, 0, 0]),
 ], ids=["double_slit", "tabulated_zero_runs"])
-def test_batch_inversion_order_invariant(make):
-    # the batch is visited in ascending u and scattered back; a shuffled batch
-    # with ties, both ends and u exactly at table knots must give, bit for
-    # bit, what each draw gives inverted alone
+def test_batch_inversion_order_invariant(make, block, monkeypatch):
+    # the batch is sorted once, inverted _INVERT_BLOCK draws at a time and
+    # scattered back; a shuffled batch with ties, both ends and u exactly at
+    # table knots must give, bit for bit, what each draw gives inverted alone
+    if block is not None:
+        monkeypatch.setattr(sampler, "_INVERT_BLOCK", block)
     d = make()
     iv = d.support
     table = _cdf_table(d, iv, DEFAULT_QUADRATURE)
@@ -219,13 +223,36 @@ def test_batch_inversion_order_invariant(make):
     at_knots = at_knots[:: max(1, at_knots.size // 40)]
     rng = rng_from_seed(31)
     draws = rng.random(120)
-    u = np.concatenate([draws, draws[:30], at_knots, at_knots[:5],
+    u = np.concatenate([draws, draws[:30], np.repeat(at_knots, 3),
                         [0.0, 0.0, 1.0 - 2.0**-53, 1.0 - 2.0**-53]])
     u = u[rng.permutation(u.size)]
+    # in ascending u, ties of draws and of knot values straddle the edges
+    # between blocks of 4
+    visited = np.sort(u)
+    last = np.arange(3, u.size - 1, 4)
+    split = last[visited[last] == visited[last + 1]]
+    assert split.size and np.isin(visited[split], at_knots[1:]).any()
+    assert np.isin(visited[split], draws).any()
     batch = inverse_cdf_sample(d, iv, u)
     solo = [inverse_cdf_sample(d, iv, v) for v in u.tolist()]
     assert np.array_equal(_bits(batch), _bits(solo))
     assert np.array_equal(_bits(inverse_cdf_sample(d, iv, u[::-1])), _bits(solo[::-1]))
+
+
+def test_inversion_memory_does_not_grow_with_the_temporaries():
+    # the Newton loop holds one block of sorted draws at a time, so what grows
+    # with the batch is u, the sort order and the output; the 3-node density
+    # evaluations would take about 300 bytes per draw if they spanned it
+    d = double_slit_density(SlitGeometry())
+    inverse_cdf_sample(d, d.support, 0.5)  # builds the CDF table
+    u = rng_from_seed(12).random(200_000)
+    tracemalloc.start()
+    try:
+        inverse_cdf_sample(d, d.support, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_batch_keeps_input_shape():
