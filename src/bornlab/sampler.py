@@ -43,6 +43,7 @@ can move a bit of any result.
 from __future__ import annotations
 
 import os
+import warnings
 from contextlib import contextmanager
 from typing import Sequence
 
@@ -247,8 +248,39 @@ def _event(row) -> float:
     return float(row[1])
 
 
+_PLAIN_BYTES = b"0123456789+-.eE,\r\n"  # all a plain events file holds after its header
+
+
+def _plain_events(path) -> np.ndarray | None:
+    """The ``t_mm`` column of a plain events file (header ``index,t_mm``, a
+    line end, then only ``_PLAIN_BYTES``) in one ``np.loadtxt`` pass, else
+    None.  Other bytes (quotes, whitespace, ``_``, ``nan``, non-ASCII) are where
+    ``np.loadtxt`` and ``int``/``float`` could disagree; a row ``np.loadtxt``
+    rejects or a warning (a file with no data rows) also gives None."""
+    with open(path, "rb") as fh:
+        if fh.read(11) not in (b"index,t_mm\n", b"index,t_mm\r"):
+            return None
+        while chunk := fh.read(1 << 20):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return None
+    with open(path, newline="") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(fh, dtype=[("index", np.int64), ("t_mm", float)], delimiter=",",
+                              comments=None, skiprows=1, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    return np.ascontiguousarray(rows["t_mm"])
+
+
 def read_events_csv(path) -> np.ndarray:
     """Parse an ``index,t_mm`` file into positions in row order.  The index
     column is only checked to hold integers: duplicates and ordering are not
-    checked, and rows are used in file order."""
-    return np.array(_read_csv(path, ("index", "t_mm"), _event))
+    checked, and rows are used in file order.
+
+    A plain file (digits, ``+-.eE``, commas and line ends after the header) is
+    parsed in one vectorized pass.  Any other file, or a plain one that pass
+    rejects, goes through the row parser ``born_density._read_csv``, which
+    gives the same result and raises every error with its line number."""
+    positions = _plain_events(path)
+    return np.array(_read_csv(path, ("index", "t_mm"), _event)) if positions is None else positions

@@ -17,6 +17,7 @@ from bornlab.born_density import (
     SlitGeometry,
     TabulatedDensity,
     _cdf_table,
+    _read_csv,
     cdf,
     cdf_at_points,
     double_slit_density,
@@ -486,6 +487,101 @@ def test_events_csv_parse_errors(tmp_path):
     p.write_text("index,t_mm\n")
     with pytest.raises(EmptyFile):
         read_events_csv(p)
+
+    # files that np.loadtxt would accept: the row parser must still reject them
+    for text, line in [("index,t_mm\n0,0.5\x1f\n", 2), ("index,t_mm\n0,0.5,\n", 2),
+                       ("index,t_mm\n0,0.5\n \n1,0.25\n", 3)]:
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_events_csv(p)
+        assert err.value.line == line
+
+
+def _row_parsed_events(path):
+    return np.array(_read_csv(path, ("index", "t_mm"), sampler._event))
+
+
+def _outcome(read, path):
+    """The positions' bytes, or the class, message and line of the error."""
+    try:
+        return read(path).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+# a cell: an integer, a float repr (nan, inf, -0.0 and subnormals too) or a
+# mix of the characters where np.loadtxt and int()/float() could disagree
+_CELL_PARTS = [*"0123456789+-.eE_", "nan", "inf", '"', "#", " ", "\t", "\x0b", "\x0c",
+               "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u0661"]
+_CELL = (st.integers(-2**64, 2**64).map(str) | st.floats().map(repr)
+         | st.lists(st.sampled_from(_CELL_PARTS), max_size=6).map("".join))
+_PLAIN_ROW = st.builds("{},{!r}".format, st.integers(-2**63, 2**63 - 1),
+                       st.floats(allow_nan=False, allow_infinity=False))
+_END = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def _events_text(header, end, rows, splice=None, edges=False):
+    """The header, then the rows; ``splice`` inserts a part at an offset into
+    the rows, with ``edges`` only where a cell starts or ends."""
+    body = "".join(row + e for row, e in rows)
+    if splice:
+        at, part = splice
+        spots = [i for i in range(len(body) + 1) if not edges or i in (0, len(body))
+                 or body[i - 1] in ",\r\n" or body[i] in ",\r\n"]
+        at = spots[at % len(spots)]
+        body = body[:at] + part + body[at:]
+    return header + end + body
+
+
+_PLAIN_ROWS = st.lists(st.tuples(_PLAIN_ROW | st.just(""), _END), max_size=5)
+_EVENTS_TEXT = (
+    st.builds(_events_text, st.just("index,t_mm"), _END, _PLAIN_ROWS)
+    # one character at a cell edge of a plain file, where whitespace or a
+    # stray cell alone could make the two parsers differ
+    | st.builds(_events_text, st.just("index,t_mm"), _END, _PLAIN_ROWS,
+                st.tuples(st.integers(0, 200), st.sampled_from(
+                    [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", '"', "#",
+                     "_", ","])), st.just(True))
+    # any header, rows of 1-3 cells of any kind, rows run together
+    | st.builds(_events_text, st.sampled_from(["index,t_mm", "index, t_mm", "t_mm,index"]),
+                _END, st.lists(st.tuples(st.lists(_CELL, min_size=1, max_size=3).map(",".join)
+                                         | _PLAIN_ROW | st.just(""), _END | st.just("")),
+                               max_size=6),
+                st.none() | st.tuples(st.integers(0, 200),
+                                      st.sampled_from([*_CELL_PARTS, ",", "\n", "\r"]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EVENTS_TEXT)
+@example("index,t_mm\n0,0.5\x1f\n")  # np.loadtxt strips \x1c-\x1f, float() does not
+@example("index,t_mm\n0,0.5,\n")  # np.loadtxt with usecols takes the 3-cell row
+@example("index,t_mm\n0,0.5\n \n")
+@example("index,t_mm\n")  # np.loadtxt warns "input contained no data"
+@example("index,t_mm\r\n\r\n\n")
+@example("index,t_mm\n0,1_000\n")
+@example(f"index,t_mm\n{2**63},0.5\n")
+@example("index,t_mm\n0,\u0661.\u0665\n")
+def test_events_fast_path_matches_the_row_parser(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert _outcome(read_events_csv, path) == _outcome(_row_parsed_events, path)
+
+
+def test_plain_events_files_skip_the_row_parser(tmp_path, monkeypatch):
+    # a fast path that always fell back would pass every other events test
+    values = [-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308, 0.1,
+              -1e-7, 123456789.0, *rng_from_seed(5).normal(0.0, 3.0, 200).tolist()]
+    crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+    write_events_csv(values, crlf)
+    lf.write_bytes(("index,t_mm\n" + "".join(f"{i},{x!r}\n" for i, x in enumerate(values))).encode())
+
+    def row_parser(*args, **kwargs):
+        raise AssertionError("the row parser ran on a plain events file")
+    monkeypatch.setattr(sampler, "_read_csv", row_parser)
+    for path in (crlf, lf):
+        assert read_events_csv(path).tobytes() == np.array(values).tobytes()
 
 
 def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
