@@ -520,15 +520,16 @@ def verify_events(cfg: ExperimentConfig, positions: Sequence[float]) -> Converge
 
 def ingest_events(path, interval: Interval) -> np.ndarray:
     """Load an ``index,t_mm`` CSV as positions in row order and validate every
-    position against the interval."""
+    position against the interval; NaN and +-inf are named as not finite."""
     positions = read_events_csv(path)
     bad = np.flatnonzero(~interval.contains(positions))
-    if bad.size:
-        raise OutOfInterval(
-            f"{path}: {bad.size} event(s) outside [{interval.lo}, {interval.hi}] "
-            f"(first at data row {bad[0] + 1})",
-            indices=bad.tolist(),
-        )
+    if bad.size:  # only a rejected file pays for telling NaN and +-inf apart
+        finite = np.isfinite(positions[bad])
+        parts = [f"{rows.size} event(s) {what} (first at data row {rows[0] + 1})"
+                 for rows, what in ((bad[~finite], "not a finite number"),
+                                    (bad[finite], f"outside [{interval.lo}, {interval.hi}]"))
+                 if rows.size]
+        raise OutOfInterval(f"{path}: " + "; ".join(parts), indices=bad.tolist())
     return positions
 
 

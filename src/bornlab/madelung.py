@@ -204,12 +204,14 @@ class MaskedField:
 
 @dataclass
 class TrajectoryEnsemble:
-    """Equal-weight particle positions advected along grad(S)/m."""
+    """Equal-weight particle positions advected along grad(S)/m in storage
+    order: ``positions[j]`` and ``frozen[j]`` belong to particle ``index[j]``."""
 
     positions: np.ndarray
     time: float = 0.0
     frozen: np.ndarray = field(default=None)  # type: ignore[assignment]
     collisions: int = 0
+    index: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -217,6 +219,8 @@ class TrajectoryEnsemble:
             raise ValueError("ensemble needs at least one trajectory")
         if self.frozen is None:
             self.frozen = np.zeros(self.positions.shape, dtype=bool)
+        if self.index is None:
+            self.index = np.arange(self.positions.size)
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +452,12 @@ def advect_trajectories(e: TrajectoryEnsemble, p: PolarField,
     Trajectories whose step would read velocity inside the node mask (or
     leave the domain) are frozen in place and counted as collisions.
 
-    The step takes the trajectories ``_ADVECT_BLOCK`` at a time in index
-    order, so every temporary, the sort included, holds one block and is
-    reused rather than freshly mapped (and page-faulted) on every step.
-    Within a block the velocity lookups visit the active trajectories in
-    ascending grid cell, because ``np.interp`` starts each search at the
-    previous query's cell; the cells are ordered by a radix sort on int16
-    keys, whose cost does not depend on the positions.  Every result is
-    elementwise, so the outcome does not depend on the order of the
-    particles or on the blocks: each one moves exactly as it would alone.
+    Trajectories are taken ``_ADVECT_BLOCK`` at a time in storage order and
+    moved in place.  ``np.interp`` is fastest on ascending queries; a sampled
+    ensemble is stored ascending and 1D trajectories along grad(S)/m do not
+    cross, so it stays ascending with no per-step sort.  Every result is
+    elementwise, so the outcome does not depend on the order of the particles
+    or on the blocks: each one moves exactly as it would alone.
     """
     grid = p.grid
     dt_step = (p_next.time - p.time) if p_next is not None else grid.dt
@@ -468,15 +469,10 @@ def advect_trajectories(e: TrajectoryEnsemble, p: PolarField,
 
     pos = e.positions.copy()
     frozen = e.frozen.copy()
-    buckets = min(grid.points, 1 << 15)
-    new_collisions = 0
+    collisions = e.collisions
     for start in range(0, pos.size, _ADVECT_BLOCK):
-        idx = start + np.flatnonzero(~frozen[start:start + _ADVECT_BLOCK])
-        # fmin/fmax clip NaN and infinities too, so every key is a valid int16
-        key = (pos[idx] - grid.x_min) * (buckets / grid.length)
-        key = np.fmax(np.fmin(key, buckets - 1), 0).astype(np.int16)
-        idx = idx[np.argsort(key, kind="stable")]
-        p0 = pos[idx]
+        p0 = pos[start:start + _ADVECT_BLOCK]
+        stuck = frozen[start:start + _ADVECT_BLOCK]
         k1 = np.interp(p0, x, v_now)
         if p_next is not None:
             probe = p0 + dt_step * k1
@@ -486,18 +482,19 @@ def advect_trajectories(e: TrajectoryEnsemble, p: PolarField,
             probe = p0 + 0.5 * dt_step * k1
             k2 = np.interp(probe, x, v_now)
             p1 = p0 + dt_step * k2
-        bad = ~np.isfinite(p1) | (p1 < grid.x_min) | (p1 > grid.x_max)
-        new_collisions += int(bad.sum())
-        pos[idx] = np.where(bad, p0, p1)
-        frozen[idx[bad]] = True
-    return TrajectoryEnsemble(pos, e.time + dt_step, frozen, e.collisions + new_collisions)
+        bad = ~((p1 >= grid.x_min) & (p1 <= grid.x_max)) & ~stuck  # NaN and +-inf too
+        collisions += int(np.count_nonzero(bad))
+        stuck |= bad
+        np.copyto(p0, p1, where=~stuck)
+    return TrajectoryEnsemble(pos, e.time + dt_step, frozen, collisions, e.index)
 
 
 def sample_ensemble_from_field(p: PolarField, count: int, seed: int) -> TrajectoryEnsemble:
-    """Draw initial positions Born-distributed against R^2 on the grid."""
+    """Born-distributed draws against R^2 on the grid, stored ascending, labelled by draw."""
     density = TabulatedDensity(p.grid.x(), p.R * p.R)
     positions = sample_positions(density, density.support, count, seed)
-    return TrajectoryEnsemble(positions, p.time)
+    order = np.argsort(positions)  # labels travel with positions, so ties need no stable sort
+    return TrajectoryEnsemble(positions[order], p.time, index=order)
 
 
 def ks_distance(e: TrajectoryEnsemble, p: PolarField) -> float:
@@ -559,4 +556,6 @@ def write_polar_csv(p: PolarField, path) -> None:
 
 
 def write_trajectories_csv(e: TrajectoryEnsemble, path) -> None:
-    _write_csv(path, ("index", "x"), (np.arange(e.positions.size), e.positions))
+    x = np.empty(e.positions.size)
+    x[e.index] = e.positions  # back to label order
+    _write_csv(path, ("index", "x"), (np.arange(x.size), x))

@@ -244,6 +244,9 @@ def write_events_csv(positions: Sequence[float], path) -> None:
 
 
 def _event(row) -> float:
+    for cell in row:  # int() and float() would take these and coerce silently
+        if "_" in cell or not cell.isascii() or cell != cell.strip():
+            raise ValueError(f"{cell!r}: a cell may not hold '_', non-ASCII or padding")
     int(row[0])
     return float(row[1])
 

@@ -200,6 +200,16 @@ def test_verify_rejects_foreign_events(config_path, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_names_a_non_finite_event(config_path, tmp_path, capsys, value):
+    events = tmp_path / "events.csv"
+    events.write_text(f"index,t_mm\n0,0.1\n1,{value}\n2,0.2\n")
+    rc = cli.main(["verify", "--config", str(config_path), "--events", str(events)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"bornlab: error: {events}: 1 event(s) not a finite "
+                                       "number (first at data row 2)\n")
+
+
 def test_sweep_smoke(config_path, tmp_path, capsys):
     rc = cli.main(["sweep", "--config", str(config_path), "--n-grid", "100,10000",
                    "--seed-base", "0", "--seed-count", "3"])

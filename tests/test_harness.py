@@ -471,6 +471,15 @@ def test_ingest_rejects_out_of_interval(tmp_path):
     with pytest.raises(OutOfInterval) as err:
         ingest_events(path, Interval(-1.0, 1.0))
     assert err.value.indices == (0,)
+    assert "1 event(s) not a finite number (first at data row 1)" in str(err.value)
+    assert "outside" not in str(err.value)
+
+    path.write_text("index,t_mm\n0,0.1\n1,-5.0\n2,-inf\n3,nan\n4,2.0\n")
+    with pytest.raises(OutOfInterval) as err:
+        ingest_events(path, Interval(-1.0, 1.0))
+    assert err.value.indices == (1, 2, 3, 4)
+    assert str(err.value) == (f"{path}: 2 event(s) not a finite number (first at data row 3); "
+                              "2 event(s) outside [-1.0, 1.0] (first at data row 2)")
 
 
 def test_ingest_empty_and_malformed(tmp_path):

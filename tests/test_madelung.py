@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bornlab import madelung
-from bornlab.born_density import SlitGeometry, double_slit_density
+from bornlab.born_density import SlitGeometry, TabulatedDensity, double_slit_density
 from bornlab.errors import InsufficientHistory, UnstableStep
 from bornlab.madelung import (
     Evolution,
@@ -29,6 +29,7 @@ from bornlab.madelung import (
     write_polar_csv,
     write_trajectories_csv,
 )
+from bornlab.sampler import sample_positions
 
 FREE = Potential.free()
 
@@ -341,7 +342,10 @@ def test_advect_result_does_not_depend_on_particle_order(two_snapshots, block, m
     frozen = np.zeros(start.size, dtype=bool)
     frozen[[1, 7, 8, 9, 10, 11, 15]] = True
     pair = (p, p_next) if two_snapshots else (p,)
-    whole = advect_trajectories(TrajectoryEnsemble(start, 0.0, frozen, 2), *pair)
+    # storage slot j holds particle labels[j]; the labels ride through unchanged
+    labels = np.random.default_rng(3).permutation(start.size)
+    whole = advect_trajectories(TrajectoryEnsemble(start, 0.0, frozen, 2, labels.copy()), *pair)
+    assert np.array_equal(whole.index, labels)
     alone = [advect_trajectories(TrajectoryEnsemble(start[i:i + 1], 0.0, frozen[i:i + 1]),
                                  *pair) for i in range(start.size)]
     assert whole.positions.tobytes() == np.concatenate([a.positions for a in alone]).tobytes()
@@ -349,8 +353,48 @@ def test_advect_result_does_not_depend_on_particle_order(two_snapshots, block, m
     assert whole.collisions == 2 + sum(a.collisions for a in alone)
     newly = whole.frozen & ~frozen
     assert newly[start < 30].any() and newly[start > 60].any()  # node and edge cases
+    # members frozen before the step stay put and are not counted again (33.0
+    # sits in the node cells, where its step would be a fresh collision)
+    assert whole.collisions == 2 + newly.sum()
+    assert np.array_equal(whole.positions[whole.frozen], start[whole.frozen], equal_nan=True)
     moved = ~whole.frozen
     assert moved.sum() >= 5 and (whole.positions[moved] > start[moved]).all()
+
+
+def _benchmark_field():
+    # the grid and packet of the benchmark's trajectories workload
+    grid = Grid(-40.0, 40.0, 2048, dt=1e-3)
+    return Evolution(gaussian_packet(grid, center=0.0, sigma=1.0, k_index=10), FREE)
+
+
+def test_sampled_ensemble_is_stored_ascending_with_draw_labels(tmp_path):
+    polar = decompose_polar(_benchmark_field().field)
+    ens = sample_ensemble_from_field(polar, 5_000, seed=123)
+    assert (np.diff(ens.positions) >= 0).all()
+    assert np.array_equal(np.sort(ens.index), np.arange(5_000))
+    # the CSV holds the draws in draw order, as an unsorted ensemble writes them
+    density = TabulatedDensity(polar.grid.x(), polar.R * polar.R)
+    draws = sample_positions(density, density.support, 5_000, 123)
+    assert np.array_equal(ens.positions[np.argsort(ens.index)], draws)
+    sorted_csv, drawn_csv = tmp_path / "sorted.csv", tmp_path / "drawn.csv"
+    write_trajectories_csv(ens, sorted_csv)
+    write_trajectories_csv(TrajectoryEnsemble(draws), drawn_csv)
+    assert sorted_csv.read_bytes() == drawn_csv.read_bytes()
+
+
+def test_advected_ensemble_stays_ascending():
+    # advection needs no per-step sort because 1D trajectories do not cross:
+    # a sampled ensemble is still stored ascending after the benchmark's 100 steps
+    evo = _benchmark_field()
+    polar = decompose_polar(evo.field)
+    ens = sample_ensemble_from_field(polar, 5_000, seed=977)
+    for _ in range(100):
+        prev = polar
+        evo.step()
+        polar = decompose_polar(evo.field)
+        ens = advect_trajectories(ens, prev, polar)
+    assert ens.collisions == 0
+    assert (np.diff(ens.positions) >= 0).all()
 
 
 def test_ensemble_matches_density_after_free_flight():

@@ -496,6 +496,14 @@ def test_events_csv_parse_errors(tmp_path):
             read_events_csv(p)
         assert err.value.line == line
 
+    # cells that int() and float() would coerce silently: '_', non-ASCII digits, padding
+    for cell in ["1_0.5", "1_0", "\u0661.\u0665", "\uff10.5", " 0.25 ", "0.25\t", "\xa00.25"]:
+        for row in (f"0,{cell}", f"{cell},0.5"):
+            p.write_text(f"index,t_mm\n0,0.5\n{row}\n", encoding="utf-8")
+            with pytest.raises(ParseError) as err:
+                read_events_csv(p)
+            assert err.value.line == 3 and repr(cell) in str(err.value), row
+
 
 def _row_parsed_events(path):
     return np.array(_read_csv(path, ("index", "t_mm"), sampler._event))
@@ -561,6 +569,9 @@ _EVENTS_TEXT = (
 @example("index,t_mm\n0,1_000\n")
 @example(f"index,t_mm\n{2**63},0.5\n")
 @example("index,t_mm\n0,\u0661.\u0665\n")
+@example("index,t_mm\n0,1_0.5\n")  # int() and float() take these; both paths reject them
+@example("index,t_mm\n1,\u0661.\u0665\n")
+@example("index,t_mm\n 2 , 0.25 \n")
 def test_events_fast_path_matches_the_row_parser(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "events.csv")
