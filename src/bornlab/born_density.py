@@ -26,14 +26,29 @@ Every zero of the intensity has a closed form, so densities advertise their
 zeros exactly and the quadrature layer subdivides there instead of guessing.
 
 Normalized CDFs come from one table per (density, interval, quadrature
-config), kept in the density's memo: a 4096-knot grid plus the advertised
-breakpoints, with the cumulative mass at every knot.  ``cdf`` and
-``cdf_at_points`` return ``cum[k] + partial(knot[k], x)`` for the panel ``k``
-that holds ``x`` (no memo of the values: a run reads them once per bin
-count), and :mod:`sampler` inverts the same table.  ``partial`` is a
-fixed Gauss-Legendre rule, checked against the adaptive ``total_mass`` when
-the table is built (the rule is escalated, or the panels halved, until they
-agree).  ``total_mass`` and ``mean_position`` stay adaptive.
+config), :class:`_CdfTable`, kept in the density's memo: a 4096-knot grid plus
+the advertised breakpoints, with the cumulative mass ``cum`` at every knot.
+``partial`` is a fixed Gauss-Legendre rule, checked against the adaptive
+``total_mass`` when the table is built (the rule is escalated, or the panels
+halved, until they agree); ``total_mass`` and ``mean_position`` stay adaptive.
+No other module reads the table's arrays.  ``_CdfTable.cdf`` gives ``cdf`` and
+``cdf_at_points`` (not memoized: a run reads them once per bin count) as
+``F(x) = cum[k] + partial(knot[k], x)`` for the panel ``k`` holding ``x``.
+``_CdfTable.invert`` gives :mod:`sampler` the x with ``F(x) = u`` by
+safeguarded Newton iteration.  Each ``u`` is bracketed into one panel by
+binary search on ``cum`` and starts from linear interpolation across it.
+Each pass stops once ``|F(x) - u| <= 1e-10``, shrinks the bracket to the side
+of ``x`` that holds the root, and takes the Newton step
+``x - (F(x) - u) / f`` (``f = density / total mass``) where it lands strictly
+inside the bracket, else the bracket midpoint (``f`` zero at a null,
+negative, NaN or infinite).  A bracket that collapses to adjacent floats
+first resolves its draw to the current point.  A batch is visited in
+ascending ``u`` (one ``argsort``), so the panel search, the table gathers and
+a tabulated density's ``np.interp`` run in memory order, and in blocks of
+``_INVERT_BLOCK`` sorted draws, so the loop's temporaries hold one block: what
+grows with the batch is ``u``, the order and the output, about 24 bytes per
+draw.  Every step is elementwise and each result lands at its draw's own
+index, so neither the visiting order nor the block size can move a bit.
 """
 
 from __future__ import annotations
@@ -211,7 +226,7 @@ class TabulatedDensity(DensityModel):
 
         def knot(row):
             nonlocal last_t
-            t, v = float(row[0]), float(row[1])
+            t, v = _number(row[0]), _number(row[1])
             if not (math.isfinite(t) and math.isfinite(v) and v >= 0):
                 raise ValueError(f"t_mm and intensity must be finite, intensity >= 0: {t}, {v}")
             if t <= last_t:
@@ -222,11 +237,19 @@ class TabulatedDensity(DensityModel):
         return cls(*zip(*_read_csv(path, ("t_mm", "intensity"), knot, least=2)))
 
 
+def _number(cell: str, kind: Callable = float):
+    """``kind(cell)``, refusing the ``_`` that ``int()`` and ``float()`` drop silently."""
+    if "_" in cell:
+        raise ValueError(f"{cell!r}: a number may not hold '_'")
+    return kind(cell)
+
+
 def _read_csv(path, columns: Sequence[str], parse: Callable, least: int = 1) -> list:
     """``parse(row)`` of each row of a CSV file with header ``columns``, blank
-    lines skipped.  A bad header, a row of another width, a ValueError from
-    ``parse`` or fewer than ``least`` rows raise a ParseError naming the line
-    (EmptyFile when there are none)."""
+    lines skipped.  A bad header, a row of another width, a cell holding
+    non-ASCII text or padding (``int()``, ``float()`` and ``json.loads`` coerce
+    them silently), a ValueError from ``parse`` or fewer than ``least`` rows
+    raise a ParseError naming the line (EmptyFile when there are none)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -236,13 +259,18 @@ def _read_csv(path, columns: Sequence[str], parse: Callable, least: int = 1) -> 
             raise ParseError(f"{path}: expected header '{','.join(columns)}'", line=1)
         width = len(columns)
 
-        def other_width(row):  # False for a blank line, an error for any other row
-            if row:
-                short = f", column {columns[len(row)]} missing" if len(row) < width else ""
-                raise ValueError(f"expected {width} columns{short}")
-            return False
+        def data(row):  # True for a data row, False for a blank line, else an error
+            if len(row) != width:
+                if row:
+                    short = f", column {columns[len(row)]} missing" if len(row) < width else ""
+                    raise ValueError(f"expected {width} columns{short}")
+                return False
+            for cell in row:
+                if not cell.isascii() or cell != cell.strip():
+                    raise ValueError(f"{cell!r}: a cell may not hold non-ASCII text or padding")
+            return True
         try:
-            out = [parse(row) for row in reader if len(row) == width or other_width(row)]
+            out = [parse(row) for row in reader if data(row)]
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=reader.line_num) from exc
     if len(out) < least:
@@ -367,8 +395,11 @@ def total_mass(d: DensityModel, iv: Interval | None = None,
 
 
 class _CdfTable:
-    """Panel grid with exact cumulative masses, shared via the density memo;
-    the one source of normalized CDF values and of the sampler's inversion."""
+    """Panel grid with exact cumulative masses, shared via the density memo; the
+    one source of normalized CDF values and of their inverse (module notes)."""
+
+    CDF_VALUE_TOL = 1e-10
+    _INVERT_BLOCK = 16384  # sorted draws per Newton loop of invert
 
     def __init__(self, d: DensityModel, iv: Interval, cfg: QuadratureConfig):
         base = np.linspace(iv.lo, iv.hi, CDF_TABLE_KNOTS)
@@ -443,6 +474,65 @@ class _CdfTable:
         """Normalized integral of the density from a to b, elementwise."""
         return self._rule(a, b) / self.total
 
+    def cdf(self, xs: np.ndarray) -> np.ndarray:
+        """Normalized CDF at each of ``xs``, which lie in the table's interval."""
+        # the knots run from iv.lo to iv.hi, so k is a valid knot for every x
+        k = np.searchsorted(self.knots, xs, side="right") - 1
+        return np.clip(self.cum[k] + self.partial(self.knots[k], xs), 0.0, 1.0)
+
+    def invert(self, u: np.ndarray) -> np.ndarray:
+        """The x with ``|F(x) - u| <= CDF_VALUE_TOL`` of each uniform in the flat ``u``."""
+        # sort once, then invert _INVERT_BLOCK sorted draws at a time (module notes)
+        order = np.argsort(u)
+        out = np.empty(u.size)
+        for start in range(0, u.size, self._INVERT_BLOCK):
+            self._invert_block(u, order[start:start + self._INVERT_BLOCK], out)
+        return out
+
+    def _invert_block(self, u: np.ndarray, slot: np.ndarray, out: np.ndarray) -> None:
+        """Write to ``out[slot]`` the inverse of each ``u[slot]``."""
+        knots, cum = self.knots, self.cum
+        u = u[slot]
+        # cum[k] <= u < cum[k + 1], so the panel has positive mass
+        idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(knots) - 2)
+        start = lo = knots[idx]  # lo is rebound, never written in place
+        hi = knots[idx + 1]
+        offset = cum[idx] - u  # F(x) - u = offset + partial(start, x)
+        del u  # the sorted copy; offset carries u from here on
+        x = lo - offset / (cum[idx + 1] - cum[idx]) * (hi - lo)
+        eps = np.finfo(float).eps
+        # a midpoint pass halves the bracket and a Newton pass lands strictly
+        # inside it; draws finish within a handful of passes, 200 bound the loop
+        for _ in range(200):
+            if slot.size == 0:
+                break
+            diff = offset + self.partial(start, x)
+            converged = np.abs(diff) <= self.CDF_VALUE_TOL
+            collapsed = (hi - lo) <= 4 * eps * np.maximum(np.abs(hi), 1.0)
+            finished = converged | collapsed
+            if finished.any():
+                out[slot[finished]] = x[finished]
+                keep = ~finished
+                start, lo, hi, offset = start[keep], lo[keep], hi[keep], offset[keep]
+                x, diff, slot = x[keep], diff[keep], slot[keep]
+            go_right = diff < 0
+            lo = np.where(go_right, x, lo)
+            hi = np.where(go_right, hi, x)
+            x = self._next_point(x, diff, lo, hi)
+        if slot.size:
+            out[slot] = x
+
+    def _next_point(self, x, diff, lo, hi) -> np.ndarray:
+        """The Newton step where it lands strictly inside (lo, hi), else the
+        bracket midpoint.  ``x`` is the bracket end away from the root, so an f
+        that is zero, negative, NaN or infinite puts the step at or beyond that
+        end, or makes it NaN: the one bracket test covers every fallback case.
+        Its temporaries die on return, not held through the next pass."""
+        slope = self.density.evaluate(x) / self.total
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - diff / slope
+        return np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+
 
 def _cdf_table(d: DensityModel, iv: Interval, cfg: QuadratureConfig) -> _CdfTable:
     return d.memo(("cdf_table", iv.lo, iv.hi, cfg), lambda: _CdfTable(d, iv, cfg))
@@ -455,10 +545,7 @@ def cdf_at_points(d: DensityModel, iv: Interval, xs: Sequence[float],
     outside = ~iv.contains(xs)
     if outside.any():
         raise OutOfSupport(f"x={xs[outside][0]} outside [{iv.lo}, {iv.hi}]")
-    table = _cdf_table(d, iv, cfg)
-    # the knots run from iv.lo to iv.hi, so k is a valid knot for every x
-    k = np.searchsorted(table.knots, xs, side="right") - 1
-    return np.clip(table.cum[k] + table.partial(table.knots[k], xs), 0.0, 1.0)
+    return _cdf_table(d, iv, cfg).cdf(xs)
 
 
 def cdf(d: DensityModel, iv: Interval, x: float,

@@ -146,26 +146,11 @@ def _cmd_sweep(args, cfg: harness.ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _madelung_setup(cfg: harness.ExperimentConfig):
-    """The Madelung section with the initial field and the potential of its
-    preset (or its own potential, when it gives one)."""
-    m = cfg.madelung if cfg.madelung is not None else harness.MadelungConfig()
-    potential = madelung.Potential.free()
-    if m.preset == "plane_wave":
-        field = madelung.plane_wave(m.grid, **m.state)
-    elif m.preset == "free_gaussian":
-        field = madelung.gaussian_packet(m.grid, **m.state)
-    elif m.preset == "harmonic":
-        field = madelung.harmonic_ground_state(m.grid, **m.state)
-        potential = madelung.Potential.harmonic(**m.state)
-    else:  # double_slit_screen
-        density, _, _, _ = harness.experiment_density(cfg)
-        field = madelung.screen_state_from_density(m.grid, density)
-    return m, field, m.potential if m.potential is not None else potential
-
-
 def _cmd_madelung(args, cfg: harness.ExperimentConfig) -> int:
-    _, field, potential = _madelung_setup(cfg)
+    if not 0 < args.classical_tol < math.inf:  # NaN fails both
+        raise ConfigError(f"--classical-tol must be a finite number > 0, got {args.classical_tol}",
+                          key="--classical-tol")
+    _, field, potential = harness.madelung_setup(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     evo = madelung.Evolution(field, potential)
     records = []
@@ -204,7 +189,7 @@ def _cmd_madelung(args, cfg: harness.ExperimentConfig) -> int:
 
 
 def _cmd_trajectories(args, cfg: harness.ExperimentConfig) -> int:
-    m, field, potential = _madelung_setup(cfg)
+    m, field, potential = harness.madelung_setup(cfg)
     count = args.count if args.count is not None else m.count
     seed = args.seed if args.seed is not None else m.seed
     evo = madelung.Evolution(field, potential)

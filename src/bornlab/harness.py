@@ -44,7 +44,8 @@ from .berry_esseen import (
 from .born_density import (SlitGeometry, _read_csv, cdf_at_points, default_support,
                            double_slit_density)
 from .errors import ConfigError, OutOfInterval, ParseError, SlopeUndefined
-from .madelung import Grid, Potential, PotentialKind
+from .madelung import (Grid, Potential, PotentialKind, gaussian_packet, harmonic_ground_state,
+                       plane_wave, screen_state_from_density)
 from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig
 from .sampler import _bin_counts, atomic_open, inverse_cdf_sample, read_events_csv, rng_from_seed
 
@@ -62,6 +63,7 @@ __all__ = [
     "config_to_json_dict",
     "load_config",
     "experiment_density",
+    "madelung_setup",
     "run_paper_replication",
     "run_convergence_sweep",
     "verify_events",
@@ -87,14 +89,21 @@ _ALL_VARIANTS = (
 # the config file's name of each SlitGeometry field
 _GEOMETRY = {"w_nm": "slit_width_w", "d_nm": "slit_separation_d", "L_mm": "screen_distance_L",
              "lambda_pm": "wavelength_lambda", "mu_mm": "center_mu", "I0": "peak_height_I0"}
-# the state entries of each Madelung preset and the entries of each potential
-# kind, with their defaults
+# each Madelung preset: its state entries with their defaults, its initial
+# field from (grid, state, config) and the potential it sets from its state
 _PRESETS = {
-    "plane_wave": {"k_index": 8},
-    "free_gaussian": {"center": 0.0, "sigma": 1.0, "k_index": 0},
-    "harmonic": {"omega": 1.0, "center": 0.0},
-    "double_slit_screen": {},
+    "plane_wave": ({"k_index": 8}, lambda grid, state, _: plane_wave(grid, **state),
+                   lambda _: Potential.free()),
+    "free_gaussian": ({"center": 0.0, "sigma": 1.0, "k_index": 0},
+                      lambda grid, state, _: gaussian_packet(grid, **state),
+                      lambda _: Potential.free()),
+    "harmonic": ({"omega": 1.0, "center": 0.0},
+                 lambda grid, state, _: harmonic_ground_state(grid, **state),
+                 lambda state: Potential.harmonic(**state)),
+    "double_slit_screen": ({}, lambda grid, _, cfg: screen_state_from_density(
+        grid, experiment_density(cfg)[0]), lambda _: Potential.free()),
 }
+# the entries of each potential kind, with their defaults
 _POTENTIALS = {
     PotentialKind.FREE: {},
     PotentialKind.HARMONIC: {"omega": 1.0, "center": 0.0},
@@ -110,7 +119,7 @@ class MadelungConfig:
 
     preset: str = "free_gaussian"
     grid: Grid = Grid(x_min=-20.0, x_max=20.0, points=512, dt=1e-3)
-    state: Mapping = field(default_factory=lambda: dict(_PRESETS["free_gaussian"]))
+    state: Mapping = field(default_factory=lambda: dict(_PRESETS["free_gaussian"][0]))
     potential: Potential | None = None
     count: int = 10000
     seed: int = 1
@@ -269,7 +278,7 @@ def _madelung(value) -> MadelungConfig:
         preset=preset,
         grid=_build(Grid, "madelung.grid", **_entries(
             section.get("grid", {}), "madelung.grid", asdict(MadelungConfig.grid))),
-        state=_entries(section.get("state", {}), "madelung.state", _PRESETS[preset]),
+        state=_entries(section.get("state", {}), "madelung.state", _PRESETS[preset][0]),
         potential=potential,
         **_entries(section.get("trajectories", {}), "madelung.trajectories",
                    {"count": MadelungConfig.count, "seed": MadelungConfig.seed}),
@@ -431,12 +440,11 @@ _BATCH_SAMPLE_LIMIT = 1_000_000
 def _seed_blocks(density, interval, n, seeds, cfg):
     """Yield (seeds, block): each seed's draws as one row of a seeds x n block
     of at most ``_BATCH_SAMPLE_LIMIT`` events (one seed at least), inverted by
-    one call.  The Newton inversion is elementwise and visits the whole block
-    in ascending u, whatever seed each draw came from, so batching changes no
-    individual result.  What it buys is speed: fewer small calls, and one
-    sorted visit over all of the block's draws.  The inversion's temporaries
-    hold one ``sampler._INVERT_BLOCK`` of draws, so the limit bounds only u,
-    its sort order and the positions: about 32 bytes per draw."""
+    one call.  ``_CdfTable.invert`` is elementwise and visits the whole block in
+    ascending u, whatever seed each draw came from, so batching changes no
+    result and buys fewer calls and one sorted visit.  Its temporaries hold one
+    ``_CdfTable._INVERT_BLOCK`` of draws, so the limit bounds only u, its sort
+    order and the positions: about 32 bytes per draw."""
     chunk = max(1, _BATCH_SAMPLE_LIMIT // n)
     for start in range(0, len(seeds), chunk):
         block = seeds[start:start + chunk]
@@ -452,6 +460,15 @@ def experiment_density(cfg: ExperimentConfig):
     if moment_iv is None:
         moment_iv = Interval(interval.lo - center, interval.hi - center)
     return density, interval, center, moment_iv
+
+
+def madelung_setup(cfg: ExperimentConfig):
+    """The Madelung section (the defaults when the config has none), its
+    preset's initial field, and its potential (its own, else the preset's)."""
+    m = cfg.madelung if cfg.madelung is not None else MadelungConfig()
+    _, make_field, preset_potential = _PRESETS[m.preset]
+    potential = preset_potential(m.state) if m.potential is None else m.potential
+    return m, make_field(m.grid, m.state, cfg), potential
 
 
 def _verify_blocks(cfg: ExperimentConfig, setup, blocks) -> ConvergenceReport:

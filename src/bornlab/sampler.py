@@ -6,38 +6,8 @@ algorithm name is part of this module's compatibility contract; changing it
 requires a version bump, since reports are expected to replicate
 byte-identically from (config, seed).
 
-Sampling inverts the Born CDF table of :mod:`born_density` (the table that
-also serves ``cdf`` and ``cdf_at_points``) by safeguarded Newton iteration.
-Each uniform draw ``u`` is bracketed into one panel by binary search on the
-table's cumulative masses and starts from linear interpolation of ``u``
-across that panel.  Each pass evaluates the table's within-panel CDF
-``F(x) = cum[k] + partial(knot[k], x)``, stops once ``|F(x) - u| <= 1e-10``,
-shrinks the bracket to the side of ``x`` that holds the root, and takes the
-next point by the rule below.  The slope is ``f = density / total mass``, the
-derivative of that CDF.
-
-==========================================  ==========================
-at the current point                        next point
-==========================================  ==========================
-``f`` positive and finite, and the Newton   ``x - (F(x) - u) / f``
-step lands strictly inside the bracket
-``f`` zero (a null), negative, NaN or       bracket midpoint
-infinite, or the step leaves the bracket
-==========================================  ==========================
-
-If a bracket collapses to adjacent floats before the CDF tolerance is met
-(the CDF climbs more than the tolerance between neighboring float values),
-the draw resolves to the current point, which lies inside that bracket.
-
-A batch is visited in ascending ``u``: one ``argsort`` orders the draws, so
-the panel search and the table gathers run in memory order, as do the
-``np.interp`` lookups of a tabulated density.  The Newton loop then runs over
-consecutive blocks of ``_INVERT_BLOCK`` sorted draws, so its temporaries (the
-3-node density evaluations above all) hold one block, not the batch: what
-grows with the batch is only ``u``, the order and the output, about 24 bytes
-per draw.  Every step above is elementwise and each result is written back
-to its draw's own index, so neither the visiting order nor the block size
-can move a bit of any result.
+Sampling inverts the Born CDF table of :mod:`born_density`, whose module
+notes describe the inversion.
 """
 
 from __future__ import annotations
@@ -50,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .berry_esseen import BinningScheme, EmpiricalHistogram, Origin
-from .born_density import DensityModel, _cdf_table, _read_csv
+from .born_density import DensityModel, _cdf_table, _number, _read_csv
 from .errors import DegenerateState, OutOfInterval
 from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig
 
@@ -65,69 +35,10 @@ __all__ = [
     "read_events_csv",
 ]
 
-CDF_VALUE_TOL = 1e-10
-_INVERT_BLOCK = 16384  # sorted draws per Newton loop of _invert
-
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """The package-wide PCG64 stream for a 64-bit seed."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def _next_point(table, x, diff, lo, hi) -> np.ndarray:
-    """The Newton step ``x - (F(x) - u) / f(x)`` where it lands strictly inside
-    (lo, hi), else the bracket midpoint.  ``x`` is the bracket end away from
-    the root, so an f that is zero, negative, NaN or infinite puts the step at
-    or beyond that end, or makes it NaN: the one bracket test covers every
-    fallback case.  Its temporaries die on return, so they are
-    not held through the next pass."""
-    slope = table.density.evaluate(x) / table.total
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = x - diff / slope
-    return np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-
-
-def _invert(table, u: np.ndarray) -> np.ndarray:
-    # sort once, then invert _INVERT_BLOCK sorted draws at a time (module notes)
-    order = np.argsort(u)
-    out = np.empty(u.size)
-    for start in range(0, u.size, _INVERT_BLOCK):
-        _invert_block(table, u, order[start:start + _INVERT_BLOCK], out)
-    return out
-
-
-def _invert_block(table, u: np.ndarray, slot: np.ndarray, out: np.ndarray) -> None:
-    """Write to ``out[slot]`` the inverse of each ``u[slot]``."""
-    knots, cum = table.knots, table.cum
-    u = u[slot]
-    # cum[k] <= u < cum[k + 1], so the panel has positive mass
-    idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(knots) - 2)
-    start = lo = knots[idx]  # lo is rebound, never written in place
-    hi = knots[idx + 1]
-    offset = cum[idx] - u  # F(x) - u = offset + partial(start, x)
-    del u  # the sorted copy; offset carries u from here on
-    x = lo - offset / (cum[idx + 1] - cum[idx]) * (hi - lo)
-    eps = np.finfo(float).eps
-    # a midpoint pass halves the bracket and a Newton pass lands strictly
-    # inside it; draws finish within a handful of passes, 200 bound the loop
-    for _ in range(200):
-        if slot.size == 0:
-            break
-        diff = offset + table.partial(start, x)
-        converged = np.abs(diff) <= CDF_VALUE_TOL
-        collapsed = (hi - lo) <= 4 * eps * np.maximum(np.abs(hi), 1.0)
-        finished = converged | collapsed
-        if finished.any():
-            out[slot[finished]] = x[finished]
-            keep = ~finished
-            start, lo, hi, offset = start[keep], lo[keep], hi[keep], offset[keep]
-            x, diff, slot = x[keep], diff[keep], slot[keep]
-        go_right = diff < 0
-        lo = np.where(go_right, x, lo)
-        hi = np.where(go_right, hi, x)
-        x = _next_point(table, x, diff, lo, hi)
-    if slot.size:
-        out[slot] = x
 
 
 def inverse_cdf_sample(d: DensityModel, iv: Interval, u,
@@ -146,9 +57,8 @@ def inverse_cdf_sample(d: DensityModel, iv: Interval, u,
     uu = np.asarray(u, dtype=float)
     if not np.all((uu >= 0.0) & (uu < 1.0)):  # NaN fails both
         raise ValueError("u must lie in [0, 1)")
-    table = _cdf_table(d, iv, cfg)
     flat = uu.ravel()
-    out = _invert(table, flat)
+    out = _cdf_table(d, iv, cfg).invert(flat)
     out[flat == 0.0] = iv.lo
     return float(out[0]) if scalar else out.reshape(uu.shape)
 
@@ -200,6 +110,9 @@ def discrete_frequencies(amplitudes: Sequence, n: int, seed: int) -> list[tuple[
     if n < 1:
         raise ValueError("n must be >= 1")
     amps = np.asarray(amplitudes, dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(amps))
+    if bad.size:
+        raise ValueError(f"amplitudes[{bad[0]}] is not a finite number")
     weights = np.abs(amps) ** 2
     total = weights.sum()
     if not total > 0:
@@ -244,11 +157,8 @@ def write_events_csv(positions: Sequence[float], path) -> None:
 
 
 def _event(row) -> float:
-    for cell in row:  # int() and float() would take these and coerce silently
-        if "_" in cell or not cell.isascii() or cell != cell.strip():
-            raise ValueError(f"{cell!r}: a cell may not hold '_', non-ASCII or padding")
-    int(row[0])
-    return float(row[1])
+    _number(row[0], int)
+    return _number(row[1])
 
 
 _PLAIN_BYTES = b"0123456789+-.eE,\r\n"  # all a plain events file holds after its header

@@ -242,11 +242,18 @@ def test_tabulated_csv_roundtrip(tmp_path):
         ("t_mm,intensity\n0.0,1.0\n1.0,nan\n2.0,1.0\n", 3),
         ("t_mm,intensity\n0.0,1.0\ninf,1.0\n", 3),
         ("t_mm,intensity\n0.0,1.0\n", 2),
+        # float() reads these as 10, 1, 1.5, 2 and 1: a cell may not hold '_',
+        # non-ASCII text or padding
+        ("t_mm,intensity\n0.0,1.0\n1_0,2.0\n", 3),
+        ("t_mm,intensity\n0.0,1.0\n2.0,\u0661\n", 3),
+        ("t_mm,intensity\n0.0,1.0\n\uff11.5,1.0\n", 3),
+        ("t_mm,intensity\n0.0,1.0\n 2.0,1.0\n", 3),
+        ("t_mm,intensity\n0.0,1.0\n2.0,1\t\n", 3),
     ],
 )
 def test_tabulated_csv_parse_errors(tmp_path, body, line):
     p = tmp_path / "bad.csv"
-    p.write_text(body)
+    p.write_text(body, encoding="utf-8")
     with pytest.raises(ParseError) as err:
         TabulatedDensity.from_csv(p)
     assert err.value.line == line

@@ -224,7 +224,20 @@ def test_sweep_bad_grid_exits_two(config_path):
     assert cli.main(["sweep", "--config", str(config_path), "--n-grid", "100,200"]) == 2
 
 
-@pytest.mark.parametrize("grid", ["-5,1000", "0,1000"])
+def test_bound_on_a_zero_width_moment_interval_exits_two(config_path, tmp_path, capsys):
+    # the second moment over +-1e-7 mm is about 7e-22, below the quadrature's
+    # absolute tolerance: ZeroVariance, reported as a usage error
+    cfg = json.loads(config_path.read_text())
+    cfg["moment_interval"] = {"a_mm": -1e-7, "b_mm": 1e-7}
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["bound", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bornlab: error: second moment over [-1e-07, 1e-07] is ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("grid", ["-5,1000", "0,1000", "100,ten", "100,1e4"])
 def test_sweep_grid_below_one_names_the_flag(config_path, capsys, grid):
     assert cli.main(["sweep", "--config", str(config_path), f"--n-grid={grid}"]) == 2
     captured = capsys.readouterr()
@@ -283,6 +296,19 @@ def test_madelung_decomposes_only_the_fields_snapshots_read(config_path, tmp_pat
                    "--snapshot-every", "10", "--out-dir", str(tmp_path / "run")])
     assert rc == 0
     assert calls == pytest.approx([0.0, 9e-3, 10e-3, 19e-3, 20e-3])
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])
+def test_madelung_classical_tol_not_positive_and_finite_exits_two(config_path, tmp_path,
+                                                                  capsys, tol):
+    # a NaN tolerance reported every snapshot as not classical; inf or <= 0
+    # made the diagnostic constant
+    out_dir = tmp_path / "run"
+    rc = cli.main(["madelung", "--config", str(config_path), "--steps", "2",
+                   f"--classical-tol={tol}", "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert "--classical-tol" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_madelung_zero_snapshot_stride_exits_two(config_path, tmp_path, capsys):

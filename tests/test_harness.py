@@ -655,6 +655,13 @@ _BAD_REPORTS = {
     "csv_long_row": (
         "csv", lambda t: _edit_cells(t, 2, lambda c: c + ["1.0"]), 2, "expected 15 columns"),
     "csv_header": ("csv", lambda t: t.replace("verdict_", "v_", 1), 1, "expected header"),
+    # json.loads read the padded cell as N = 13, and the row wrote it back as 13
+    "csv_padded_cell": (
+        "csv", lambda t: _edit_cells(t, 2, lambda c: c[:1] + [" 13"] + c[2:]), 2,
+        "' 13': a cell may not hold non-ASCII text or padding"),
+    "csv_non_ascii_cell": (
+        "csv", lambda t: _edit_cells(t, 3, lambda c: c[:1] + ["\u0661\u0663"] + c[2:]), 3,
+        "a cell may not hold non-ASCII text or padding"),
 }
 
 
@@ -721,6 +728,22 @@ def test_emit_rejects_unknown_format(tmp_path):
     report = ConvergenceReport.from_rows([])
     with pytest.raises(ValueError):
         emit_report(report, "yaml", tmp_path / "x.yaml")
+
+
+def test_load_rejects_unknown_format(tmp_path):
+    path = tmp_path / "x.yaml"
+    emit_report(ConvergenceReport.from_rows([]), "json", path)
+    with pytest.raises(ValueError, match="^format must be 'json' or 'csv', got 'yaml'$"):
+        load_report(path, "yaml")
+
+
+@pytest.mark.parametrize("text", ['[]', '"rows"', '{"summary": {"rows": 0}}',
+                                  '{"rows": {}, "summary": {}}'])
+def test_load_report_json_without_a_rows_list(tmp_path, text):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="expected an object holding a list of rows$"):
+        load_report(path)
 
 
 def test_summary_matches_recount():

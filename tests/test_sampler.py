@@ -16,6 +16,7 @@ from bornlab.born_density import (
     DensityModel,
     SlitGeometry,
     TabulatedDensity,
+    _CdfTable,
     _cdf_table,
     _read_csv,
     cdf,
@@ -29,7 +30,6 @@ from bornlab.harness import experiment_density, load_config
 from bornlab.madelung import (Grid, PolarField, TrajectoryEnsemble, write_polar_csv,
                               write_trajectories_csv)
 from bornlab.sampler import (
-    CDF_VALUE_TOL,
     bin_positions,
     discrete_frequencies,
     inverse_cdf_sample,
@@ -170,7 +170,7 @@ def test_newton_start_where_density_vanishes():
     xs = inverse_cdf_sample(d, UNIT, us)
     assert np.all(xs > 0.5)
     reached = table.cum[k] + table.partial(np.full(2, table.knots[k]), xs)
-    assert np.all(np.abs(reached - us) <= CDF_VALUE_TOL)
+    assert np.all(np.abs(reached - us) <= _CdfTable.CDF_VALUE_TOL)
 
 
 def test_tabulated_zero_runs_never_drawn():
@@ -212,11 +212,12 @@ def _bits(a) -> np.ndarray:
     lambda: TabulatedDensity(np.arange(11.0), [0, 0, 1, 2, 0, 0, 0, 3, 1, 0, 0]),
 ], ids=["double_slit", "tabulated_zero_runs"])
 def test_batch_inversion_order_invariant(make, block, monkeypatch):
-    # the batch is sorted once, inverted _INVERT_BLOCK draws at a time and
-    # scattered back; a shuffled batch with ties, both ends and u exactly at
-    # table knots must give, bit for bit, what each draw gives inverted alone
+    # the batch is sorted once, inverted _CdfTable._INVERT_BLOCK draws at a
+    # time and scattered back; a shuffled batch with ties, both ends and u
+    # exactly at table knots must give, bit for bit, what each draw gives
+    # inverted alone
     if block is not None:
-        monkeypatch.setattr(sampler, "_INVERT_BLOCK", block)
+        monkeypatch.setattr(_CdfTable, "_INVERT_BLOCK", block)
     d = make()
     iv = d.support
     table = _cdf_table(d, iv, DEFAULT_QUADRATURE)
@@ -400,6 +401,16 @@ def test_degenerate_state():
         discrete_frequencies([0.0, 0.0], 10, seed=1)
     with pytest.raises(ValueError):
         discrete_frequencies([1.0], 0, seed=1)
+
+
+@pytest.mark.parametrize("amps, index", [([np.nan, 1.0], 0), ([1.0, np.inf], 1),
+                                          ([1.0, 2.0, complex(0.0, -np.inf)], 2),
+                                          ([0.0, complex(np.nan, 1.0)], 1)])
+def test_non_finite_amplitude_named_by_index(amps, index):
+    # NaN was read as "all amplitudes are zero"; inf warned, then numpy
+    # rejected its own pvals
+    with pytest.raises(ValueError, match=rf"^amplitudes\[{index}\] is not a finite number$"):
+        discrete_frequencies(amps, 10, seed=1)
 
 
 def test_events_csv_roundtrip(tmp_path):
@@ -593,6 +604,24 @@ def test_plain_events_files_skip_the_row_parser(tmp_path, monkeypatch):
     monkeypatch.setattr(sampler, "_read_csv", row_parser)
     for path in (crlf, lf):
         assert read_events_csv(path).tobytes() == np.array(values).tobytes()
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_atomic_open_failure_leaves_target_and_no_temp_file(tmp_path, existing):
+    # the block raises after writing, so the temporary file exists and the
+    # cleanup must remove it
+    p = tmp_path / "out.txt"
+    if existing:
+        p.write_text("before\n")
+    with pytest.raises(RuntimeError):
+        with sampler.atomic_open(p) as fh:
+            fh.write("partial")
+            fh.flush()
+            assert [f.name for f in tmp_path.iterdir()].count(f"out.txt.tmp.{os.getpid()}") == 1
+            raise RuntimeError("write failed")
+    assert [f.name for f in tmp_path.iterdir()] == (["out.txt"] if existing else [])
+    if existing:
+        assert p.read_text() == "before\n"
 
 
 def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
