@@ -176,7 +176,8 @@ def bound_rhs(d: DensityModel, moment_iv: Interval,
     is then 1.16x the override); it exists for forced-failure testing.
     """
     mass, var_raw, rho_raw = raw_moments(d, moment_iv, cfg)
-    return variant.constant(constant_override) * (rho_raw * math.sqrt(mass) / var_raw**1.5)
+    # normalized moments first: a power-of-two rescaling of d then moves no bit
+    return variant.constant(constant_override) * ((rho_raw / mass) / (var_raw / mass) ** 1.5)
 
 
 @dataclass(frozen=True)

@@ -30,25 +30,38 @@ config), :class:`_CdfTable`, kept in the density's memo: a 4096-knot grid plus
 the advertised breakpoints, with the cumulative mass ``cum`` at every knot.
 ``partial`` is a fixed Gauss-Legendre rule, checked against the adaptive
 ``total_mass`` when the table is built (the rule is escalated, or the panels
-halved, until they agree); ``total_mass`` and ``mean_position`` stay adaptive.
+halved, until they agree).  ``total_mass`` is a density's ``exact_mass`` where
+it has one (a tabulated density's trapezoid sum), else adaptive, like
+``mean_position``.
 No other module reads the table's arrays.  ``_CdfTable.cdf`` gives ``cdf`` and
 ``cdf_at_points`` (not memoized: a run reads them once per bin count) as
 ``F(x) = cum[k] + partial(knot[k], x)`` for the panel ``k`` holding ``x``.
-``_CdfTable.invert`` gives :mod:`sampler` the x with ``F(x) = u`` by
-safeguarded Newton iteration.  Each ``u`` is bracketed into one panel by
-binary search on ``cum`` and starts from linear interpolation across it.
-Each pass stops once ``|F(x) - u| <= 1e-10``, shrinks the bracket to the side
-of ``x`` that holds the root, and takes the Newton step
-``x - (F(x) - u) / f`` (``f = density / total mass``) where it lands strictly
-inside the bracket, else the bracket midpoint (``f`` zero at a null,
-negative, NaN or infinite).  A bracket that collapses to adjacent floats
-first resolves its draw to the current point.  A batch is visited in
-ascending ``u`` (one ``argsort``), so the panel search, the table gathers and
-a tabulated density's ``np.interp`` run in memory order, and in blocks of
-``_INVERT_BLOCK`` sorted draws, so the loop's temporaries hold one block: what
-grows with the batch is ``u``, the order and the output, about 24 bytes per
-draw.  Every step is elementwise and each result lands at its draw's own
-index, so neither the visiting order nor the block size can move a bit.
+``_CdfTable.invert`` gives :mod:`sampler` the x with ``|F(x) - u| <= 1e-10``.
+Each ``u`` is bracketed into one panel ``[a, b]`` by binary search on ``cum``.
+Most panels invert by a polynomial (Hoermann & Leydold 2003; Derflinger,
+Hoermann & Leydold 2010), fitted on a panel's first draw: ``x - a`` as a
+function of ``t = u - cum[i]``, interpolated in Newton form at the order-7
+Chebyshev-Lobatto points ``x_j = a + (b - a)(1 - cos(pi j / 7)) / 2``, whose
+``t_j`` are the table's own within-panel term ``partial(a, x_j)`` (ends 0 and
+``cum[i + 1] - cum[i]``), and evaluated by Horner's rule.  A fit passes only
+if its ``t_j`` strictly increase, its coefficients are finite and, at 21 check
+points (a quarter, half and three quarters of the way across each gap between
+``t_j``), it lands in the panel with ``|F(x) - u| <= 2.5e-11``.  Panels that
+fail, near the nulls where ``x(u)`` grows like ``u^(1/3)`` and where the
+density has a kink or a zero run, keep safeguarded Newton iteration.  It
+starts from linear interpolation across the panel; each pass stops once
+``|F(x) - u| <= 1e-10``, shrinks the bracket to the side of ``x`` that holds
+the root, and takes the Newton step ``x - (F(x) - u) / f`` (``f = density /
+total mass``) where it lands strictly inside the bracket, else the bracket
+midpoint (``f`` zero at a null, negative, NaN or infinite).  A bracket that
+collapses to adjacent floats first resolves its draw to the current point.  A
+batch is visited in ascending ``u`` (one ``argsort``), so the panel search,
+the table gathers and a tabulated density's ``np.interp`` run in memory order,
+and in blocks of ``_INVERT_BLOCK`` sorted draws, so the temporaries hold one
+block: what grows with the batch is ``u``, the order and the output, about 24
+bytes per draw.  Every step is elementwise, each panel's fit reads only that
+panel, and each result lands at its draw's own index, so neither the visiting
+order, nor the block size, nor which call first fitted a panel can move a bit.
 """
 
 from __future__ import annotations
@@ -56,6 +69,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -160,8 +174,8 @@ class DensityModel:
     intensities of the same shape; removable singularities are resolved by
     the constructor of the concrete density.  ``analytic_zeros`` lists exact
     interior zeros when known.  Instances are immutable after construction
-    (internal memoization of integrals is idempotent, so concurrent reads
-    are safe).
+    (internal memoization of integrals and of the CDF table's polynomial fits
+    is idempotent, so concurrent reads are safe).
     """
 
     def __init__(
@@ -185,6 +199,10 @@ class DensityModel:
     def subdivision_points(self, iv: Interval) -> tuple[float, ...]:
         """Mandatory quadrature breakpoints strictly inside ``iv``."""
         return tuple(p for p in self._breakpoints if iv.lo < p < iv.hi)
+
+    def exact_mass(self, iv: Interval) -> float | None:
+        """The integral over ``iv`` in closed form, or None where there is none."""
+        return None
 
     def memo(self, key, compute):
         try:
@@ -218,6 +236,13 @@ class TabulatedDensity(DensityModel):
             breakpoints=t[1:-1],
         )
 
+    def exact_mass(self, iv: Interval) -> float:
+        """The trapezoid sum over ``iv``, exact for the piecewise-linear density."""
+        t = self.knots_t
+        xs = np.concatenate([[iv.lo], t[(iv.lo < t) & (t < iv.hi)], [iv.hi]])
+        vs = self.evaluate(xs)
+        return float(np.sum(0.5 * (vs[1:] + vs[:-1]) * np.diff(xs)))
+
     @classmethod
     def from_csv(cls, path) -> "TabulatedDensity":
         """Load from CSV with header ``t_mm,intensity``: two rows or more, t_mm
@@ -246,7 +271,8 @@ def _number(cell: str, kind: Callable = float):
 
 def _read_csv(path, columns: Sequence[str], parse: Callable, least: int = 1) -> list:
     """``parse(row)`` of each row of a CSV file with header ``columns``, blank
-    lines skipped.  A bad header, a row of another width, a cell holding
+    lines skipped.  A header other than ``columns`` exactly (padding included),
+    a row of another width, a cell holding
     non-ASCII text or padding (``int()``, ``float()`` and ``json.loads`` coerce
     them silently), a ValueError from ``parse`` or fewer than ``least`` rows
     raise a ParseError naming the line (EmptyFile when there are none)."""
@@ -255,7 +281,7 @@ def _read_csv(path, columns: Sequence[str], parse: Callable, least: int = 1) -> 
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{path}: empty file", line=1)
-        if [h.strip() for h in header] != list(columns):
+        if header != list(columns):
             raise ParseError(f"{path}: expected header '{','.join(columns)}'", line=1)
         width = len(columns)
 
@@ -385,13 +411,30 @@ def recenter(d: DensityModel, center: float) -> DensityModel:
 
 def total_mass(d: DensityModel, iv: Interval | None = None,
                cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Integral of ``d`` over ``iv``.  Raises ZeroMass when degenerate."""
+    """Integral of ``d`` over ``iv``: the density's exact mass where it has one,
+    else adaptive quadrature.  Raises ZeroMass when degenerate."""
     if iv is None:
         iv = d.support
-    mass = integrate_with_breakpoints(d.evaluate, iv, d.subdivision_points(iv), cfg)
+    mass = d.exact_mass(iv)
+    if mass is None:
+        mass = integrate_with_breakpoints(d.evaluate, iv, d.subdivision_points(iv), cfg)
     if not mass > max(cfg.abs_tol, 0.0):
         raise ZeroMass(f"density mass over [{iv.lo}, {iv.hi}] is {mass}")
     return mass
+
+
+def _newton_form(rows, t: np.ndarray) -> np.ndarray:
+    """Horner evaluation at ``t`` of ``sum_k c_k * prod_{j<k} (t - t_j)`` with
+    ``t_0 = c_0 = 0``, from ``rows`` ``c_n, t_{n-1}, c_{n-1}, ..., t_1, c_1``
+    taken in that order (an iterable, so a caller may gather them one by one)."""
+    rows = iter(rows)
+    p = next(rows) * (t - next(rows))
+    p += next(rows)
+    for tk, ck in zip(rows, rows):
+        p *= t - tk
+        p += ck
+    p *= t
+    return p
 
 
 class _CdfTable:
@@ -399,13 +442,21 @@ class _CdfTable:
     one source of normalized CDF values and of their inverse (module notes)."""
 
     CDF_VALUE_TOL = 1e-10
-    _INVERT_BLOCK = 16384  # sorted draws per Newton loop of invert
+    _INVERT_BLOCK = 16384  # sorted draws per pass of invert
+    # a panel's polynomial (module notes): its order-7 Chebyshev-Lobatto nodes
+    # as fractions of the panel, the fractions of each gap between consecutive
+    # u-nodes where it is checked, and the |F(x) - u| it must meet there
+    _FIT_NODES = (1.0 - np.cos(np.pi * np.arange(8) / 7)) / 2
+    _FIT_CHECKS = np.array([0.25, 0.5, 0.75])
+    _FIT_TOL = 2.5e-11
 
     def __init__(self, d: DensityModel, iv: Interval, cfg: QuadratureConfig):
         base = np.linspace(iv.lo, iv.hi, CDF_TABLE_KNOTS)
         extra = np.asarray(d.subdivision_points(iv), dtype=float)
         self.knots = np.unique(np.concatenate([base, extra]))
-        self.density = d
+        # the density's evaluate, not the density: its memo holds this table, and
+        # a reference back would keep both alive until the cyclic collector runs
+        self._evaluate = d.evaluate
         reference = total_mass(d, iv, cfg)
         tol = max(1e-9 * abs(reference), 10 * cfg.abs_tol)
         for order in (3, 7, 15, 31):
@@ -424,13 +475,22 @@ class _CdfTable:
         # dividing by the last entry makes every knot past the last positive
         # mass exactly 1.0, so no u < 1 selects a trailing zero-mass panel
         self.cum = cum / cum[-1]
+        # each panel's inverse polynomial, fitted on its first draw.  The first
+        # fit allocates the coefficients (one column per panel of the rows
+        # _newton_form reads), so a table that is never inverted holds none
+        panels = self.knots.size - 1
+        self._fitted = np.zeros(panels, dtype=bool)
+        self._poly = np.zeros(panels, dtype=bool)  # fitted, and the fit passed
+        self._coef = None
+        self._fit_lock = threading.Lock()
 
     def _rule(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Fixed-rule integral of the density from a to b, elementwise."""
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        nodes = mid[None, :] + half[None, :] * self._gx[:, None]
-        return (self.density.evaluate(nodes) * self._gw[:, None]).sum(axis=0) * half
+        along = (-1,) + (1,) * mid.ndim  # the rule's nodes on a leading axis
+        nodes = mid + half * self._gx.reshape(along)
+        return (self._evaluate(nodes) * self._gw.reshape(along)).sum(axis=0) * half
 
     def _refine_until_rule_agrees(self, tol: float, cfg: QuadratureConfig) -> np.ndarray:
         """Halve every panel where the fixed rule misses the adaptive mass, or
@@ -441,7 +501,7 @@ class _CdfTable:
         close to a panel end."""
         def adaptive(lo, hi):
             return np.array([
-                integrate_with_breakpoints(self.density.evaluate, Interval(a, b), (), cfg)
+                integrate_with_breakpoints(self._evaluate, Interval(a, b), (), cfg)
                 for a, b in zip(lo, hi)
             ])
 
@@ -490,15 +550,70 @@ class _CdfTable:
         return out
 
     def _invert_block(self, u: np.ndarray, slot: np.ndarray, out: np.ndarray) -> None:
-        """Write to ``out[slot]`` the inverse of each ``u[slot]``."""
+        """Write to ``out[slot]`` the inverse of each ``u[slot]``: by its panel's
+        polynomial where that panel's fit passed, else by Newton iteration."""
         knots, cum = self.knots, self.cum
         u = u[slot]
         # cum[k] <= u < cum[k + 1], so the panel has positive mass
         idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(knots) - 2)
+        new = idx[~self._fitted[idx]]
+        if new.size:
+            self._fit(np.unique(new))
+        poly = self._poly[idx]
+        p = np.flatnonzero(poly)
+        ip = idx[p]
+        out[slot[p]] = knots[ip] + _newton_form((row[ip] for row in self._coef), u[p] - cum[ip])
+        rest = np.flatnonzero(~poly)
+        if rest.size:
+            self._newton(u[rest], idx[rest], slot[rest], out)
+
+    def _fit(self, i: np.ndarray) -> None:
+        """Fit the inverse polynomial of each panel ``i`` and mark it fitted.
+        A panel passes only if its u-nodes strictly increase, its coefficients
+        are finite and at every check point its polynomial lands in the panel
+        with ``|F(x) - u| <= _FIT_TOL`` (module notes)."""
+        panels, n = i, self._FIT_NODES.size - 1
+        a, b = self.knots[i, None], self.knots[i + 1, None]
+        x = a + (b - a) * self._FIT_NODES
+        x[:, -1] = b[:, 0]
+        # local coordinates: y = x - a, and t = F(x) - cum[i] from the table's
+        # within-panel term, so t keeps its relative precision near 0
+        t = np.empty_like(x)
+        t[:, 0], t[:, -1] = 0.0, self.cum[i + 1] - self.cum[i]
+        t[:, 1:-1] = self.partial(a, x[:, 1:-1])
+        y = x - a
+        keep = np.all(np.diff(t, axis=1) > 0, axis=1)  # so no divisor below is zero
+        i, a, b, t, y = i[keep], a[keep], b[keep], t[keep], y[keep]
+        with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite test
+            for k in range(1, n + 1):
+                y[:, k:] = (y[:, k:] - y[:, k - 1:n]) / (t[:, k:] - t[:, :n + 1 - k])
+        coef = np.empty((2 * n - 1, i.size))  # the rows of _newton_form
+        coef[0::2], coef[1::2] = y[:, n:0:-1].T, t[:, n - 1:0:-1].T
+        keep = np.isfinite(coef).all(axis=0)
+        i, a, b, t, coef = i[keep], a[keep], b[keep], t[keep], coef[:, keep]
+        tc = t[:, :-1, None] + np.diff(t, axis=1)[:, :, None] * self._FIT_CHECKS
+        tc = tc.reshape(i.size, n * self._FIT_CHECKS.size)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught by the range test
+            xc = a + _newton_form(coef[:, :, None], tc)
+        inside = (a <= xc) & (xc <= b)
+        miss = np.abs(self.partial(a, np.where(inside, xc, a)) - tc)
+        keep = np.all(inside & (miss <= self._FIT_TOL), axis=1)
+        with self._fit_lock:  # one writer, so the coefficients are allocated once
+            if self._coef is None:
+                self._coef = np.empty((2 * n - 1, self._fitted.size))
+            self._coef[:, i[keep]] = coef[:, keep]
+            self._poly[i[keep]] = True
+            # marked last: a call that finds a panel fitted finds its fit, and
+            # one that does not fits it again, to the same bits
+            self._fitted[panels] = True
+
+    def _newton(self, u: np.ndarray, idx: np.ndarray, slot: np.ndarray, out: np.ndarray) -> None:
+        """Write to ``out[slot]`` the root in panel ``idx`` of ``F(x) = u`` by
+        safeguarded Newton iteration (module notes)."""
+        knots, cum = self.knots, self.cum
         start = lo = knots[idx]  # lo is rebound, never written in place
         hi = knots[idx + 1]
         offset = cum[idx] - u  # F(x) - u = offset + partial(start, x)
-        del u  # the sorted copy; offset carries u from here on
         x = lo - offset / (cum[idx + 1] - cum[idx]) * (hi - lo)
         eps = np.finfo(float).eps
         # a midpoint pass halves the bracket and a Newton pass lands strictly
@@ -528,7 +643,7 @@ class _CdfTable:
         that is zero, negative, NaN or infinite puts the step at or beyond that
         end, or makes it NaN: the one bracket test covers every fallback case.
         Its temporaries die on return, not held through the next pass."""
-        slope = self.density.evaluate(x) / self.total
+        slope = self._evaluate(x) / self.total
         with np.errstate(divide="ignore", invalid="ignore"):
             step = x - diff / slope
         return np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))

@@ -113,11 +113,14 @@ def discrete_frequencies(amplitudes: Sequence, n: int, seed: int) -> list[tuple[
     bad = np.flatnonzero(~np.isfinite(amps))
     if bad.size:
         raise ValueError(f"amplitudes[{bad[0]}] is not a finite number")
-    weights = np.abs(amps) ** 2
-    total = weights.sum()
-    if not total > 0:
+    moduli = np.abs(amps)
+    top = moduli.max(initial=0.0)
+    if not top > 0:
         raise DegenerateState("all amplitudes are zero")
-    p = weights / total
+    # scaled by the largest modulus before squaring, so no weight overflows
+    # and the largest is exactly 1
+    weights = (moduli / top) ** 2
+    p = weights / weights.sum()
     counts = rng_from_seed(seed).multinomial(n, p)
     return [(int(c), float(c) / n) for c in counts]
 

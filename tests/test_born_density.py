@@ -249,6 +249,10 @@ def test_tabulated_csv_roundtrip(tmp_path):
         ("t_mm,intensity\n0.0,1.0\n\uff11.5,1.0\n", 3),
         ("t_mm,intensity\n0.0,1.0\n 2.0,1.0\n", 3),
         ("t_mm,intensity\n0.0,1.0\n2.0,1\t\n", 3),
+        # so may the header: it was compared stripped
+        (" t_mm , intensity\n0.0,1.0\n1.0,1.0\n", 1),
+        ("t_mm, intensity\n0.0,1.0\n1.0,1.0\n", 1),
+        ("t_mm,intensity \n0.0,1.0\n1.0,1.0\n", 1),
     ],
 )
 def test_tabulated_csv_parse_errors(tmp_path, body, line):
@@ -257,6 +261,26 @@ def test_tabulated_csv_parse_errors(tmp_path, body, line):
     with pytest.raises(ParseError) as err:
         TabulatedDensity.from_csv(p)
     assert err.value.line == line
+
+
+def test_tabulated_total_mass_is_the_trapezoid_sum():
+    # the tent through (0, 0), (1, 2), (3, 0): its mass is 3 over the knots
+    # and 0.75 + 1.5 over [0.5, 2], off-knot ends included
+    d = TabulatedDensity([0.0, 1.0, 3.0], [0.0, 2.0, 0.0])
+    assert total_mass(d) == 3.0
+    assert total_mass(d, Interval(0.5, 2.0)) == 2.25
+    with pytest.raises(ZeroMass):
+        total_mass(TabulatedDensity([0.0, 1.0], [0.0, 0.0]))
+    # a Gaussian on 2,048 knots: the adaptive integral of the same
+    # piecewise-linear function agrees to rounding
+    from bornlab.quadrature import DEFAULT_QUADRATURE, integrate_with_breakpoints
+
+    t = np.linspace(-40.0, 40.0, 2048)
+    d = TabulatedDensity(t, np.exp(-t * t / 2.0))
+    for iv in (d.support, Interval(-3.3, 0.7)):
+        adaptive = integrate_with_breakpoints(d.evaluate, iv, d.subdivision_points(iv),
+                                              DEFAULT_QUADRATURE)
+        assert total_mass(d, iv) == pytest.approx(adaptive, rel=1e-14, abs=0.0)
 
 
 def test_tabulated_csv_empty(tmp_path):

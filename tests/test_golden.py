@@ -9,12 +9,17 @@ and ``summary.json``) and ``trajectories`` (positions CSV and summary), both
 over 20 steps.  A file ``<dir>/<name>`` of the output is recorded as
 ``golden_<dir>_<name>``.  Counts, verdicts and every other non-float value
 must match exactly; floats must match to a relative 1e-12.  Unlike the in-process rerun
-of acceptance criterion 9, these catch drift between versions; regenerate
-them only together with a version bump.
+of acceptance criterion 9, these catch drift between versions.
+
+``GOLDEN_RUNS`` is the one table of commands and outputs.  Run this file,
+``PYTHONPATH=src python tests/test_golden.py``, to rewrite every golden from
+it, and do so only together with a version bump.
 """
 
 import csv
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -61,29 +66,44 @@ def _load(path):
         return [[_cell(c) for c in row] for row in csv.reader(fh)]
 
 
-@pytest.mark.parametrize("config, argv, outputs", [
-    (CONFIG, ["replicate", "--out", "{replicate.json}", "--csv", "{replicate.csv}"],
+# (id, config, argv, outputs) of each golden command, in an order where
+# ``verify`` reads the events that ``sample`` wrote
+GOLDEN_RUNS = [
+    ("replicate", CONFIG, ["replicate", "--out", "{replicate.json}", "--csv", "{replicate.csv}"],
      ["replicate.json", "replicate.csv"]),
-    (CONFIG, ["sweep", "--n-grid", "100,1000,10000", "--seed-base", "1000", "--seed-count", "3",
-              "--out", "{sweep.json}"], ["sweep.json"]),
-    (CONFIG, ["sample", "--n", "500", "--seed", "7", "--out", "{events.csv}"], ["events.csv"]),
-    (CONFIG, ["verify", "--events", str(DATA / "golden_events.csv"), "--out", "{verify.json}"],
-     ["verify.json"]),
-    (CONFIG, ["bound", "--out", "{bound.json}"], ["bound.json"]),
-    (CONFIG, ["moments", "--out", "{moments.json}"], ["moments.json"]),
-    (MADELUNG_CONFIG, ["madelung", "--steps", "20", "--snapshot-every", "10",
-                       "--out-dir", "{madelung}"], [*SNAPSHOTS, "madelung/summary.json"]),
-    (MADELUNG_CONFIG, ["trajectories", "--steps", "20", "--out", "{trajectories.csv}",
-                       "--summary", "{trajectories_summary.json}"],
+    ("sweep", CONFIG, ["sweep", "--n-grid", "100,1000,10000", "--seed-base", "1000",
+                       "--seed-count", "3", "--out", "{sweep.json}"], ["sweep.json"]),
+    ("sample", CONFIG, ["sample", "--n", "500", "--seed", "7", "--out", "{events.csv}"],
+     ["events.csv"]),
+    ("verify", CONFIG, ["verify", "--events", str(DATA / "golden_events.csv"),
+                        "--out", "{verify.json}"], ["verify.json"]),
+    ("bound", CONFIG, ["bound", "--out", "{bound.json}"], ["bound.json"]),
+    ("moments", CONFIG, ["moments", "--out", "{moments.json}"], ["moments.json"]),
+    ("madelung", MADELUNG_CONFIG, ["madelung", "--steps", "20", "--snapshot-every", "10",
+                                   "--out-dir", "{madelung}"],
+     [*SNAPSHOTS, "madelung/summary.json"]),
+    ("trajectories", MADELUNG_CONFIG, ["trajectories", "--steps", "20", "--out",
+                                       "{trajectories.csv}", "--summary",
+                                       "{trajectories_summary.json}"],
      ["trajectories.csv", "trajectories_summary.json"]),
-], ids=["replicate", "sweep", "sample", "verify", "bound", "moments", "madelung",
-        "trajectories"])
-def test_cli_output_matches_golden(tmp_path, config, argv, outputs):
-    args = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+]
+
+
+def _golden(name):
+    return DATA / ("golden_" + name.replace("/", "_"))
+
+
+def _run(out_dir, config, argv):
+    args = [str(out_dir / a[1:-1]) if a.startswith("{") else a for a in argv]
     assert cli.main([args[0], "--config", config, *args[1:]]) == 0
+
+
+@pytest.mark.parametrize("config, argv, outputs", [run[1:] for run in GOLDEN_RUNS],
+                         ids=[run[0] for run in GOLDEN_RUNS])
+def test_cli_output_matches_golden(tmp_path, config, argv, outputs):
+    _run(tmp_path, config, argv)
     for name in outputs:
-        golden = DATA / ("golden_" + name.replace("/", "_"))
-        _assert_matches(_load(tmp_path / name), _load(golden), name)
+        _assert_matches(_load(tmp_path / name), _load(_golden(name)), name)
 
 
 @pytest.mark.parametrize("name", ["golden_replicate.json", "golden_replicate.csv",
@@ -93,3 +113,12 @@ def test_golden_reports_survive_load_and_write(name):
     # reading a report and writing it again must give them back
     path = DATA / name
     assert report_text(load_report(path), path.suffix[1:]).encode() == path.read_bytes()
+
+
+if __name__ == "__main__":
+    for _, config, argv, outputs in GOLDEN_RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            _run(Path(tmp), config, argv)
+            for name in outputs:
+                shutil.copyfile(Path(tmp) / name, _golden(name))
+                print(f"wrote {_golden(name)}")

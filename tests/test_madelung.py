@@ -397,6 +397,69 @@ def test_advected_ensemble_stays_ascending():
     assert (np.diff(ens.positions) >= 0).all()
 
 
+def _advected_error(grid, field, potential, x0, exact, t_end):
+    """Largest distance at ``t_end`` between Heun-advected particles started
+    at ``x0`` (fixed, not sampled) and their closed-form Bohmian paths."""
+    evo = Evolution(field, potential)
+    e = TrajectoryEnsemble(np.array(x0))
+    prev = decompose_polar(evo.field)
+    for _ in range(round(t_end / grid.dt)):
+        evo.step()
+        polar = decompose_polar(evo.field)
+        e = advect_trajectories(e, prev, polar)
+        prev = polar
+    assert e.collisions == 0 and e.time == pytest.approx(t_end)
+    return float(np.abs(e.positions - exact(np.array(x0), e.time)).max())
+
+
+_DTS = (0.04, 0.02, 0.01, 0.005)
+
+
+def _assert_second_order(errors, finest_bound):
+    # each halving of dt quarters the error: split step and Heun are both
+    # second order in dt
+    assert np.all(np.isfinite(errors))
+    ratios = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all((1.8 <= ratios) & (ratios <= 2.2)), (errors, ratios)
+    assert errors[-1] <= finest_bound, errors
+
+
+def test_free_gaussian_trajectories_match_closed_form():
+    # oracle (Holland 1993, 4.7): a free Gaussian of sigma0 = 1 drifting at
+    # v = 2 pi k / L carries each particle along x0 * sigma(t) / sigma0 + v t,
+    # with sigma(t) = sqrt(1 + (t / 2)^2) at hbar = m = 1
+    k_index, length = 10, 80.0
+    v = 2.0 * math.pi * k_index / length
+
+    def exact(x0, t):
+        return v * t + x0 * math.sqrt(1.0 + (t / 2.0) ** 2)
+
+    errors = []
+    for dt in _DTS:
+        grid = Grid(-40.0, 40.0, 2048, dt)
+        field = gaussian_packet(grid, 0.0, 1.0, k_index)
+        errors.append(_advected_error(grid, field, FREE, np.linspace(-2.0, 2.0, 41), exact, 1.0))
+    _assert_second_order(errors, 1.5e-6)
+
+
+def test_coherent_state_trajectories_match_closed_form():
+    # oracle (Holland 1993, 4.9): the harmonic ground state displaced by a
+    # moves rigidly, its center at a cos(omega t), so every particle follows
+    # x0 + a (cos(omega t) - 1); this also exercises the potential kick
+    a, omega = 1.5, 1.0
+
+    def exact(x0, t):
+        return x0 + a * (math.cos(omega * t) - 1.0)
+
+    errors = []
+    for dt in _DTS:
+        grid = Grid(-20.0, 20.0, 1024, dt)
+        field = harmonic_ground_state(grid, omega, center=a)
+        errors.append(_advected_error(grid, field, Potential.harmonic(omega, 0.0),
+                                      np.linspace(a - 2.0, a + 2.0, 41), exact, 1.0))
+    _assert_second_order(errors, 1.5e-5)
+
+
 def test_ensemble_matches_density_after_free_flight():
     grid = Grid(-24.0, 24.0, 1024, dt=0.02)
     evo = Evolution(gaussian_packet(grid, sigma=1.0), FREE)

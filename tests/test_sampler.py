@@ -1,8 +1,11 @@
 import csv
+import functools
 import io
 import math
 import os
+import sys
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -102,15 +105,15 @@ def _closed_form_intensity(g):
     return intensity, sorted({mu + s * z for z in offsets for s in (-1, 1)})
 
 
-def test_draws_match_scipy_quad_cdf():
-    # oracle: scipy's QUADPACK on the closed-form intensity, split at its
-    # closed-form zeros, normalized by its own total mass; it checks both the
-    # draws and the theoretical CDF at the bin edges that verification reads
+@functools.cache
+def _scipy_cdf():
+    """F(x) of the default double slit by scipy's QUADPACK on the closed-form
+    intensity, split at its closed-form zeros and normalized by its own total
+    mass: an oracle independent of bornlab's quadrature and CDF table."""
     from scipy.integrate import quad
 
     g = SlitGeometry()
-    d = double_slit_density(g)
-    iv = d.support
+    iv = double_slit_density(g).support
     intensity, zeros = _closed_form_intensity(g)
     edges = np.array([iv.lo, *[z for z in zeros if iv.lo < z < iv.hi], iv.hi])
 
@@ -122,7 +125,15 @@ def test_draws_match_scipy_quad_cdf():
     def f_scipy(x):
         j = min(int(np.searchsorted(edges, x, side="right")) - 1, edges.size - 2)
         return (below[j] + integral(edges[j], x)) / below[-1]
+    return f_scipy
 
+
+def test_draws_match_scipy_quad_cdf():
+    # the oracle checks both the draws and the theoretical CDF at the bin
+    # edges that verification reads
+    d = double_slit_density(SlitGeometry())
+    iv = d.support
+    f_scipy = _scipy_cdf()
     us = rng_from_seed(2024).random(200)
     xs = inverse_cdf_sample(d, iv, us)
     for u, x in zip(us, xs):
@@ -239,6 +250,104 @@ def test_batch_inversion_order_invariant(make, block, monkeypatch):
     solo = [inverse_cdf_sample(d, iv, v) for v in u.tolist()]
     assert np.array_equal(_bits(batch), _bits(solo))
     assert np.array_equal(_bits(inverse_cdf_sample(d, iv, u[::-1])), _bits(solo[::-1]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: double_slit_density(SlitGeometry()),
+    lambda: TabulatedDensity(np.arange(11.0), [0, 0, 1, 2, 0, 0, 0, 3, 1, 0, 0]),
+], ids=["double_slit", "tabulated_zero_runs"])
+def test_draws_do_not_depend_on_when_a_panel_was_fitted(make, monkeypatch):
+    # each panel's polynomial is fitted on its first draw, from that panel
+    # alone: a table whose panels earlier calls fitted in another order and
+    # grouping must give the same bits as a fresh one, polynomial and Newton
+    # panels alike
+    u = rng_from_seed(41).random(3000)
+    fresh = make()
+    want = inverse_cdf_sample(fresh, fresh.support, u)
+    d = make()
+    earlier = np.sort(rng_from_seed(42).random(2000))[::-1]
+    with monkeypatch.context() as m:
+        m.setattr(_CdfTable, "_INVERT_BLOCK", 7)
+        for part in np.array_split(earlier, 9):
+            inverse_cdf_sample(d, d.support, part)
+    table = _cdf_table(d, d.support, DEFAULT_QUADRATURE)
+    assert table._fitted.any() and not table._fitted.all()
+    assert np.array_equal(_bits(inverse_cdf_sample(d, d.support, u)), _bits(want))
+    ref = _cdf_table(fresh, fresh.support, DEFAULT_QUADRATURE)
+    both = ref._poly & table._poly
+    assert both.sum() > 0.5 * ref._poly.sum()
+    fitted = ref._fitted & table._fitted
+    assert np.array_equal(ref._poly[fitted], table._poly[fitted])
+    assert np.array_equal(_bits(ref._coef[:, both]), _bits(table._coef[:, both]))
+
+
+def test_threads_fitting_one_table_give_sequential_bits():
+    # lazy fits write to the shared table: threads that race to fit the same
+    # panels must still give every draw the bits of a sequential run
+    us = [rng_from_seed(60 + k).random(3000) for k in range(8)]
+    ref = double_slit_density(SlitGeometry())
+    want = [inverse_cdf_sample(ref, ref.support, u) for u in us]
+    d = double_slit_density(SlitGeometry())
+    _cdf_table(d, d.support, DEFAULT_QUADRATURE)  # one table; the race is in its fits
+    got = [None] * len(us)
+
+    def work(k):
+        got[k] = inverse_cdf_sample(d, d.support, us[k])
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(us))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g), _bits(w))
+
+
+def _fitted_table(d):
+    """The density's table with every panel that holds mass fitted."""
+    table = _cdf_table(d, d.support, DEFAULT_QUADRATURE)
+    table._fit(np.flatnonzero(np.diff(table.cum) > 0))
+    return table
+
+
+def test_most_mass_is_inverted_by_polynomials():
+    d = double_slit_density(SlitGeometry())
+    table = _fitted_table(d)
+    mass = np.diff(table.cum)
+    assert mass[table._poly].sum() > 0.995
+    # near the nulls x(u) grows like u^(1/3), which no polynomial follows
+    assert 0 < np.count_nonzero(~table._poly & (mass > 0)) < 0.1 * np.count_nonzero(mass > 0)
+
+
+_SLIT = double_slit_density(SlitGeometry())
+_SLIT_TABLE = _fitted_table(_SLIT)
+# the table edges where a polynomial panel meets a Newton panel
+_MIXED_EDGES = 1 + np.flatnonzero(_SLIT_TABLE._poly[:-1] != _SLIT_TABLE._poly[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_MIXED_EDGES.tolist()), st.floats(-1.0, 1.0), st.integers(0, 40))
+@example(int(_MIXED_EDGES[0]), 0.0, 0)
+@example(int(_MIXED_EDGES[-1]), -1.0, 0)
+@example(int(_MIXED_EDGES[-1]), 1.0, 40)
+def test_draws_near_polynomial_newton_edges_hit_the_cdf(edge, share, ulps):
+    # u within one panel's mass of an edge between a polynomial and a Newton
+    # panel, from a whole panel away down to a few ulps: the draw meets the
+    # 1e-10 contract on the table's CDF and 2e-10 on scipy's
+    cum = _SLIT_TABLE.cum
+    u = cum[edge] + share * (cum[edge + 1] - cum[edge] if share >= 0 else cum[edge] - cum[edge - 1])
+    for _ in range(ulps):
+        u = np.nextafter(u, 1.0 if share >= 0 else 0.0)
+    u = float(min(max(u, 0.0), np.nextafter(1.0, 0.0)))
+    x = inverse_cdf_sample(_SLIT, _SLIT.support, u)
+    assert abs(cdf(_SLIT, _SLIT.support, x) - u) <= _CdfTable.CDF_VALUE_TOL
+    assert abs(_scipy_cdf()(x) - u) <= 2e-10
 
 
 def test_inversion_memory_does_not_grow_with_the_temporaries():
@@ -403,6 +512,19 @@ def test_degenerate_state():
         discrete_frequencies([1.0], 0, seed=1)
 
 
+def test_huge_and_tiny_amplitudes():
+    # squared first, 1e200 overflowed to inf (a RuntimeWarning, then numpy's
+    # pvals error) and 1e-200 underflowed to "all amplitudes are zero"
+    assert discrete_frequencies([1e200, 1.0], 10, seed=1) == [(10, 1.0), (0, 0.0)]
+    assert discrete_frequencies([1e-200, 1e-200], 1000, seed=3) == \
+        discrete_frequencies([1.0, 1.0], 1000, seed=3)
+    assert discrete_frequencies([1e-200j, 2e-200], 1000, seed=3) == \
+        discrete_frequencies([1.0, 2.0], 1000, seed=3)
+    for zero in ([0.0], [0.0, 0j], []):
+        with pytest.raises(DegenerateState):
+            discrete_frequencies(zero, 10, seed=1)
+
+
 @pytest.mark.parametrize("amps, index", [([np.nan, 1.0], 0), ([1.0, np.inf], 1),
                                           ([1.0, 2.0, complex(0.0, -np.inf)], 2),
                                           ([0.0, complex(np.nan, 1.0)], 1)])
@@ -498,6 +620,14 @@ def test_events_csv_parse_errors(tmp_path):
     p.write_text("index,t_mm\n")
     with pytest.raises(EmptyFile):
         read_events_csv(p)
+
+    # the header is compared as written: padding there is no more a header
+    # than padding in a data cell is a number
+    for header in ("index, t_mm", " index,t_mm", "index,t_mm ", "index ,t_mm"):
+        p.write_text(f"{header}\n0,0.5\n")
+        with pytest.raises(ParseError) as err:
+            read_events_csv(p)
+        assert err.value.line == 1, header
 
     # files that np.loadtxt would accept: the row parser must still reject them
     for text, line in [("index,t_mm\n0,0.5\x1f\n", 2), ("index,t_mm\n0,0.5,\n", 2),
