@@ -15,7 +15,11 @@ form with no N dependence, and the classical form carrying an extra
 1/sqrt(N).  Verdicts are reported for all four (constant x normalization)
 combinations; nothing is silently "fixed" either way.
 
-``BoundReport`` and ``Verdicts`` are plain data: :mod:`harness` writes and reads them.
+The API works on blocks, one histogram being a 1 x bins block:
+:func:`sup_deviations` gives each count-matrix row's sup at the bin edges (exact
+up to within-bin mass), :func:`literal_rhs` a run's right-hand sides and
+:func:`bound_reports` each sup's report and verdicts.  ``BoundReport`` and
+``Verdicts`` are plain data: :mod:`harness` writes and reads them.
 """
 
 from __future__ import annotations
@@ -36,14 +40,13 @@ __all__ = [
     "BoundConstantVariant",
     "Origin",
     "BinningScheme",
-    "EmpiricalHistogram",
     "Verdicts",
     "BoundReport",
-    "empirical_cdf",
-    "sup_deviation",
+    "sup_deviations",
     "raw_moments",
     "bound_rhs",
-    "verify_inequality",
+    "literal_rhs",
+    "bound_reports",
 ]
 
 
@@ -87,47 +90,7 @@ class BinningScheme:
         return np.linspace(self.interval.lo, self.interval.hi, self.bin_count + 1)
 
 
-@dataclass(frozen=True)
-class EmpiricalHistogram:
-    """Binned detection counts, indexed in scheme order (bin 1 nearest origin)."""
-
-    scheme: BinningScheme
-    counts: tuple[int, ...]
-    total_N: int
-
-    def __post_init__(self):
-        if len(self.counts) != self.scheme.bin_count:
-            raise ValueError("counts length must equal bin_count")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be >= 0")
-        if sum(self.counts) != self.total_N:
-            raise ValueError("counts must sum to total_N")
-
-
-def empirical_cdf(h: EmpiricalHistogram, x: float) -> float:
-    """Fraction of events in whole bins at or before ``x``, counted from the origin.
-
-    A step function, right-continuous at bin edges.  ``from_b`` accumulates
-    whole bins from the opposite end, so at any shared edge the two
-    orientations sum to exactly 1.
-    """
-    if h.total_N < 1:
-        raise EmptyHistogram("histogram holds no events")
-    iv = h.scheme.interval
-    if not iv.contains(x):
-        raise ValueError(f"x={x} outside the scheme interval [{iv.lo}, {iv.hi}]")
-    edges = h.scheme.edges()
-    cum = np.cumsum(h.counts)
-    if h.scheme.origin is Origin.FROM_A:
-        # whole bins with right edge <= x
-        j = int(np.searchsorted(edges[1:], x, side="right"))
-    else:
-        # whole bins with left edge >= x
-        j = h.scheme.bin_count - int(np.searchsorted(edges[:-1], x, side="left"))
-    return 0.0 if j == 0 else float(cum[j - 1]) / h.total_N
-
-
-def _sup_deviations(counts: np.ndarray, n: int, theory: np.ndarray, origin: Origin) -> np.ndarray:
+def sup_deviations(counts: np.ndarray, n: int, theory: np.ndarray, origin: Origin) -> np.ndarray:
     """Sup-deviation of each row of a rows x bins count matrix, every row
     holding ``n`` events with its counts in scheme order.  ``theory`` is the
     theoretical CDF at the ascending edges."""
@@ -135,17 +98,6 @@ def _sup_deviations(counts: np.ndarray, n: int, theory: np.ndarray, origin: Orig
         raise EmptyHistogram("histogram holds no events")
     theory_at = theory[1:] if origin is Origin.FROM_A else 1.0 - theory[-2::-1]
     return np.abs(np.cumsum(counts, axis=1) / n - theory_at).max(axis=1)
-
-
-def sup_deviation(h: EmpiricalHistogram, d: DensityModel,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Max |empirical CDF - theoretical CDF| over the orientation's bin edges.
-
-    Edge evaluation attains the sup up to within-bin mass: the empirical CDF
-    is constant between edges and the theoretical CDF is monotone.
-    """
-    theory = born_density.cdf_at_points(d, h.scheme.interval, h.scheme.edges(), cfg)
-    return _sup_deviations(np.array([h.counts]), h.total_N, theory, h.scheme.origin).item()
 
 
 def raw_moments(d: DensityModel, moment_iv: Interval,
@@ -204,22 +156,17 @@ class BoundReport:
     scheme: BinningScheme
 
 
-def _literal_rhs(d: DensityModel, iv: Interval, moment_iv: Interval | None,
-                 center: float | None, cfg: QuadratureConfig,
-                 constant_override: float | None) -> tuple[float, float]:
-    """The literal right-hand sides for both constants, with the defaults of
-    :func:`verify_inequality` for ``center`` and ``moment_iv``."""
-    if center is None:
-        center = d.center if d.center is not None else born_density.mean_position(d, iv, cfg)
+def literal_rhs(d: DensityModel, moment_iv: Interval, center: float,
+                cfg: QuadratureConfig, constant_override: float | None) -> tuple[float, float]:
+    """:func:`bound_rhs` for both constants, of ``d`` recentered at ``center``
+    (a view memoized on ``d``) over the centered ``moment_iv``."""
     centered = d.memo(("centered", center), lambda: born_density.recenter(d, center))
-    if moment_iv is None:
-        moment_iv = Interval(iv.lo - center, iv.hi - center)
     return tuple(bound_rhs(centered, moment_iv, v, cfg, constant_override) for v in (
         BoundConstantVariant.LOWER_BOUND_CONSTANT, BoundConstantVariant.PLUS_16_PERCENT))
 
 
-def _bound_reports(sups: np.ndarray, n: int, scheme: BinningScheme,
-                   rhs: tuple[float, float]) -> list[BoundReport]:
+def bound_reports(sups: np.ndarray, n: int, scheme: BinningScheme,
+                  rhs: tuple[float, float]) -> list[BoundReport]:
     """One report per sup-deviation, all at ``n`` events under ``scheme``."""
     rhs_lo, rhs_hi = rhs
     root_n = math.sqrt(n)
@@ -227,24 +174,3 @@ def _bound_reports(sups: np.ndarray, n: int, scheme: BinningScheme,
     return [BoundReport(n, sup, rhs_lo, rhs_hi, lo_n, hi_n,
                         Verdicts(sup <= rhs_lo, sup <= rhs_hi, sup <= lo_n, sup <= hi_n), scheme)
             for sup in sups.tolist()]
-
-
-def verify_inequality(
-    h: EmpiricalHistogram,
-    d: DensityModel,
-    moment_iv: Interval | None = None,
-    center: float | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    constant_override: float | None = None,
-) -> BoundReport:
-    """Full check of the inequality for one histogram against one density.
-
-    ``center`` defaults to the density's known pattern center, falling back
-    to the mass-weighted mean over the histogram interval.  ``moment_iv``
-    defaults to the event interval recentered at that point, in centered
-    coordinates.  A failing verdict is a result, not an error.
-    """
-    if h.total_N < 1:
-        raise EmptyHistogram("histogram holds no events")
-    rhs = _literal_rhs(d, h.scheme.interval, moment_iv, center, cfg, constant_override)
-    return _bound_reports(np.array([sup_deviation(h, d, cfg)]), h.total_N, h.scheme, rhs)[0]

@@ -11,14 +11,14 @@ config produce byte-identical report files.  One table, ``_FIELDS``, gives each
 row field's CSV column, JSON key path and type; every report writer and the
 strict reader :func:`load_report` follow it.
 
-One loop, ``_verify_blocks``, bins and judges every run: it takes (seeds,
-block) pairs, computes the right-hand sides once and the CDF at the edges
-once per bin count, bins each seeds x N position block with one
-``searchsorted`` and one ``bincount``, and takes each seed's sup-deviation as
-a row maximum (``from_b`` reverses the columns).  Replication feeds it the
-sampled seed blocks of every N; a sweep is a replication at its N grid and
-first bin count, whose per-N medians are read from the report's rows;
-``verify_events`` feeds it one block of one row, whose seed is None.
+One loop, ``_verify_blocks``, bins and judges every run with the block API: per
+(seeds, block) pair it bins the seeds x N positions (``bin_counts``), takes each
+seed's sup as a row maximum (``sup_deviations``; ``from_b`` reverses the columns)
+and reports it (``bound_reports``) against right-hand sides and edge CDFs read
+once per run (``literal_rhs``) and once per bin count.  Replication feeds it the
+sampled seed blocks of every N; a sweep is a replication at its N grid and first
+bin count, whose per-N medians are read from the report's rows; ``verify_events``
+feeds it one block of one row, whose seed is None.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from .berry_esseen import (
     BoundReport,
     Origin,
     Verdicts,
-    _bound_reports,
-    _literal_rhs,
-    _sup_deviations,
+    bound_reports,
+    literal_rhs,
+    sup_deviations,
 )
 from .born_density import (SlitGeometry, _read_csv, cdf_at_points, default_support,
                            double_slit_density)
@@ -47,7 +47,7 @@ from .errors import ConfigError, OutOfInterval, ParseError, SlopeUndefined
 from .madelung import (Grid, Potential, PotentialKind, gaussian_packet, harmonic_ground_state,
                        plane_wave, screen_state_from_density)
 from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig
-from .sampler import _bin_counts, atomic_open, inverse_cdf_sample, read_events_csv, rng_from_seed
+from .sampler import atomic_open, bin_counts, inverse_cdf_sample, read_events_csv, rng_from_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -300,6 +300,9 @@ def config_from_json_dict(obj: Mapping) -> ExperimentConfig:
     override = obj.get("constant_override")
     if override is not None:
         override = _value(override, "constant_override", 1.0)
+        if not override > 0:
+            raise ConfigError(f"constant_override must be a finite number > 0, got {override!r}",
+                              key="constant_override")
     return ExperimentConfig(
         geometry=_build(SlitGeometry, "geometry",
                         **{_GEOMETRY[name]: v for name, v in geometry.items()}),
@@ -478,18 +481,18 @@ def _verify_blocks(cfg: ExperimentConfig, setup, blocks) -> ConvergenceReport:
     right-hand sides are computed once and the CDF at the edges once per bin
     count.  ``setup`` is the tuple returned by :func:`experiment_density`."""
     density, interval, center, moment_iv = setup
-    rhs = _literal_rhs(density, interval, moment_iv, center, cfg.quadrature, cfg.constant_override)
+    rhs = literal_rhs(density, moment_iv, center, cfg.quadrature, cfg.constant_override)
     ascending = [BinningScheme(bins, Origin.FROM_A, interval) for bins in cfg.bin_counts]
     theories = [cdf_at_points(density, interval, s.edges(), cfg.quadrature) for s in ascending]
     rows: list[ReportRow] = []
     for seeds, block in blocks:
         n = block.shape[1]
         for scheme, theory in zip(ascending, theories):
-            counts = _bin_counts(block, scheme)
+            counts = bin_counts(block, scheme)
             for origin in cfg.orientations:
                 oriented = counts if origin is Origin.FROM_A else counts[:, ::-1]
-                sups = _sup_deviations(oriented, n, theory, origin)
-                rows += map(ReportRow, seeds, _bound_reports(
+                sups = sup_deviations(oriented, n, theory, origin)
+                rows += map(ReportRow, seeds, bound_reports(
                     sups, n, replace(scheme, origin=origin), rhs))
     return ConvergenceReport.from_rows(rows)
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .berry_esseen import BinningScheme, EmpiricalHistogram, Origin
+from .berry_esseen import BinningScheme
 from .born_density import DensityModel, _cdf_table, _number, _read_csv
 from .errors import DegenerateState, OutOfInterval
 from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig
@@ -28,7 +28,7 @@ __all__ = [
     "rng_from_seed",
     "inverse_cdf_sample",
     "sample_positions",
-    "bin_positions",
+    "bin_counts",
     "discrete_frequencies",
     "atomic_open",
     "write_events_csv",
@@ -73,11 +73,12 @@ def sample_positions(d: DensityModel, iv: Interval, n: int, seed: int,
     return inverse_cdf_sample(d, iv, rng_from_seed(seed).random(n), cfg)
 
 
-def _bin_counts(block: np.ndarray, scheme: BinningScheme) -> np.ndarray:
+def bin_counts(block: np.ndarray, scheme: BinningScheme) -> np.ndarray:
     """The rows x bins count matrix of a rows x N position block, in ascending
     bin order whatever the scheme's origin: one ``searchsorted`` over the
-    block, then one ``bincount`` with each row offset by ``row * bins``.
-    ``OutOfInterval.indices`` are flat indices into the block."""
+    block, then one ``bincount`` with each row offset by ``row * bins``.  Bins
+    are half-open, an event on an edge goes to the higher bin and the last bin
+    is closed.  ``OutOfInterval.indices`` are flat indices into the block."""
     iv = scheme.interval
     bad = np.flatnonzero(~iv.contains(block))
     if bad.size:
@@ -88,17 +89,6 @@ def _bin_counts(block: np.ndarray, scheme: BinningScheme) -> np.ndarray:
     idx = np.clip(np.searchsorted(scheme.edges(), block, side="right") - 1, 0, bins - 1)
     idx += np.arange(0, rows * bins, bins)[:, None]
     return np.bincount(idx.ravel(), minlength=rows * bins).reshape(rows, bins)
-
-
-def bin_positions(positions: Sequence[float], scheme: BinningScheme) -> EmpiricalHistogram:
-    """Bin raw positions.  Half-open bins, boundary to the higher ascending
-    index, last bin closed; ``from_b`` relabels the same physical bins in
-    reverse order, so flipping orientation reverses the counts exactly."""
-    pos = np.asarray(positions, dtype=float).reshape(1, -1)
-    counts = _bin_counts(pos, scheme)[0]
-    if scheme.origin is Origin.FROM_B:
-        counts = counts[::-1]
-    return EmpiricalHistogram(scheme, tuple(counts.tolist()), pos.shape[1])
 
 
 def discrete_frequencies(amplitudes: Sequence, n: int, seed: int) -> list[tuple[int, float]]:

@@ -9,18 +9,18 @@ from bornlab.berry_esseen import (
     BinningScheme,
     BoundConstantVariant,
     BoundReport,
-    EmpiricalHistogram,
     Origin,
+    bound_reports,
     bound_rhs,
-    empirical_cdf,
+    literal_rhs,
     raw_moments,
-    sup_deviation,
-    verify_inequality,
+    sup_deviations,
     zolotarev_constant,
 )
 from bornlab.born_density import (
     SlitGeometry,
     cdf,
+    cdf_at_points,
     double_slit_density,
     recenter,
     scaled,
@@ -30,7 +30,8 @@ from bornlab.born_density import (
 from bornlab.errors import EmptyHistogram
 from bornlab.harness import ConvergenceReport, ReportRow, emit_report, load_report
 from bornlab.quadrature import DEFAULT_QUADRATURE, Interval, central_moment
-from bornlab.sampler import bin_positions, sample_positions
+from bornlab.sampler import bin_counts, sample_positions
+from reference import EmpiricalHistogram, empirical_cdf
 
 UNIT = Interval(-1.0, 1.0)
 
@@ -40,6 +41,28 @@ def make_hist(counts, origin=Origin.FROM_A, iv=UNIT):
     return EmpiricalHistogram(
         BinningScheme(len(counts), origin, iv), counts, sum(counts)
     )
+
+
+def histogram(positions, scheme):
+    """``positions`` binned by ``bin_counts`` as a 1 x N block, in scheme order."""
+    counts = bin_counts(np.reshape(positions, (1, -1)), scheme)[0]
+    if scheme.origin is Origin.FROM_B:
+        counts = counts[::-1]
+    return EmpiricalHistogram(scheme, tuple(counts.tolist()), int(counts.sum()))
+
+
+def block_sup(h, d):
+    """``sup_deviations`` of one histogram, a 1 x bins count block."""
+    theory = cdf_at_points(d, h.scheme.interval, h.scheme.edges())
+    return sup_deviations(np.array([h.counts]), h.total_N, theory, h.scheme.origin).item()
+
+
+def block_report(h, d, constant_override=None):
+    """``bound_reports`` of one histogram, its right-hand sides from ``literal_rhs``
+    over the histogram interval centered at the density's center."""
+    iv, c = h.scheme.interval, d.center
+    rhs = literal_rhs(d, Interval(iv.lo - c, iv.hi - c), c, DEFAULT_QUADRATURE, constant_override)
+    return bound_reports(np.array([block_sup(h, d)]), h.total_N, h.scheme, rhs)[0]
 
 
 def test_zolotarev_value():
@@ -138,13 +161,14 @@ def test_empirical_cdf_orientation_duality():
 @given(data=st.data(), bins=st.integers(1, 40))
 def test_orientation_duality_property(data, bins):
     # the two orientations label the same physical bins from opposite ends:
-    # the counts reverse exactly, and at every shared edge the two empirical
-    # CDFs sum to exactly 1; events on edges and at both ends included
+    # bin_counts is ascending for both, so the scheme-order counts reverse
+    # exactly, and at every shared edge the two empirical CDFs sum to exactly
+    # 1; events on edges and at both ends included
     edges = BinningScheme(bins, Origin.FROM_A, UNIT).edges().tolist()
     position = st.floats(UNIT.lo, UNIT.hi) | st.sampled_from(edges)
     positions = data.draw(st.lists(position, min_size=1, max_size=60))
-    ha = bin_positions(positions, BinningScheme(bins, Origin.FROM_A, UNIT))
-    hb = bin_positions(positions, BinningScheme(bins, Origin.FROM_B, UNIT))
+    ha = histogram(positions, BinningScheme(bins, Origin.FROM_A, UNIT))
+    hb = histogram(positions, BinningScheme(bins, Origin.FROM_B, UNIT))
     assert hb.counts == ha.counts[::-1]
     assert sum(ha.counts) == ha.total_N == hb.total_N == len(positions)
     for edge in edges:
@@ -164,33 +188,33 @@ def test_empty_histogram_raises():
     with pytest.raises(EmptyHistogram):
         empirical_cdf(h, 0.0)
     with pytest.raises(EmptyHistogram):
-        sup_deviation(h, uniform_density(UNIT))
+        block_sup(h, uniform_density(UNIT))
 
 
 def test_sup_deviation_proportional_counts_vanish():
     # counts exactly equal to per-bin theoretical masses of the uniform density
     h = make_hist([10] * 10)
-    assert sup_deviation(h, uniform_density(UNIT)) == pytest.approx(0.0, abs=1e-12)
+    assert block_sup(h, uniform_density(UNIT)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sup_deviation_single_event_hand_value():
     h = make_hist([1, 0, 0, 0, 0, 0, 0, 0, 0, 0])
-    assert sup_deviation(h, uniform_density(UNIT)) >= 0.9 - 1e-12
+    assert block_sup(h, uniform_density(UNIT)) >= 0.9 - 1e-12
 
 
 def test_sup_deviation_scale_invariant():
     h = make_hist([2, 0, 1, 4, 9, 8, 2, 1, 0, 3])
     d = uniform_density(UNIT)
-    assert sup_deviation(h, scaled(d, 1e6)) == pytest.approx(sup_deviation(h, d), abs=1e-12)
+    assert block_sup(h, scaled(d, 1e6)) == pytest.approx(block_sup(h, d), abs=1e-12)
 
 
 def test_sup_deviation_orientations_agree_at_shared_edges():
     g = SlitGeometry()
     d = double_slit_density(g)
     pos = sample_positions(d, d.support, 200, seed=5)
-    ha = bin_positions(pos, BinningScheme(10, Origin.FROM_A, d.support))
-    hb = bin_positions(pos, BinningScheme(10, Origin.FROM_B, d.support))
-    assert sup_deviation(ha, d) == pytest.approx(sup_deviation(hb, d), abs=1e-12)
+    ha = histogram(pos, BinningScheme(10, Origin.FROM_A, d.support))
+    hb = histogram(pos, BinningScheme(10, Origin.FROM_B, d.support))
+    assert block_sup(ha, d) == pytest.approx(block_sup(hb, d), abs=1e-12)
 
 
 def test_sup_deviation_matches_bruteforce_scan():
@@ -201,8 +225,8 @@ def test_sup_deviation_matches_bruteforce_scan():
     iv = d.support
     pos = sample_positions(d, iv, 350, seed=11)
     scheme = BinningScheme(10, Origin.FROM_A, iv)
-    h = bin_positions(pos, scheme)
-    edge_sup = sup_deviation(h, d)
+    h = histogram(pos, scheme)
+    edge_sup = block_sup(h, d)
 
     edges = scheme.edges()
     masses = np.diff([cdf(d, iv, float(e)) for e in edges])
@@ -216,7 +240,7 @@ def test_sup_deviation_matches_bruteforce_scan():
 
 def test_verify_proportional_counts_all_pass():
     h = make_hist([10] * 10)
-    report = verify_inequality(h, uniform_density(UNIT))
+    report = block_report(h, uniform_density(UNIT))
     assert report.verdicts.lower_const and report.verdicts.upper_const
     assert report.verdicts.with_sqrtN_lower and report.verdicts.with_sqrtN_upper
 
@@ -225,7 +249,7 @@ def test_verify_adversarial_histogram_fails_literal_form():
     # all 13 events in the first of 10 bins against the uniform density:
     # sup = 0.9 exceeds the literal bound C * 1.299 ~ 0.532
     h = make_hist([13, 0, 0, 0, 0, 0, 0, 0, 0, 0])
-    report = verify_inequality(h, uniform_density(UNIT))
+    report = block_report(h, uniform_density(UNIT))
     assert report.sup_deviation >= 0.9 - 1e-12
     assert report.rhs_lower_const == pytest.approx(0.5322, abs=1e-3)
     assert not report.verdicts.lower_const
@@ -236,8 +260,8 @@ def test_verdicts_match_definition():
     g = SlitGeometry()
     d = double_slit_density(g)
     pos = sample_positions(d, d.support, 54, seed=3)
-    h = bin_positions(pos, BinningScheme(12, Origin.FROM_B, d.support))
-    r = verify_inequality(h, d)
+    h = histogram(pos, BinningScheme(12, Origin.FROM_B, d.support))
+    r = block_report(h, d)
     assert r.verdicts.lower_const == (r.sup_deviation <= r.rhs_lower_const)
     assert r.verdicts.upper_const == (r.sup_deviation <= r.rhs_upper_const)
     assert r.verdicts.with_sqrtN_lower == (r.sup_deviation <= r.rhs_with_sqrtN_lower)
@@ -247,13 +271,12 @@ def test_verdicts_match_definition():
 
 
 def test_constant_override_forces_failure():
-    h = make_hist([10] * 10, iv=UNIT)
-    # proportional counts pass normally; a near-zero constant must fail once
-    # any deviation at all is present
-    h2 = make_hist([11, 10, 10, 10, 10, 10, 10, 10, 10, 9])
-    r = verify_inequality(h2, uniform_density(UNIT), constant_override=1e-9)
+    # nearly proportional counts pass normally; a near-zero constant must fail
+    # once any deviation at all is present
+    h = make_hist([11, 10, 10, 10, 10, 10, 10, 10, 10, 9])
+    assert block_report(h, uniform_density(UNIT)).verdicts.lower_const
+    r = block_report(h, uniform_density(UNIT), constant_override=1e-9)
     assert not r.verdicts.lower_const
-    del h
 
 
 def test_histogram_validation():
@@ -276,7 +299,7 @@ def test_median_sup_scales_like_inverse_sqrt_n():
         sups = []
         for seed in range(100):
             pos = sample_positions(d, UNIT, n, seed)
-            sups.append(sup_deviation(bin_positions(pos, scheme), d))
+            sups.append(block_sup(histogram(pos, scheme), d))
         return float(np.median(sups))
 
     ratio = median_sup(2000) / median_sup(1000)
@@ -295,8 +318,8 @@ def test_report_json_roundtrip(tmp_path):
     g = SlitGeometry()
     d = double_slit_density(g)
     pos = sample_positions(d, d.support, 101, seed=9)
-    h = bin_positions(pos, BinningScheme(10, Origin.FROM_A, d.support))
-    r = verify_inequality(h, d)
+    h = histogram(pos, BinningScheme(10, Origin.FROM_A, d.support))
+    r = block_report(h, d)
     assert _report_round_trip(r, "json", tmp_path).rows[0].report == r
 
 
@@ -304,8 +327,8 @@ def test_report_csv_roundtrip(tmp_path):
     g = SlitGeometry()
     d = double_slit_density(g)
     pos = sample_positions(d, d.support, 101, seed=9)
-    h = bin_positions(pos, BinningScheme(10, Origin.FROM_B, d.support))
-    r = verify_inequality(h, d)
+    h = histogram(pos, BinningScheme(10, Origin.FROM_B, d.support))
+    r = block_report(h, d)
     back = _report_round_trip(r, "csv", tmp_path)
     assert back.rows[0].report == r
     assert len(back.rows) == 1
@@ -315,9 +338,9 @@ def test_report_is_value_object():
     g = SlitGeometry()
     d = double_slit_density(g)
     pos = sample_positions(d, d.support, 13, seed=1)
-    h = bin_positions(pos, BinningScheme(10, Origin.FROM_A, d.support))
-    assert verify_inequality(h, d) == verify_inequality(h, d)
-    assert isinstance(verify_inequality(h, d), BoundReport)
+    h = histogram(pos, BinningScheme(10, Origin.FROM_A, d.support))
+    assert block_report(h, d) == block_report(h, d)
+    assert isinstance(block_report(h, d), BoundReport)
 
 
 def test_raw_moments_match_mpmath():

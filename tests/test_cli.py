@@ -126,6 +126,8 @@ def test_bad_config_key_named_on_stderr(tmp_path, capsys):
             ({"interval": {"a_mm": -1.0, "b_mm": False}}, "interval.b_mm"),
             ({"quadrature": {"abs_tol": nan}}, "quadrature.abs_tol"),
             ({"constant_override": nan}, "constant_override"),
+            ({"constant_override": 0}, "constant_override"),
+            ({"constant_override": -1}, "constant_override"),
             ({"madelung": {"preset": "bogus"}}, "madelung.preset"),
             ({"madelung": {"state": {"sigmaa": 2.0}}}, "madelung.state.sigmaa"),
             ({"madelung": {"trajectories": {"seedd": 2}}}, "madelung.trajectories.seedd"),

@@ -7,9 +7,12 @@ orientations.  ``golden_madelung_config.json`` (a free Gaussian on 256 points,
 500 particles) pins the Madelung side: ``madelung`` (three polar snapshots
 and ``summary.json``) and ``trajectories`` (positions CSV and summary), both
 over 20 steps.  A file ``<dir>/<name>`` of the output is recorded as
-``golden_<dir>_<name>``.  Counts, verdicts and every other non-float value
-must match exactly; floats must match to a relative 1e-12.  Unlike the in-process rerun
-of acceptance criterion 9, these catch drift between versions.
+``golden_<dir>_<name>``.  Every output must equal its golden byte for byte.
+A parsed comparison runs first (floats to a relative 1e-12, every other value
+exactly), so that a failure names the first JSON path or CSV cell that
+differs; the byte comparison then catches a float that moved in its last
+bits.  Unlike the in-process rerun of acceptance criterion 9, these catch
+drift between versions.
 
 ``GOLDEN_RUNS`` is the one table of commands and outputs.  Run this file,
 ``PYTHONPATH=src python tests/test_golden.py``, to rewrite every golden from
@@ -104,6 +107,7 @@ def test_cli_output_matches_golden(tmp_path, config, argv, outputs):
     _run(tmp_path, config, argv)
     for name in outputs:
         _assert_matches(_load(tmp_path / name), _load(_golden(name)), name)
+        assert (tmp_path / name).read_bytes() == _golden(name).read_bytes(), name
 
 
 @pytest.mark.parametrize("name", ["golden_replicate.json", "golden_replicate.csv",

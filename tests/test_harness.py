@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 from bornlab import cli
 from bornlab.berry_esseen import (
     BinningScheme,
+    BoundConstantVariant,
     BoundReport,
     Origin,
     Verdicts,
-    verify_inequality,
+    bound_rhs,
 )
 from bornlab.born_density import (SlitGeometry, cdf, cdf_at_points, double_slit_density,
-                                  uniform_density)
+                                  recenter, uniform_density)
 from bornlab.errors import ConfigError, EmptyFile, OutOfInterval, ParseError, SlopeUndefined
 from bornlab.harness import (
     ConvergenceReport,
@@ -49,7 +50,7 @@ from bornlab.harness import (
 )
 from bornlab.madelung import Grid, Potential
 from bornlab.quadrature import Interval
-from bornlab.sampler import bin_positions, sample_positions, write_events_csv
+from bornlab.sampler import bin_counts, sample_positions, write_events_csv
 
 
 def small_config(**overrides):
@@ -359,17 +360,17 @@ def test_sweep_checks_explicit_seeds(seeds, key):
 
 def test_block_verify_matches_per_row():
     # _verify_blocks bins, sups and judges a whole seeds x N block at once;
-    # every row must equal the one-row public path bit for bit, and its counts
-    # and sup the per-row arithmetic written out here
+    # every row's counts, sup, right-hand sides and verdicts must equal the
+    # per-row arithmetic written out here, from np.histogram and bound_rhs
     from bornlab.harness import _verify_blocks, experiment_density
 
-    bin_counts = (1, 3, 7, 20)
-    cfg = replication_config(seeds=(1, 2), n_values=(13, 54), bin_counts=bin_counts,
+    bin_sizes = (1, 3, 7, 20)
+    cfg = replication_config(seeds=(1, 2), n_values=(13, 54), bin_counts=bin_sizes,
                              orientations=(Origin.FROM_B, Origin.FROM_A))
     setup = experiment_density(cfg)
     density, interval, center, moment_iv = setup
     edges = np.concatenate([BinningScheme(b, Origin.FROM_A, interval).edges()
-                            for b in bin_counts])
+                            for b in bin_sizes])
     rng = np.random.default_rng(5)
     block = rng.choice(edges, size=(6, 60))  # every event on an edge, ends included
     block[0] = rng.uniform(interval.lo, interval.hi, 60)
@@ -378,25 +379,29 @@ def test_block_verify_matches_per_row():
     block[3] = block[4]
     seeds = [11, 3, 7, 5, 2, 9]  # not in order
     rows = _verify_blocks(cfg, setup, [(seeds, block)]).rows
-    assert len(rows) == len(seeds) * len(bin_counts) * 2
+    assert len(rows) == len(seeds) * len(bin_sizes) * 2
     assert {(r.seed, r.report.scheme.bin_count, r.report.scheme.origin) for r in rows} == {
-        (s, b, o) for s in seeds for b in bin_counts for o in Origin}
+        (s, b, o) for s in seeds for b in bin_sizes for o in Origin}
+    centered = recenter(density, center)
+    rhs_lo, rhs_hi = (bound_rhs(centered, moment_iv, v, cfg.quadrature, cfg.constant_override)
+                      for v in BoundConstantVariant)
+    lo_n, hi_n = rhs_lo / math.sqrt(60), rhs_hi / math.sqrt(60)
     for row in rows:
         got = row.report
         positions = block[seeds.index(row.seed)]
-        hist = bin_positions(positions, got.scheme)
-        want = verify_inequality(hist, density, moment_iv, center, cfg.quadrature,
-                                 cfg.constant_override)
-        assert got == want and _field_texts(got) == _field_texts(want)
         scheme_edges = got.scheme.edges()
         counts = np.histogram(positions, bins=scheme_edges)[0]
+        assert np.array_equal(bin_counts(positions.reshape(1, -1), got.scheme)[0], counts)
         theory = cdf_at_points(density, interval, scheme_edges, cfg.quadrature)
         if got.scheme.origin is Origin.FROM_A:
             theory_at = theory[1:]
         else:
             counts, theory_at = counts[::-1], 1.0 - theory[-2::-1]
-        assert hist.counts == tuple(counts.tolist())
-        assert got.sup_deviation == float(np.abs(np.cumsum(counts) / 60 - theory_at).max())
+        sup = float(np.abs(np.cumsum(counts) / 60 - theory_at).max())
+        want = BoundReport(60, sup, rhs_lo, rhs_hi, lo_n, hi_n,
+                           Verdicts(sup <= rhs_lo, sup <= rhs_hi, sup <= lo_n, sup <= hi_n),
+                           got.scheme)
+        assert got == want and _field_texts(got) == _field_texts(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -404,18 +409,17 @@ def test_block_verify_matches_per_row():
 @example(bins=1, lo=0.0, width=1.0)
 def test_event_on_an_edge_goes_to_the_higher_bin(bins, lo, width):
     # an event exactly on edge k < bins is in ascending bin k, and one at iv.hi
-    # in the last bin; bin_positions and the block loop bin it the same way
+    # in the last bin, whatever the origin; bin_counts and the block loop bin
+    # it the same way
     from bornlab.harness import _verify_blocks
 
     iv = Interval(lo, lo + width)
     edges = BinningScheme(bins, Origin.FROM_A, iv).edges()
     want = np.eye(bins + 1, bins, dtype=int)  # row k: the counts of one event on edge k
     want[bins, bins - 1] = 1
-    for k, edge in enumerate(edges.tolist()):
-        assert bin_positions([edge], BinningScheme(bins, Origin.FROM_A, iv)).counts == tuple(
-            want[k].tolist())
-        assert bin_positions([edge], BinningScheme(bins, Origin.FROM_B, iv)).counts == tuple(
-            want[k, ::-1].tolist())
+    for origin in Origin:
+        assert np.array_equal(bin_counts(edges.reshape(-1, 1), BinningScheme(bins, origin, iv)),
+                              want)
     # row k of the block is one event on edge k, its seed k
     density = uniform_density(iv)
     setup = (density, iv, lo + width / 2, Interval(-width / 2, width / 2))

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bornlab import cli, sampler
-from bornlab.berry_esseen import BinningScheme, Origin
+from bornlab.berry_esseen import BinningScheme, Origin, sup_deviations
 from bornlab.born_density import (
     DensityModel,
     SlitGeometry,
@@ -33,7 +33,7 @@ from bornlab.harness import experiment_density, load_config
 from bornlab.madelung import (Grid, PolarField, TrajectoryEnsemble, write_polar_csv,
                               write_trajectories_csv)
 from bornlab.sampler import (
-    bin_positions,
+    bin_counts,
     discrete_frequencies,
     inverse_cdf_sample,
     read_events_csv,
@@ -437,44 +437,55 @@ def test_per_bin_counts_within_five_sigma():
     d = uniform_density(UNIT)
     n = 100_000
     pos = sample_positions(d, UNIT, n, seed=7)
-    h = bin_positions(pos, BinningScheme(10, Origin.FROM_A, UNIT))
+    counts = bin_counts(pos.reshape(1, -1), BinningScheme(10, Origin.FROM_A, UNIT))[0]
     sigma = math.sqrt(n * 0.1 * 0.9)
-    for c in h.counts:
+    for c in counts:
         assert abs(c - n / 10) <= 5 * sigma
 
 
 def test_bin_midpoint_goes_to_sixth_bin():
-    h = bin_positions([0.5], BinningScheme(10, Origin.FROM_A, UNIT))
-    assert h.counts[5] == 1 and h.total_N == 1
+    counts = bin_counts(np.array([[0.5]]), BinningScheme(10, Origin.FROM_A, UNIT))
+    assert counts[0, 5] == 1 and counts.sum() == 1
 
 
 def test_bin_endpoint_goes_to_last_bin():
-    h = bin_positions([1.0], BinningScheme(10, Origin.FROM_A, UNIT))
-    assert h.counts[9] == 1
+    counts = bin_counts(np.array([[1.0]]), BinningScheme(10, Origin.FROM_A, UNIT))
+    assert counts[0, 9] == 1
 
 
 def test_orientation_flip_reverses_counts():
-    pos = rng_from_seed(3).random(500)
-    ha = bin_positions(pos, BinningScheme(10, Origin.FROM_A, UNIT))
-    hb = bin_positions(pos, BinningScheme(10, Origin.FROM_B, UNIT))
-    assert hb.counts == ha.counts[::-1]
+    # bin_counts is in ascending bin order whatever the origin: from_b labels
+    # the same physical bins from the other end, so its scheme-order counts
+    # are these reversed, and its sup equals from_a's
+    pos = rng_from_seed(3).random((1, 500))
+    ca = bin_counts(pos, BinningScheme(10, Origin.FROM_A, UNIT))
+    cb = bin_counts(pos, BinningScheme(10, Origin.FROM_B, UNIT))
+    assert np.array_equal(ca, cb)
+    theory = np.linspace(0.0, 1.0, 11)
+    sup_a = sup_deviations(ca, 500, theory, Origin.FROM_A)
+    sup_b = sup_deviations(cb[:, ::-1], 500, theory, Origin.FROM_B)
+    assert sup_b == pytest.approx(sup_a, abs=1e-12)
 
 
 def test_bin_out_of_interval_lists_indices():
     with pytest.raises(OutOfInterval) as err:
-        bin_positions([0.5, 1.5, -0.2], BinningScheme(4, Origin.FROM_A, UNIT))
+        bin_counts(np.array([[0.5, 1.5, -0.2]]), BinningScheme(4, Origin.FROM_A, UNIT))
     assert err.value.indices == (1, 2)
     # NaN is outside every interval, not a count in the last bin
     with pytest.raises(OutOfInterval) as err:
-        bin_positions([0.1, math.nan, 0.2], BinningScheme(2, Origin.FROM_A, UNIT))
+        bin_counts(np.array([[0.1, math.nan, 0.2]]), BinningScheme(2, Origin.FROM_A, UNIT))
     assert err.value.indices == (1,)
+    # indices are flat indices into the whole block
+    with pytest.raises(OutOfInterval) as err:
+        bin_counts(np.array([[0.1, 0.2], [0.3, 1.5]]), BinningScheme(2, Origin.FROM_A, UNIT))
+    assert err.value.indices == (3,)
 
 
-def test_bin_positions_of_read_events(tmp_path):
+def test_bin_counts_of_read_events(tmp_path):
     p = tmp_path / "events.csv"
     p.write_text("index,t_mm\n0,0.1\n1,0.9\n")
-    h = bin_positions(read_events_csv(p), BinningScheme(2, Origin.FROM_A, UNIT))
-    assert h.counts == (1, 1)
+    counts = bin_counts(read_events_csv(p).reshape(1, -1), BinningScheme(2, Origin.FROM_A, UNIT))
+    assert counts.tolist() == [[1, 1]]
 
 
 def test_spin_two_thirds_frequency():
