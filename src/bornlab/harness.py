@@ -157,6 +157,10 @@ class ExperimentConfig:
         for key, least in (("n_values", 1), ("seeds", 0), ("binning.bin_counts", 1),
                            ("binning.orientations", None), ("variants", None)):
             _check_entries(key, getattr(self, key.split(".")[-1]), least)
+        override = self.constant_override
+        if override is not None and not 0 < override < math.inf:  # NaN fails too
+            raise ConfigError(f"constant_override must be a finite number > 0, got {override!r}",
+                              key="constant_override")
 
 
 def _check_entries(key: str, values: Sequence, least) -> None:
@@ -300,9 +304,6 @@ def config_from_json_dict(obj: Mapping) -> ExperimentConfig:
     override = obj.get("constant_override")
     if override is not None:
         override = _value(override, "constant_override", 1.0)
-        if not override > 0:
-            raise ConfigError(f"constant_override must be a finite number > 0, got {override!r}",
-                              key="constant_override")
     return ExperimentConfig(
         geometry=_build(SlitGeometry, "geometry",
                         **{_GEOMETRY[name]: v for name, v in geometry.items()}),
@@ -581,15 +582,41 @@ _ORIGINS = {origin.value: origin for origin in Origin}
 _JSON_SPELLING = {"": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _field_texts(r: BoundReport) -> tuple[str, ...]:
+def _field_texts(r: BoundReport, spell=repr) -> tuple[str, ...]:
     """The CSV text of each field of ``r`` in column order (its JSON text too,
-    an origin's quoted), in one expression because it runs per row."""
+    an origin's quoted, when ``spell`` writes a float's JSON text), in one
+    expression because it runs per row."""
     v, s = r.verdicts, r.scheme
-    return (str(r.N), repr(r.sup_deviation), repr(r.rhs_lower_const), repr(r.rhs_upper_const),
-            repr(r.rhs_with_sqrtN_lower), repr(r.rhs_with_sqrtN_upper),
+    return (str(r.N), spell(r.sup_deviation), spell(r.rhs_lower_const),
+            spell(r.rhs_upper_const), spell(r.rhs_with_sqrtN_lower),
+            spell(r.rhs_with_sqrtN_upper),
             "true" if v.lower_const else "false", "true" if v.upper_const else "false",
             "true" if v.with_sqrtN_lower else "false", "true" if v.with_sqrtN_upper else "false",
-            str(s.bin_count), s.origin.value, repr(s.interval.lo), repr(s.interval.hi))
+            str(s.bin_count), s.origin.value, spell(s.interval.lo), spell(s.interval.hi))
+
+
+def _speller(fmt: str):
+    """The ``spell`` of one :func:`report_text` call: a float's ``repr``, which
+    JSON writes NaN, Infinity and -Infinity when it is nan, inf and -inf.  A
+    memo keeps each nonzero float's text, so ``repr`` runs once per distinct
+    value; zeros and values of other types are not looked up, since -0.0 ==
+    0.0 and 1 == 1.0 share a key."""
+    nonfinite = _JSON_SPELLING if fmt == "json" else {}
+    memo: dict[float, str] = {}
+
+    def text(x) -> str:
+        spelled = repr(x)
+        return nonfinite.get(spelled, spelled)
+
+    def spell(x) -> str:
+        if type(x) is not float or not x:
+            return text(x)
+        spelled = memo.get(x)
+        if spelled is None:
+            spelled = memo[x] = text(x)
+        return spelled
+
+    return spell
 
 
 def _text_value(text: str):
@@ -649,19 +676,19 @@ def report_text(report: ConvergenceReport, fmt: str) -> str:
     """The text :func:`emit_report` writes.  ``json``: the bytes of
     ``json.dumps(report.to_json_dict(), indent=2)`` and a newline, its rows
     filled in from the template (``indent`` runs json's Python encoder).
-    ``csv``: those of a ``csv.writer`` loop (no cell needs quotes)."""
+    ``csv``: those of a ``csv.writer`` loop (no cell needs quotes).  Each
+    distinct float is spelled once per call (:func:`_speller`)."""
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
+    spell = _speller(fmt)
     if fmt == "csv":
         lines = [",".join(["seed", *REPORT_CSV_COLUMNS])]
-        lines += [f"{'' if r.seed is None else r.seed},{','.join(_field_texts(r.report))}"
+        lines += [f"{'' if r.seed is None else r.seed},{','.join(_field_texts(r.report, spell))}"
                   for r in report.rows]
         return "\n".join(lines) + "\n"
-    if fmt != "json":
-        raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
     rows = ",\n".join([_JSON_ROW_TEMPLATE % ("null" if r.seed is None else r.seed,
-                                             *_field_texts(r.report)) for r in report.rows])
-    # after ": " only numbers, true, false and null stand unquoted
-    rows = rows.replace(": nan", ": NaN").replace(": inf", ": Infinity").replace(
-        ": -inf", ": -Infinity")
+                                             *_field_texts(r.report, spell))
+                       for r in report.rows])
     rows = f"[\n{rows}\n  ]" if rows else "[]"
     summary = json.dumps(report.summary, indent=2).replace("\n", "\n  ")
     return f'{{\n  "rows": {rows},\n  "summary": {summary}\n}}\n'

@@ -73,12 +73,23 @@ def sample_positions(d: DensityModel, iv: Interval, n: int, seed: int,
     return inverse_cdf_sample(d, iv, rng_from_seed(seed).random(n), cfg)
 
 
+_BIN_BLOCK = 16384  # events per pass of bin_counts
+
+
 def bin_counts(block: np.ndarray, scheme: BinningScheme) -> np.ndarray:
     """The rows x bins count matrix of a rows x N position block, in ascending
-    bin order whatever the scheme's origin: one ``searchsorted`` over the
-    block, then one ``bincount`` with each row offset by ``row * bins``.  Bins
-    are half-open, an event on an edge goes to the higher bin and the last bin
-    is closed.  ``OutOfInterval.indices`` are flat indices into the block."""
+    bin order whatever the scheme's origin.  Bins are half-open, an event on an
+    edge goes to the higher bin and the last bin is closed: the bin is
+    ``searchsorted(edges, x, side="right") - 1``, clipped to the bins.
+    ``OutOfInterval.indices`` are flat indices into the block.
+
+    Each event's bin is guessed by arithmetic, ``(x - lo) * bins / (hi - lo)``
+    truncated and clipped, and kept where ``edges[k] <= x < edges[k + 1]`` (or
+    ``k`` is the last bin and ``edges[k] <= x``): for ascending edges no other
+    bin passes that check, and ``searchsorted`` gives that bin.  The events that fail the check (rounding at an edge, a width too small or
+    too large for the arithmetic) are placed by ``searchsorted``.  The block is
+    binned ``_BIN_BLOCK`` events at a time, so the temporaries stay small, and
+    counted by one ``bincount`` with each row offset by ``row * bins``."""
     iv = scheme.interval
     bad = np.flatnonzero(~iv.contains(block))
     if bad.size:
@@ -86,9 +97,20 @@ def bin_counts(block: np.ndarray, scheme: BinningScheme) -> np.ndarray:
             f"{bad.size} event(s) outside [{iv.lo}, {iv.hi}]", indices=bad.tolist()
         )
     rows, bins = block.shape[0], scheme.bin_count
-    idx = np.clip(np.searchsorted(scheme.edges(), block, side="right") - 1, 0, bins - 1)
+    edges = scheme.edges()
+    upper = np.append(edges[1:-1], np.inf)  # each bin's upper edge; the last bin is closed
+    idx = np.empty(block.shape, dtype=np.intp)
+    flat, flat_idx = block.ravel(), idx.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a garbage guess fails the check
+        scale = np.float64(bins) / (np.float64(iv.hi) - iv.lo)
+        for start in range(0, flat.size, _BIN_BLOCK):
+            x, k = flat[start:start + _BIN_BLOCK], flat_idx[start:start + _BIN_BLOCK]
+            np.clip(((x - iv.lo) * scale).astype(np.intp), 0, bins - 1, out=k)
+            miss = np.flatnonzero((edges[k] > x) | (x >= upper[k]))
+            if miss.size:
+                k[miss] = np.clip(np.searchsorted(edges, x[miss], side="right") - 1, 0, bins - 1)
     idx += np.arange(0, rows * bins, bins)[:, None]
-    return np.bincount(idx.ravel(), minlength=rows * bins).reshape(rows, bins)
+    return np.bincount(flat_idx, minlength=rows * bins).reshape(rows, bins)
 
 
 def discrete_frequencies(amplitudes: Sequence, n: int, seed: int) -> list[tuple[int, float]]:

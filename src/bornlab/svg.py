@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 __all__ = ["line_chart_svg"]
+
+
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` escaped, as ``xml.sax.saxutils.escape``
+    writes it; that module is not imported because it loads ``urllib``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def line_chart_svg(xs, ys, title: str = "", width: int = 720, height: int = 400) -> str:
@@ -39,6 +43,6 @@ def line_chart_svg(xs, ys, title: str = "", width: int = 720, height: int = 400)
     ]
     if title:
         parts.append(f'<text x="{width / 2:.0f}" y="20" font-size="13" '
-                     f'text-anchor="middle">{escape(title)}</text>')
+                     f'text-anchor="middle">{_escape(title)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

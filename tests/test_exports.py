@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -16,3 +19,14 @@ def test_every_exported_name_resolves(name):
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
     exec(f"from {name} import *", {})
+
+
+def test_cli_import_loads_no_network_modules():
+    # xml.sax.saxutils loads urllib.request and http.client (and with them
+    # email and ssl), which every command would pay for at start-up
+    src = os.path.dirname(os.path.dirname(bornlab.__file__))
+    code = ("import sys, bornlab.cli; "
+            "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

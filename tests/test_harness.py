@@ -127,6 +127,12 @@ def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         replication_config(seeds=(3, 3))
     assert err.value.key == "seeds[1]"
+    # the dataclass owns the constant_override rule, so the Python API meets it too
+    for override in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="constant_override must be a finite number > 0") \
+                as err:
+            replication_config(n_values=(13,), constant_override=override)
+        assert err.value.key == "constant_override"
     # a key given twice in one object is named, not overwritten by the last
     path = tmp_path / "cfg.json"
     for text, key in [
@@ -570,6 +576,17 @@ def _csv_writer_text(report):
 @example([ReportRow(None, BoundReport(1, math.nan, math.inf, -math.inf, -0.0, 5e-324,
                                       Verdicts(False, True, False, True),
                                       BinningScheme(3, Origin.FROM_B, Interval(-0.0, 1e-300))))])
+# -0.0 == 0.0 with one hash: each keeps its own text
+@example([ReportRow(2, BoundReport(5, 0.0, -0.0, 0.0, -0.0, 0.0, Verdicts(True, True, True, True),
+                                   BinningScheme(2, Origin.FROM_A, Interval(-0.0, 0.25))))])
+# one nonzero float in several columns of several rows
+@example([ReportRow(seed, BoundReport(n, 0.1, 0.1, 0.2, 0.1, 0.1, Verdicts(True, False, True, True),
+                                      BinningScheme(10, origin, Interval(0.1, 0.2))))
+          for seed, n, origin in [(1, 10, Origin.FROM_A), (2, 10, Origin.FROM_B),
+                                  (1, 20, Origin.FROM_A)]])
+@example([ReportRow(7, BoundReport(3, math.nan, math.inf, -math.inf, math.nan, -math.inf,
+                                   Verdicts(False, False, False, False),
+                                   BinningScheme(4, Origin.FROM_A, Interval(-1.5, 1.5))))])
 def test_report_text_matches_json_dumps_and_csv_writer(rows):
     # the templates must write exactly what json.dumps(indent=2) and a
     # csv.writer loop write, NaN and Infinity spelled the json way, and both
@@ -584,6 +601,18 @@ def test_report_text_matches_json_dumps_and_csv_writer(rows):
             emit_report(report, fmt, path)
             assert path.read_text() == text[fmt]
             assert report_text(load_report(path), fmt) == text[fmt]
+
+
+def test_report_text_spells_equal_values_of_other_types_apart():
+    # 1 == 1.0 == True and np.float64(0.5) == 0.5 hash alike; a value that is
+    # not a float keeps its own repr beside an equal float in the same report
+    rows = [ReportRow(1, BoundReport(4, 1.0, 0.5, np.float64(0.5), 1.0, True,
+                                     Verdicts(True, True, True, True),
+                                     BinningScheme(2, Origin.FROM_A, Interval(-1, 1))))]
+    report = ConvergenceReport.from_rows(rows)
+    assert report_text(report, "csv") == _csv_writer_text(report)
+    assert report_text(report, "csv").splitlines()[1].split(",")[2:7] == [
+        "1.0", "0.5", "np.float64(0.5)", "1.0", "True"]
 
 
 @settings(max_examples=50, deadline=None)

@@ -453,6 +453,39 @@ def test_bin_endpoint_goes_to_last_bin():
     assert counts[0, 9] == 1
 
 
+def _searchsorted_counts(block, edges):
+    """The oracle of bin_counts: each row binned by searchsorted on the edges."""
+    bins = edges.size - 1
+    idx = np.clip(np.searchsorted(edges, block, side="right") - 1, 0, bins - 1)
+    return np.array([np.bincount(row, minlength=bins) for row in idx]).reshape(-1, bins)
+
+
+_BIN_INTERVALS = [(0.0, 1.0), (-3.7, 12.1), (1e15, 1e15 + 1), (5e-324, 1e-323),
+                  (-1e300, 1e300), (-1e-300, 1e-300)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_BIN_INTERVALS) | st.tuples(st.floats(-1e9, 1e9), st.floats(-1e9, 1e9))
+       .map(sorted).filter(lambda ends: ends[0] < ends[1]),
+       st.integers(1, 4097), st.integers(1, 3), st.integers(0, 300), st.integers(0, 2**32 - 1))
+@example((1e15, 1e15 + 1), 1000, 2, 300, 0)  # most edges collapse onto a few floats
+@example((5e-324, 1e-323), 7, 3, 50, 1)  # a subnormal width: the guess is garbage
+@example((0.0, 1.0), 4097, 3, 9000, 2)  # more than one pass, rows cut across passes
+def test_bin_counts_match_searchsorted(ends, bins, rows, n, seed):
+    # the arithmetic guess with its edge check must bin every event as
+    # searchsorted does: events on the edges, one ulp either side, lo and hi,
+    # and anywhere in the interval
+    iv = Interval(*ends)
+    edges = np.linspace(iv.lo, iv.hi, bins + 1)
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    near = near[iv.contains(near)]
+    rng = np.random.default_rng(seed)
+    anywhere = np.clip(iv.lo + rng.random((rows, n)) * (iv.hi - iv.lo), iv.lo, iv.hi)
+    block = np.where(rng.random((rows, n)) < 0.5, rng.choice(near, (rows, n)), anywhere)
+    got = bin_counts(block, BinningScheme(bins, Origin.FROM_B, iv))
+    assert np.array_equal(got, _searchsorted_counts(block, edges))
+
+
 def test_orientation_flip_reverses_counts():
     # bin_counts is in ascending bin order whatever the origin: from_b labels
     # the same physical bins from the other end, so its scheme-order counts
