@@ -6,7 +6,7 @@ class BornLabError(Exception):
 
 
 class InvalidInterval(BornLabError, ValueError):
-    """Interval endpoints are not finite or not strictly ordered."""
+    """Interval endpoints or width are not finite, or the ends not strictly ordered."""
 
 
 class NonConvergence(BornLabError):

@@ -12,13 +12,15 @@ row field's CSV column, JSON key path and type; every report writer and the
 strict reader :func:`load_report` follow it.
 
 One loop, ``_verify_blocks``, bins and judges every run with the block API: per
-(seeds, block) pair it bins the seeds x N positions (``bin_counts``), takes each
-seed's sup as a row maximum (``sup_deviations``; ``from_b`` reverses the columns)
-and reports it (``bound_reports``) against right-hand sides and edge CDFs read
-once per run (``literal_rhs``) and once per bin count.  Replication feeds it the
-sampled seed blocks of every N; a sweep is a replication at its N grid and first
-bin count, whose per-N medians are read from the report's rows; ``verify_events``
-feeds it one block of one row, whose seed is None.
+run of seeds it adds each segment's counts to running seeds x bins counts
+(``bin_counts``), takes each seed's sup as a row maximum (``sup_deviations``;
+``from_b`` reverses the columns) and reports it (``bound_reports``) against
+right-hand sides and edge CDFs read once per call (``literal_rhs``) and once per
+bin count.  Replication feeds it each seed's one sampled stream, segment by
+segment up to the largest N, so the row at a smaller N is a prefix; a sweep is
+a replication at its N grid and first bin count, whose per-N medians are read
+from the report's rows; ``verify_events`` feeds it one segment of one row,
+whose seed is None.
 """
 
 from __future__ import annotations
@@ -438,22 +440,27 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 # pipelines
 
-_BATCH_SAMPLE_LIMIT = 1_000_000
+_BATCH_SAMPLE_LIMIT = 1_000_000  # events in a chunk of seeds at the largest N
 
 
-def _seed_blocks(density, interval, n, seeds, cfg):
-    """Yield (seeds, block): each seed's draws as one row of a seeds x n block
-    of at most ``_BATCH_SAMPLE_LIMIT`` events (one seed at least), inverted by
-    one call.  ``_CdfTable.invert`` is elementwise and visits the whole block in
-    ascending u, whatever seed each draw came from, so batching changes no
-    result and buys fewer calls and one sorted visit.  Its temporaries hold one
-    ``_CdfTable._INVERT_BLOCK`` of draws, so the limit bounds only u, its sort
-    order and the positions: about 32 bytes per draw."""
-    chunk = max(1, _BATCH_SAMPLE_LIMIT // n)
+def _seed_blocks(density, interval, ns, seeds, cfg):
+    """Yield one run (seeds, segments) per chunk of at most
+    ``_BATCH_SAMPLE_LIMIT // max(ns)`` seeds (one at least).  Each seed's PCG64
+    stream is built once; per N of the ascending ``ns``, ``segments`` yields the
+    seeds x (N - previous N) block of its next draws, inverted by one call.  A
+    row's first N draws are ``sample_positions(..., N, seed)`` bit for bit: a
+    stream drawn in parts gives the doubles drawn at once, and the inversion is
+    elementwise.  Its temporaries hold one ``_CdfTable._INVERT_BLOCK``, so the
+    limit bounds a segment's u, sort order and positions: about 32 bytes per draw."""
+    def segments(streams):
+        for done, n in zip((0, *ns), ns):
+            yield inverse_cdf_sample(density, interval,
+                                     np.stack([r.random(n - done) for r in streams]), cfg)
+
+    chunk = max(1, _BATCH_SAMPLE_LIMIT // ns[-1])
     for start in range(0, len(seeds), chunk):
         block = seeds[start:start + chunk]
-        u = np.stack([rng_from_seed(s).random(n) for s in block])
-        yield block, inverse_cdf_sample(density, interval, u, cfg)
+        yield block, segments([rng_from_seed(s) for s in block])
 
 
 def experiment_density(cfg: ExperimentConfig):
@@ -475,38 +482,43 @@ def madelung_setup(cfg: ExperimentConfig):
     return m, make_field(m.grid, m.state, cfg), potential
 
 
-def _verify_blocks(cfg: ExperimentConfig, setup, blocks) -> ConvergenceReport:
-    """The one bin -> sup -> verdict loop: every (seeds, block) pair of
-    ``blocks``, a seeds x N position block whose row i was drawn with
-    ``seeds[i]``, under every configured (bins, orientation) pair.  The
-    right-hand sides are computed once and the CDF at the edges once per bin
-    count.  ``setup`` is the tuple returned by :func:`experiment_density`."""
+def _verify_blocks(cfg: ExperimentConfig, setup, runs) -> ConvergenceReport:
+    """The one bin -> sup -> verdict loop over every (seeds, segments) run of
+    ``runs``: each segment is a seeds x width position block whose row i
+    continues the events of ``seeds[i]``.  Per bin count a running count matrix
+    adds each segment's counts (integers, so exactly the prefix's counts), and
+    at the end of each segment every row is judged at N = its events so far
+    under every configured (bins, orientation) pair.  The right-hand sides are
+    computed once and the CDF at the edges once per bin count.  ``setup`` is
+    the tuple returned by :func:`experiment_density`."""
     density, interval, center, moment_iv = setup
     rhs = literal_rhs(density, moment_iv, center, cfg.quadrature, cfg.constant_override)
     ascending = [BinningScheme(bins, Origin.FROM_A, interval) for bins in cfg.bin_counts]
     theories = [cdf_at_points(density, interval, s.edges(), cfg.quadrature) for s in ascending]
     rows: list[ReportRow] = []
-    for seeds, block in blocks:
-        n = block.shape[1]
-        for scheme, theory in zip(ascending, theories):
-            counts = bin_counts(block, scheme)
-            for origin in cfg.orientations:
-                oriented = counts if origin is Origin.FROM_A else counts[:, ::-1]
-                sups = sup_deviations(oriented, n, theory, origin)
-                rows += map(ReportRow, seeds, bound_reports(
-                    sups, n, replace(scheme, origin=origin), rhs))
+    for seeds, segments in runs:
+        totals = [np.zeros((len(seeds), s.bin_count), dtype=np.intp) for s in ascending]
+        n = 0
+        for segment in segments:
+            n += segment.shape[1]
+            for scheme, theory, counts in zip(ascending, theories, totals):
+                counts += bin_counts(segment, scheme)
+                for origin in cfg.orientations:
+                    oriented = counts if origin is Origin.FROM_A else counts[:, ::-1]
+                    sups = sup_deviations(oriented, n, theory, origin)
+                    rows += map(ReportRow, seeds, bound_reports(
+                        sups, n, replace(scheme, origin=origin), rhs))
     return ConvergenceReport.from_rows(rows)
 
 
 def run_paper_replication(cfg: ExperimentConfig) -> ConvergenceReport:
     """sample -> bin -> verify over the configured (N, bins, orientation, seed)
-    grid.  A failing verdict is recorded, never raised."""
+    grid.  A failing verdict is recorded, never raised.  Each seed's stream is
+    drawn, inverted and binned once, and its row at N is the stream's first N."""
     setup = experiment_density(cfg)
     density, interval, _, _ = setup
-    seeds = sorted(cfg.seeds)
-    return _verify_blocks(cfg, setup, (
-        block for n in sorted(cfg.n_values)
-        for block in _seed_blocks(density, interval, n, seeds, cfg.quadrature)))
+    return _verify_blocks(cfg, setup, _seed_blocks(
+        density, interval, sorted(cfg.n_values), sorted(cfg.seeds), cfg.quadrature))
 
 
 def run_convergence_sweep(cfg: ExperimentConfig, n_grid: Sequence[int],
@@ -534,9 +546,9 @@ def run_convergence_sweep(cfg: ExperimentConfig, n_grid: Sequence[int],
 
 def verify_events(cfg: ExperimentConfig, positions: Sequence[float]) -> ConvergenceReport:
     """Run the verification stage alone on externally supplied event positions:
-    a block of one row, whose seed is None."""
+    a run of one row and one segment, whose seed is None."""
     block = np.asarray(positions, dtype=float).reshape(1, -1)
-    return _verify_blocks(cfg, experiment_density(cfg), [([None], block)])
+    return _verify_blocks(cfg, experiment_density(cfg), [([None], [block])])
 
 
 def ingest_events(path, interval: Interval) -> np.ndarray:

@@ -50,6 +50,8 @@ class Interval:
             raise InvalidInterval(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise InvalidInterval(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise InvalidInterval(f"interval width must be finite, got [{self.lo}, {self.hi}]")
 
     @property
     def width(self) -> float:

@@ -124,6 +124,11 @@ def test_bad_config_key_named_on_stderr(tmp_path, capsys):
             ({"quadrature": {"rel_tol": "1e-9"}}, "quadrature.rel_tol"),
             ({"interval": {"a_mm": "-1", "b_mm": False}}, "interval.a_mm"),
             ({"interval": {"a_mm": -1.0, "b_mm": False}}, "interval.b_mm"),
+            # finite ends whose width overflows: once exit 3, "refinement depth
+            # exhausted on [-1e+308, -inf]"
+            ({"interval": {"a_mm": -1e308, "b_mm": 1e308}}, "interval: interval width"),
+            ({"moment_interval": {"a_mm": -1e308, "b_mm": 1e308}},
+             "moment_interval: interval width"),
             ({"quadrature": {"abs_tol": nan}}, "quadrature.abs_tol"),
             ({"constant_override": nan}, "constant_override"),
             ({"constant_override": 0}, "constant_override"),

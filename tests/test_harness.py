@@ -50,7 +50,8 @@ from bornlab.harness import (
 )
 from bornlab.madelung import Grid, Potential
 from bornlab.quadrature import Interval
-from bornlab.sampler import bin_counts, sample_positions, write_events_csv
+from bornlab.sampler import (bin_counts, inverse_cdf_sample, rng_from_seed, sample_positions,
+                             write_events_csv)
 
 
 def small_config(**overrides):
@@ -364,10 +365,32 @@ def test_sweep_checks_explicit_seeds(seeds, key):
     assert err.value.key == key
 
 
+def _per_row_report(setup, cfg, rhs, scheme, positions):
+    # the BoundReport of one row, written out from np.histogram, a cumulative
+    # sum and the right-hand sides rhs of bound_rhs, with none of the block helpers
+    density, interval, _, _ = setup
+    n = positions.size
+    rhs_lo, rhs_hi = rhs
+    lo_n, hi_n = rhs_lo / math.sqrt(n), rhs_hi / math.sqrt(n)
+    scheme_edges = scheme.edges()
+    counts = np.histogram(positions, bins=scheme_edges)[0]
+    assert np.array_equal(bin_counts(positions.reshape(1, -1), scheme)[0], counts)
+    theory = cdf_at_points(density, interval, scheme_edges, cfg.quadrature)
+    if scheme.origin is Origin.FROM_A:
+        theory_at = theory[1:]
+    else:
+        counts, theory_at = counts[::-1], 1.0 - theory[-2::-1]
+    sup = float(np.abs(np.cumsum(counts) / n - theory_at).max())
+    return BoundReport(n, sup, rhs_lo, rhs_hi, lo_n, hi_n,
+                       Verdicts(sup <= rhs_lo, sup <= rhs_hi, sup <= lo_n, sup <= hi_n), scheme)
+
+
 def test_block_verify_matches_per_row():
-    # _verify_blocks bins, sups and judges a whole seeds x N block at once;
-    # every row's counts, sup, right-hand sides and verdicts must equal the
-    # per-row arithmetic written out here, from np.histogram and bound_rhs
+    # _verify_blocks bins, sups and judges a whole run of seeds at once, adding
+    # each segment's counts to running counts and judging every row at the end
+    # of each segment; every row's counts, sup, right-hand sides and verdicts
+    # must equal the per-row arithmetic of _per_row_report on the row's whole
+    # prefix, so the running counts meet a non-incremental oracle
     from bornlab.harness import _verify_blocks, experiment_density
 
     bin_sizes = (1, 3, 7, 20)
@@ -384,29 +407,28 @@ def test_block_verify_matches_per_row():
     block[2, :40] = block[2, 0]
     block[3] = block[4]
     seeds = [11, 3, 7, 5, 2, 9]  # not in order
-    rows = _verify_blocks(cfg, setup, [(seeds, block)]).rows
-    assert len(rows) == len(seeds) * len(bin_sizes) * 2
-    assert {(r.seed, r.report.scheme.bin_count, r.report.scheme.origin) for r in rows} == {
-        (s, b, o) for s in seeds for b in bin_sizes for o in Origin}
-    centered = recenter(density, center)
-    rhs_lo, rhs_hi = (bound_rhs(centered, moment_iv, v, cfg.quadrature, cfg.constant_override)
-                      for v in BoundConstantVariant)
-    lo_n, hi_n = rhs_lo / math.sqrt(60), rhs_hi / math.sqrt(60)
+    rhs = [bound_rhs(recenter(density, center), moment_iv, v, cfg.quadrature,
+                     cfg.constant_override) for v in BoundConstantVariant]
+    ends = (13, 30, 60)
+    segments = [block[:, a:b] for a, b in zip((0, *ends), ends)]
+    rows = _verify_blocks(cfg, setup, [(seeds, segments)]).rows
+    assert len(rows) == len(ends) * len(seeds) * len(bin_sizes) * 2
+    assert {(r.report.N, r.seed, r.report.scheme.bin_count, r.report.scheme.origin)
+            for r in rows} == {(n, s, b, o) for n in ends for s in seeds for b in bin_sizes
+                               for o in Origin}
     for row in rows:
         got = row.report
-        positions = block[seeds.index(row.seed)]
-        scheme_edges = got.scheme.edges()
-        counts = np.histogram(positions, bins=scheme_edges)[0]
-        assert np.array_equal(bin_counts(positions.reshape(1, -1), got.scheme)[0], counts)
-        theory = cdf_at_points(density, interval, scheme_edges, cfg.quadrature)
-        if got.scheme.origin is Origin.FROM_A:
-            theory_at = theory[1:]
-        else:
-            counts, theory_at = counts[::-1], 1.0 - theory[-2::-1]
-        sup = float(np.abs(np.cumsum(counts) / 60 - theory_at).max())
-        want = BoundReport(60, sup, rhs_lo, rhs_hi, lo_n, hi_n,
-                           Verdicts(sup <= rhs_lo, sup <= rhs_hi, sup <= lo_n, sup <= hi_n),
-                           got.scheme)
+        want = _per_row_report(setup, cfg, rhs, got.scheme, block[seeds.index(row.seed), :got.N])
+        assert got == want and _field_texts(got) == _field_texts(want)
+
+    # sampled streams: the row at each N is judged on sample_positions(N, seed)
+    cfg = replace(cfg, seeds=(4, 1, 6), n_values=(200, 13, 54))
+    rows = run_paper_replication(cfg).rows
+    assert len(rows) == 3 * 3 * len(bin_sizes) * 2
+    for row in rows:
+        got = row.report
+        positions = sample_positions(density, interval, got.N, row.seed, cfg.quadrature)
+        want = _per_row_report(setup, cfg, rhs, got.scheme, positions)
         assert got == want and _field_texts(got) == _field_texts(want)
 
 
@@ -430,7 +452,7 @@ def test_event_on_an_edge_goes_to_the_higher_bin(bins, lo, width):
     density = uniform_density(iv)
     setup = (density, iv, lo + width / 2, Interval(-width / 2, width / 2))
     report = _verify_blocks(replication_config(bin_counts=(bins,)), setup,
-                            [(list(range(bins + 1)), edges.reshape(-1, 1))])
+                            [(list(range(bins + 1)), [edges.reshape(-1, 1)])])
     theory = cdf_at_points(density, iv, edges)
     assert len(report.rows) == 2 * (bins + 1)
     for row in report.rows:
@@ -450,13 +472,77 @@ def test_batched_sampling_matches_sequential(monkeypatch):
     cfg = small_config()
     density, interval, _, _ = harness.experiment_density(cfg)
     monkeypatch.setattr(harness, "_BATCH_SAMPLE_LIMIT", 400)
-    blocks = list(harness._seed_blocks(density, interval, 200, [4, 9, 2], cfg.quadrature))
+    blocks = [(seeds, list(segments)) for seeds, segments in
+              harness._seed_blocks(density, interval, [200], [4, 9, 2], cfg.quadrature)]
     assert [seeds for seeds, _ in blocks] == [[4, 9], [2]]
-    for seeds, block in blocks:
+    for seeds, (block,) in blocks:
         assert block.shape == (len(seeds), 200)
         for seed, row in zip(seeds, block):
             solo = sample_positions(density, interval, 200, seed, cfg.quadrature)
             assert np.array_equal(row, solo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ns=st.lists(st.integers(1, 500), min_size=1, max_size=5, unique=True).map(sorted),
+       seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5, unique=True),
+       per_chunk=st.integers(0, 3))
+@example(ns=[1], seeds=[0], per_chunk=0)
+def test_seed_streams_are_drawn_once_and_read_as_prefixes(ns, seeds, per_chunk):
+    # each seed's stream is built once and drawn in segments up to the largest
+    # N; the concatenated segments of every row are sample_positions at each N
+    # bit for bit, however the seeds are chunked (a limit below the largest N
+    # still gives one seed per chunk)
+    from bornlab import harness
+
+    cfg = small_config()
+    density, interval, _, _ = harness.experiment_density(cfg)
+    built = []
+
+    def counted(seed):
+        built.append(seed)
+        return rng_from_seed(seed)
+
+    limit = max(1, per_chunk * ns[-1])
+    chunk = max(1, limit // ns[-1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_BATCH_SAMPLE_LIMIT", limit)
+        mp.setattr(harness, "rng_from_seed", counted)
+        runs = [(run, list(segments)) for run, segments in
+                harness._seed_blocks(density, interval, ns, seeds, cfg.quadrature)]
+    assert sorted(built) == sorted(seeds)  # one generator per seed
+    assert [run for run, _ in runs] == [seeds[i:i + chunk] for i in range(0, len(seeds), chunk)]
+    for run, segments in runs:
+        assert [s.shape for s in segments] == [(len(run), b - a) for a, b in zip((0, *ns), ns)]
+        stream = np.concatenate(segments, axis=1)
+        for i, seed in enumerate(run):
+            for n in ns:
+                want = sample_positions(density, interval, n, seed, cfg.quadrature)
+                assert np.array_equal(stream[i, :n], want)
+
+
+def test_replicate_inverts_and_bins_each_stream_once(tmp_path, monkeypatch):
+    # the golden config has N = 13, 101, 448 and 3 seeds: each stream is
+    # inverted and binned once, up to N = 448, which is 3 x 448 = 1,344 draws,
+    # not the 3 x 562 = 1,686 of a fresh prefix per N
+    from bornlab import harness
+
+    inverted, binned = [], {}
+
+    def invert(d, iv, u, cfg):
+        inverted.append(u.size)
+        return inverse_cdf_sample(d, iv, u, cfg)
+
+    def count(block, scheme):
+        binned[scheme.bin_count] = binned.get(scheme.bin_count, 0) + block.size
+        return bin_counts(block, scheme)
+
+    monkeypatch.setattr(harness, "inverse_cdf_sample", invert)
+    monkeypatch.setattr(harness, "bin_counts", count)
+    config = Path(__file__).parent / "data" / "golden_config.json"
+    assert cli.main(["replicate", "--config", str(config), "--out",
+                     str(tmp_path / "r.json")]) == 0
+    assert sum(inverted) == 3 * 448
+    assert binned == {10: 3 * 448, 20: 3 * 448}
 
 
 def test_ingest_events_round_trip(tmp_path):

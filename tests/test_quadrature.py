@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,12 @@ def test_interval_validation():
         Interval(2.0, -2.0)
     with pytest.raises(InvalidInterval):
         Interval(0.0, math.inf)
+    # finite ends whose width overflows a double: no bin edge, CDF or
+    # quadrature panel has a meaning there
+    for lo, hi in ((-1e308, 1e308), (-1e308, 9e307), (-sys.float_info.max, sys.float_info.max)):
+        with pytest.raises(InvalidInterval, match="width must be finite"):
+            Interval(lo, hi)
+    assert Interval(-8e307, 8e307).width == 1.6e308
     iv = Interval(-1.0, 3.0)
     assert iv.width == 4.0 and iv.midpoint == 1.0
     assert iv.contains(3.0) and not iv.contains(3.0001)
