@@ -18,8 +18,8 @@ combinations; nothing is silently "fixed" either way.
 The API works on blocks, one histogram being a 1 x bins block:
 :func:`sup_deviations` gives each count-matrix row's sup at the bin edges (exact
 up to within-bin mass), :func:`literal_rhs` a run's right-hand sides and
-:func:`bound_reports` each sup's report and verdicts.  ``BoundReport`` and
-``Verdicts`` are plain data: :mod:`harness` writes and reads them.
+:func:`bound_reports` each sup with the four right-hand sides and its verdicts,
+as a plain tuple that :mod:`harness` places in its report row.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ __all__ = [
     "BoundConstantVariant",
     "Origin",
     "BinningScheme",
-    "Verdicts",
-    "BoundReport",
     "sup_deviations",
     "raw_moments",
     "bound_rhs",
@@ -132,30 +130,6 @@ def bound_rhs(d: DensityModel, moment_iv: Interval,
     return variant.constant(constant_override) * ((rho_raw / mass) / (var_raw / mass) ** 1.5)
 
 
-@dataclass(frozen=True)
-class Verdicts:
-    """Pass/fail of the sup deviation against each right-hand-side variant."""
-
-    lower_const: bool
-    upper_const: bool
-    with_sqrtN_lower: bool
-    with_sqrtN_upper: bool
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One verification of the inequality for a single histogram."""
-
-    N: int
-    sup_deviation: float
-    rhs_lower_const: float
-    rhs_upper_const: float
-    rhs_with_sqrtN_lower: float
-    rhs_with_sqrtN_upper: float
-    verdicts: Verdicts
-    scheme: BinningScheme
-
-
 def literal_rhs(d: DensityModel, moment_iv: Interval, center: float,
                 cfg: QuadratureConfig, constant_override: float | None) -> tuple[float, float]:
     """:func:`bound_rhs` for both constants, of ``d`` recentered at ``center``
@@ -165,12 +139,12 @@ def literal_rhs(d: DensityModel, moment_iv: Interval, center: float,
         BoundConstantVariant.LOWER_BOUND_CONSTANT, BoundConstantVariant.PLUS_16_PERCENT))
 
 
-def bound_reports(sups: np.ndarray, n: int, scheme: BinningScheme,
-                  rhs: tuple[float, float]) -> list[BoundReport]:
-    """One report per sup-deviation, all at ``n`` events under ``scheme``."""
+def bound_reports(sups: np.ndarray, n: int, rhs: tuple[float, float]) -> list[tuple]:
+    """Per sup-deviation at ``n`` events, ``(sup, rhs_lo, rhs_hi, rhs_lo /
+    sqrt(n), rhs_hi / sqrt(n))`` and then the verdict ``sup <= rhs`` against
+    each of the four: a tie passes, a NaN sup fails."""
     rhs_lo, rhs_hi = rhs
     root_n = math.sqrt(n)
     lo_n, hi_n = rhs_lo / root_n, rhs_hi / root_n
-    return [BoundReport(n, sup, rhs_lo, rhs_hi, lo_n, hi_n,
-                        Verdicts(sup <= rhs_lo, sup <= rhs_hi, sup <= lo_n, sup <= hi_n), scheme)
-            for sup in sups.tolist()]
+    return [(sup, rhs_lo, rhs_hi, lo_n, hi_n,
+             sup <= rhs_lo, sup <= rhs_hi, sup <= lo_n, sup <= hi_n) for sup in sups.tolist()]

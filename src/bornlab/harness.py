@@ -8,8 +8,9 @@ The whole pipeline is a pure function of (config, seeds): sampling uses the
 fixed PCG64 streams, binning and verification are deterministic, and report
 rows are canonically sorted before serialization, so two runs with the same
 config produce byte-identical report files.  One table, ``_FIELDS``, gives each
-row field's CSV column, JSON key path and type; every report writer and the
-strict reader :func:`load_report` follow it.
+row field's CSV column, JSON key path and type; a report row is one flat named
+tuple, ``ReportRow``, of the seed and then those fields, and every report writer
+and the strict reader :func:`load_report` follow the table.
 
 One loop, ``_verify_blocks``, bins and judges every run with the block API: per
 run of seeds it adds each segment's counts to running seeds x bins counts
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Sequence
@@ -36,9 +38,7 @@ import numpy as np
 from .berry_esseen import (
     BinningScheme,
     BoundConstantVariant,
-    BoundReport,
     Origin,
-    Verdicts,
     bound_reports,
     literal_rhs,
     sup_deviations,
@@ -386,25 +386,16 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One verification keyed by (N, bins, orientation, seed); seed is None
-    for ingested (real) event data."""
-
-    seed: int | None
-    report: BoundReport
-
-
 def _sort_key(row: ReportRow):
-    r = row.report
-    return (r.N, r.scheme.bin_count, r.scheme.origin.value,
-            -1 if row.seed is None else row.seed)
+    return (row.N, row.bin_count, row.origin.value, -1 if row.seed is None else row.seed)
 
 
 def _summarize(rows: Sequence[ReportRow]) -> dict:
-    names = ("lower_const", "upper_const", "with_sqrtN_lower", "with_sqrtN_upper")
-    return {"rows": len(rows), **{f"pass_{name}": sum(getattr(r.report.verdicts, name)
-                                                      for r in rows) for name in names}}
+    """The row count, then ``pass_x`` counting the rows that pass each verdict
+    column ``verdict_x``."""
+    return {"rows": len(rows), **{f"pass_{column.removeprefix('verdict_')}":
+                                  sum(getattr(r, column) for r in rows)
+                                  for column, _, kind in _FIELDS if kind is bool}}
 
 
 @dataclass(frozen=True)
@@ -422,11 +413,11 @@ class ConvergenceReport:
         requested constant variants."""
         lower = BoundConstantVariant.LOWER_BOUND_CONSTANT in variants
         upper = BoundConstantVariant.PLUS_16_PERCENT in variants
-        return all((v.lower_const or not lower) and (v.upper_const or not upper)
-                   for v in (row.report.verdicts for row in self.rows))
+        return all((r.verdict_lower_const or not lower) and (r.verdict_upper_const or not upper)
+                   for r in self.rows)
 
     def to_json_dict(self) -> dict:
-        return {"rows": [_json_row([r.seed, *map(_text_value, _field_texts(r.report))])
+        return {"rows": [_json_row([r.seed, *map(_text_value, _field_texts(r))])
                          for r in self.rows], "summary": self.summary}
 
 
@@ -469,7 +460,7 @@ def experiment_density(cfg: ExperimentConfig):
     center = cfg.geometry.center_mu
     moment_iv = cfg.moment_interval
     if moment_iv is None:
-        moment_iv = Interval(interval.lo - center, interval.hi - center)
+        moment_iv = _build(Interval, "moment_interval", interval.lo - center, interval.hi - center)
     return density, interval, center, moment_iv
 
 
@@ -506,8 +497,9 @@ def _verify_blocks(cfg: ExperimentConfig, setup, runs) -> ConvergenceReport:
                 for origin in cfg.orientations:
                     oriented = counts if origin is Origin.FROM_A else counts[:, ::-1]
                     sups = sup_deviations(oriented, n, theory, origin)
-                    rows += map(ReportRow, seeds, bound_reports(
-                        sups, n, replace(scheme, origin=origin), rhs))
+                    rows += [ReportRow(seed, n, *r, scheme.bin_count, origin, interval.lo,
+                                       interval.hi)
+                             for seed, r in zip(seeds, bound_reports(sups, n, rhs))]
     return ConvergenceReport.from_rows(rows)
 
 
@@ -538,7 +530,7 @@ def run_convergence_sweep(cfg: ExperimentConfig, n_grid: Sequence[int],
     if seeds is not None:
         cfg = replace(cfg, seeds=tuple(seeds))
     report = run_paper_replication(replace(cfg, n_values=tuple(ns), bin_counts=cfg.bin_counts[:1]))
-    lead = [r.report for r in report.rows if r.report.scheme.origin is cfg.orientations[0]]
+    lead = [r for r in report.rows if r.origin is cfg.orientations[0]]
     medians = tuple((n, float(np.median([r.sup_deviation for r in lead if r.N == n]))) for n in ns)
     slope = float(np.polyfit(np.log(ns), np.log([m for _, m in medians]), 1)[0])
     return SweepResult(report, slope, medians)
@@ -570,7 +562,7 @@ def ingest_events(path, interval: Interval) -> np.ndarray:
 # report format
 
 # the fields of a report row in column order, each with its CSV column, its key
-# path in the row's JSON object and its type; a row is its seed, then these
+# path in the row's JSON object and its type; a ReportRow is its seed, then these
 _FIELDS = (
     ("N", "N", int),
     ("sup_deviation", "sup_deviation", float),
@@ -588,23 +580,23 @@ _FIELDS = (
     ("b_mm", "scheme.interval.b_mm", float),
 )
 REPORT_CSV_COLUMNS = [column for column, _, _ in _FIELDS]
+# one verification keyed by (N, bins, origin, seed); seed is None for ingested events
+ReportRow = namedtuple("ReportRow", ["seed", *REPORT_CSV_COLUMNS])
 _ORIGINS = {origin.value: origin for origin in Origin}
 # the JSON text of the values that a CSV cell spells as Python does: a seed of
 # None is empty, and repr writes the non-finite floats nan, inf and -inf
 _JSON_SPELLING = {"": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _field_texts(r: BoundReport, spell=repr) -> tuple[str, ...]:
-    """The CSV text of each field of ``r`` in column order (its JSON text too,
-    an origin's quoted, when ``spell`` writes a float's JSON text), in one
-    expression because it runs per row."""
-    v, s = r.verdicts, r.scheme
-    return (str(r.N), spell(r.sup_deviation), spell(r.rhs_lower_const),
-            spell(r.rhs_upper_const), spell(r.rhs_with_sqrtN_lower),
-            spell(r.rhs_with_sqrtN_upper),
-            "true" if v.lower_const else "false", "true" if v.upper_const else "false",
-            "true" if v.with_sqrtN_lower else "false", "true" if v.with_sqrtN_upper else "false",
-            str(s.bin_count), s.origin.value, spell(s.interval.lo), spell(s.interval.hi))
+def _field_texts(row: ReportRow, spell=repr) -> tuple[str, ...]:
+    """The CSV text of each field of ``row`` after its seed, in column order (its
+    JSON text too, an origin's quoted, when ``spell`` writes a float's JSON
+    text), unpacked and written in one expression because it runs per row."""
+    _, n, sup, lo, hi, lo_n, hi_n, v1, v2, v3, v4, bins, origin, a, b = row
+    return (str(n), spell(sup), spell(lo), spell(hi), spell(lo_n), spell(hi_n),
+            "true" if v1 else "false", "true" if v2 else "false",
+            "true" if v3 else "false", "true" if v4 else "false",
+            str(bins), origin.value, spell(a), spell(b))
 
 
 def _speller(fmt: str):
@@ -673,15 +665,17 @@ _JSON_ROW_TEMPLATE = _json_row_template()
 
 def _report_row(values: list, names: Sequence[str]) -> ReportRow:
     """The row of a seed (an integer or null) and field values in column order,
-    each a JSON value of its field's type; a ValueError names it in ``names``."""
+    each a JSON value of its field's type; a ValueError names it in ``names``.
+    Its binning scheme is built for the checks: at least one bin, finite
+    ends and ``a_mm < b_mm``."""
     for i, (kind, value) in enumerate(zip((int, *(kind for _, _, kind in _FIELDS)), values)):
         if kind is Origin and type(value) is str and value in _ORIGINS:
             values[i] = _ORIGINS[value]
         elif type(value) is not kind and (i or value is not None):
             raise ValueError(f"{names[i]}: expected {kind.__name__}, got {value!r}")
-    seed, n, sup, lo, hi, lo_n, hi_n, v1, v2, v3, v4, bins, origin, a, b = values
-    return ReportRow(seed, BoundReport(n, sup, lo, hi, lo_n, hi_n, Verdicts(v1, v2, v3, v4),
-                                       BinningScheme(bins, origin, Interval(a, b))))
+    row = ReportRow(*values)
+    BinningScheme(row.bin_count, row.origin, Interval(row.a_mm, row.b_mm))
+    return row
 
 
 def report_text(report: ConvergenceReport, fmt: str) -> str:
@@ -695,11 +689,11 @@ def report_text(report: ConvergenceReport, fmt: str) -> str:
     spell = _speller(fmt)
     if fmt == "csv":
         lines = [",".join(["seed", *REPORT_CSV_COLUMNS])]
-        lines += [f"{'' if r.seed is None else r.seed},{','.join(_field_texts(r.report, spell))}"
+        lines += [f"{'' if r.seed is None else r.seed},{','.join(_field_texts(r, spell))}"
                   for r in report.rows]
         return "\n".join(lines) + "\n"
     rows = ",\n".join([_JSON_ROW_TEMPLATE % ("null" if r.seed is None else r.seed,
-                                             *_field_texts(r.report, spell))
+                                             *_field_texts(r, spell))
                        for r in report.rows])
     rows = f"[\n{rows}\n  ]" if rows else "[]"
     summary = json.dumps(report.summary, indent=2).replace("\n", "\n  ")

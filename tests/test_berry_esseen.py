@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from bornlab.berry_esseen import (
     BinningScheme,
     BoundConstantVariant,
-    BoundReport,
     Origin,
     bound_reports,
     bound_rhs,
@@ -58,11 +58,13 @@ def block_sup(h, d):
 
 
 def block_report(h, d, constant_override=None):
-    """``bound_reports`` of one histogram, its right-hand sides from ``literal_rhs``
-    over the histogram interval centered at the density's center."""
+    """The report row of one histogram: ``bound_reports`` of its sup, the
+    right-hand sides from ``literal_rhs`` over the histogram interval centered
+    at the density's center."""
     iv, c = h.scheme.interval, d.center
     rhs = literal_rhs(d, Interval(iv.lo - c, iv.hi - c), c, DEFAULT_QUADRATURE, constant_override)
-    return bound_reports(np.array([block_sup(h, d)]), h.total_N, h.scheme, rhs)[0]
+    r = bound_reports(np.array([block_sup(h, d)]), h.total_N, rhs)[0]
+    return ReportRow(None, h.total_N, *r, h.scheme.bin_count, h.scheme.origin, iv.lo, iv.hi)
 
 
 def test_zolotarev_value():
@@ -241,8 +243,8 @@ def test_sup_deviation_matches_bruteforce_scan():
 def test_verify_proportional_counts_all_pass():
     h = make_hist([10] * 10)
     report = block_report(h, uniform_density(UNIT))
-    assert report.verdicts.lower_const and report.verdicts.upper_const
-    assert report.verdicts.with_sqrtN_lower and report.verdicts.with_sqrtN_upper
+    assert report.verdict_lower_const and report.verdict_upper_const
+    assert report.verdict_with_sqrtN_lower and report.verdict_with_sqrtN_upper
 
 
 def test_verify_adversarial_histogram_fails_literal_form():
@@ -252,8 +254,8 @@ def test_verify_adversarial_histogram_fails_literal_form():
     report = block_report(h, uniform_density(UNIT))
     assert report.sup_deviation >= 0.9 - 1e-12
     assert report.rhs_lower_const == pytest.approx(0.5322, abs=1e-3)
-    assert not report.verdicts.lower_const
-    assert not report.verdicts.upper_const
+    assert not report.verdict_lower_const
+    assert not report.verdict_upper_const
 
 
 def test_verdicts_match_definition():
@@ -262,21 +264,40 @@ def test_verdicts_match_definition():
     pos = sample_positions(d, d.support, 54, seed=3)
     h = histogram(pos, BinningScheme(12, Origin.FROM_B, d.support))
     r = block_report(h, d)
-    assert r.verdicts.lower_const == (r.sup_deviation <= r.rhs_lower_const)
-    assert r.verdicts.upper_const == (r.sup_deviation <= r.rhs_upper_const)
-    assert r.verdicts.with_sqrtN_lower == (r.sup_deviation <= r.rhs_with_sqrtN_lower)
-    assert r.verdicts.with_sqrtN_upper == (r.sup_deviation <= r.rhs_with_sqrtN_upper)
+    assert r.verdict_lower_const == (r.sup_deviation <= r.rhs_lower_const)
+    assert r.verdict_upper_const == (r.sup_deviation <= r.rhs_upper_const)
+    assert r.verdict_with_sqrtN_lower == (r.sup_deviation <= r.rhs_with_sqrtN_lower)
+    assert r.verdict_with_sqrtN_upper == (r.sup_deviation <= r.rhs_with_sqrtN_upper)
     assert r.rhs_with_sqrtN_lower == pytest.approx(r.rhs_lower_const / math.sqrt(54))
     assert 0.0 <= r.sup_deviation <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**12), st.tuples(*[st.floats(allow_nan=False)] * 2), st.data())
+def test_bound_reports_verdict_rule(n, rhs, data):
+    # each verdict is sup <= its right-hand side: a tie passes (-0.0 ties 0.0),
+    # a NaN sup fails; the 1/sqrt(N) right-hand sides are rhs / math.sqrt(n) to
+    # the bit, and every row carries its sup's bits
+    sides = (*rhs, *(x / math.sqrt(n) for x in rhs))
+    sups = data.draw(st.lists(st.floats() | st.sampled_from([math.nan, 0.0, -0.0, *sides]),
+                              min_size=1, max_size=8))
+    rows = bound_reports(np.array(sups), n, rhs)
+    assert len(rows) == len(sups)
+    for sup, row in zip(sups, rows):
+        assert struct.pack("<5d", *row[:5]) == struct.pack("<5d", sup, *sides)
+        assert row[5:] == tuple(sup <= side for side in sides)
+        assert all(type(verdict) is bool for verdict in row[5:])
+        assert not math.isnan(sup) or not any(row[5:])
+        assert all(verdict for side, verdict in zip(sides, row[5:]) if sup == side)
 
 
 def test_constant_override_forces_failure():
     # nearly proportional counts pass normally; a near-zero constant must fail
     # once any deviation at all is present
     h = make_hist([11, 10, 10, 10, 10, 10, 10, 10, 10, 9])
-    assert block_report(h, uniform_density(UNIT)).verdicts.lower_const
+    assert block_report(h, uniform_density(UNIT)).verdict_lower_const
     r = block_report(h, uniform_density(UNIT), constant_override=1e-9)
-    assert not r.verdicts.lower_const
+    assert not r.verdict_lower_const
 
 
 def test_histogram_validation():
@@ -308,7 +329,7 @@ def test_median_sup_scales_like_inverse_sqrt_n():
 
 def _report_round_trip(r, fmt, tmp_path):
     # a report row is written and read by harness; one row of one report
-    report = ConvergenceReport.from_rows([ReportRow(None, r)])
+    report = ConvergenceReport.from_rows([r])
     path = tmp_path / f"report.{fmt}"
     emit_report(report, fmt, path)
     return load_report(path)
@@ -320,7 +341,7 @@ def test_report_json_roundtrip(tmp_path):
     pos = sample_positions(d, d.support, 101, seed=9)
     h = histogram(pos, BinningScheme(10, Origin.FROM_A, d.support))
     r = block_report(h, d)
-    assert _report_round_trip(r, "json", tmp_path).rows[0].report == r
+    assert _report_round_trip(r, "json", tmp_path).rows[0] == r
 
 
 def test_report_csv_roundtrip(tmp_path):
@@ -330,7 +351,7 @@ def test_report_csv_roundtrip(tmp_path):
     h = histogram(pos, BinningScheme(10, Origin.FROM_B, d.support))
     r = block_report(h, d)
     back = _report_round_trip(r, "csv", tmp_path)
-    assert back.rows[0].report == r
+    assert back.rows[0] == r
     assert len(back.rows) == 1
 
 
@@ -340,7 +361,9 @@ def test_report_is_value_object():
     pos = sample_positions(d, d.support, 13, seed=1)
     h = histogram(pos, BinningScheme(10, Origin.FROM_A, d.support))
     assert block_report(h, d) == block_report(h, d)
-    assert isinstance(block_report(h, d), BoundReport)
+    # plain Python values, so a row equals its copy read back from a report
+    r = bound_reports(np.array([block_sup(h, d)]), 13, (0.5, 0.58))[0]
+    assert [type(value) for value in r] == [float] * 5 + [bool] * 4
 
 
 def test_raw_moments_match_mpmath():

@@ -113,6 +113,11 @@ def test_bad_config_key_named_on_stderr(tmp_path, capsys):
         ("madelung", {"madelung": {"potential": {"kind": "tabulated", "values": 3}}},
          "madelung.potential.values"),
     ]
+    # the default moment window, the interval shifted by mu, overflows: once
+    # "interval endpoints must be finite, got [-inf, -8e+307]" with no key
+    cases += [(command, {"interval": {"a_mm": -1e308, "b_mm": 0.0},
+                         "geometry": {"mu_mm": 8e307}}, "moment_interval: interval endpoints")
+              for command in ("bound", "moments", "replicate")]
     # values that were coerced or let through, and keys that were ignored: the
     # config is checked whole on load, so every subcommand rejects each one
     nan = float("nan")
@@ -197,7 +202,7 @@ def test_sample_then_verify_roundtrip(config_path, tmp_path):
                    "--out", str(report_path)])
     assert rc == 0
     report = load_report(report_path)
-    assert all(r.report.N == 101 for r in report.rows)
+    assert all(r.N == 101 for r in report.rows)
 
 
 def test_verify_rejects_foreign_events(config_path, tmp_path):

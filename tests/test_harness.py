@@ -17,9 +17,7 @@ from bornlab import cli
 from bornlab.berry_esseen import (
     BinningScheme,
     BoundConstantVariant,
-    BoundReport,
     Origin,
-    Verdicts,
     bound_rhs,
 )
 from bornlab.born_density import (SlitGeometry, cdf, cdf_at_points, double_slit_density,
@@ -274,10 +272,9 @@ def test_replication_row_grid_and_summary():
     assert len(report.rows) == 2 * 2 * 1 * 2  # N x seeds x bins x orientations
     assert report.summary["rows"] == len(report.rows)
     assert report.summary["pass_lower_const"] == sum(
-        r.report.verdicts.lower_const for r in report.rows
+        r.verdict_lower_const for r in report.rows
     )
-    keys = [(r.report.N, r.report.scheme.bin_count, r.report.scheme.origin.value, r.seed)
-            for r in report.rows]
+    keys = [(r.N, r.bin_count, r.origin.value, r.seed) for r in report.rows]
     assert keys == sorted(keys)
 
 
@@ -295,7 +292,7 @@ def test_single_bin_deviation_is_zero():
     cfg = replication_config(seeds=(3,), n_values=(1,), bin_counts=(1,))
     report = run_paper_replication(cfg)
     for row in report.rows:
-        assert row.report.sup_deviation == pytest.approx(0.0, abs=1e-12)
+        assert row.sup_deviation == pytest.approx(0.0, abs=1e-12)
 
 
 def test_two_bin_single_event_hand_value():
@@ -311,7 +308,7 @@ def test_two_bin_single_event_hand_value():
     theory = cdf(density, interval, float(edge))
     pos = sample_positions(density, interval, 1, 3)[0]
     expect = abs(1.0 - theory) if pos <= edge else abs(0.0 - theory)
-    assert row.report.sup_deviation == pytest.approx(expect, abs=1e-12)
+    assert row.sup_deviation == pytest.approx(expect, abs=1e-12)
 
 
 def test_sweep_requires_two_points_and_two_decades():
@@ -365,10 +362,12 @@ def test_sweep_checks_explicit_seeds(seeds, key):
     assert err.value.key == key
 
 
-def _per_row_report(setup, cfg, rhs, scheme, positions):
-    # the BoundReport of one row, written out from np.histogram, a cumulative
-    # sum and the right-hand sides rhs of bound_rhs, with none of the block helpers
+def _per_row_report(setup, cfg, rhs, row, positions):
+    # the ReportRow of row's seed, bins and origin, written out from np.histogram,
+    # a cumulative sum and the right-hand sides rhs of bound_rhs, with none of
+    # the block helpers
     density, interval, _, _ = setup
+    scheme = BinningScheme(row.bin_count, row.origin, interval)
     n = positions.size
     rhs_lo, rhs_hi = rhs
     lo_n, hi_n = rhs_lo / math.sqrt(n), rhs_hi / math.sqrt(n)
@@ -381,8 +380,9 @@ def _per_row_report(setup, cfg, rhs, scheme, positions):
     else:
         counts, theory_at = counts[::-1], 1.0 - theory[-2::-1]
     sup = float(np.abs(np.cumsum(counts) / n - theory_at).max())
-    return BoundReport(n, sup, rhs_lo, rhs_hi, lo_n, hi_n,
-                       Verdicts(sup <= rhs_lo, sup <= rhs_hi, sup <= lo_n, sup <= hi_n), scheme)
+    return ReportRow(row.seed, n, sup, rhs_lo, rhs_hi, lo_n, hi_n, sup <= rhs_lo, sup <= rhs_hi,
+                     sup <= lo_n, sup <= hi_n, scheme.bin_count, scheme.origin, interval.lo,
+                     interval.hi)
 
 
 def test_block_verify_matches_per_row():
@@ -413,22 +413,19 @@ def test_block_verify_matches_per_row():
     segments = [block[:, a:b] for a, b in zip((0, *ends), ends)]
     rows = _verify_blocks(cfg, setup, [(seeds, segments)]).rows
     assert len(rows) == len(ends) * len(seeds) * len(bin_sizes) * 2
-    assert {(r.report.N, r.seed, r.report.scheme.bin_count, r.report.scheme.origin)
-            for r in rows} == {(n, s, b, o) for n in ends for s in seeds for b in bin_sizes
-                               for o in Origin}
-    for row in rows:
-        got = row.report
-        want = _per_row_report(setup, cfg, rhs, got.scheme, block[seeds.index(row.seed), :got.N])
+    assert {(r.N, r.seed, r.bin_count, r.origin) for r in rows} == {
+        (n, s, b, o) for n in ends for s in seeds for b in bin_sizes for o in Origin}
+    for got in rows:
+        want = _per_row_report(setup, cfg, rhs, got, block[seeds.index(got.seed), :got.N])
         assert got == want and _field_texts(got) == _field_texts(want)
 
     # sampled streams: the row at each N is judged on sample_positions(N, seed)
     cfg = replace(cfg, seeds=(4, 1, 6), n_values=(200, 13, 54))
     rows = run_paper_replication(cfg).rows
     assert len(rows) == 3 * 3 * len(bin_sizes) * 2
-    for row in rows:
-        got = row.report
-        positions = sample_positions(density, interval, got.N, row.seed, cfg.quadrature)
-        want = _per_row_report(setup, cfg, rhs, got.scheme, positions)
+    for got in rows:
+        positions = sample_positions(density, interval, got.N, got.seed, cfg.quadrature)
+        want = _per_row_report(setup, cfg, rhs, got, positions)
         assert got == want and _field_texts(got) == _field_texts(want)
 
 
@@ -456,11 +453,11 @@ def test_event_on_an_edge_goes_to_the_higher_bin(bins, lo, width):
     theory = cdf_at_points(density, iv, edges)
     assert len(report.rows) == 2 * (bins + 1)
     for row in report.rows:
-        if row.report.scheme.origin is Origin.FROM_A:
+        if row.origin is Origin.FROM_A:
             counts, theory_at = want[row.seed], theory[1:]
         else:
             counts, theory_at = want[row.seed, ::-1], 1.0 - theory[-2::-1]
-        assert row.report.sup_deviation == float(np.abs(np.cumsum(counts) - theory_at).max())
+        assert row.sup_deviation == float(np.abs(np.cumsum(counts) - theory_at).max())
 
 
 def test_batched_sampling_matches_sequential(monkeypatch):
@@ -597,7 +594,7 @@ def test_verify_events_rows(tmp_path):
     report = verify_events(cfg, positions)
     assert len(report.rows) == 2  # one bin count, two orientations
     assert all(r.seed is None for r in report.rows)
-    assert all(r.report.N == 101 for r in report.rows)
+    assert all(r.N == 101 for r in report.rows)
 
 
 def test_emit_and_load_json_round_trip(tmp_path):
@@ -633,16 +630,17 @@ _ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072
                1.7976931348623157e308, 1e-5, 1e16]
 _REPORT_FLOAT = st.floats() | st.sampled_from(_ODD_FLOATS)
 _REPORT_ROW = st.builds(
-    lambda seed, n, floats, verdicts, bins, origin, ends: ReportRow(seed, BoundReport(
-        n, *floats, Verdicts(*verdicts), BinningScheme(bins, origin, Interval(*ends)))),
+    lambda seed, n, floats, verdicts, bins, origin, ends: ReportRow(
+        seed, n, *floats, *verdicts, bins, origin, *ends),
     st.none() | st.integers(0, 2**64 - 1),
     st.integers(1, 10**12),
     st.tuples(*[_REPORT_FLOAT] * 5),
     st.tuples(*[st.booleans()] * 4),
     st.integers(1, 10**6),
     st.sampled_from(Origin),
+    # the ends of an Interval, which load_report builds to check them
     st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2).map(sorted).filter(
-        lambda ends: ends[0] < ends[1]),
+        lambda ends: ends[0] < ends[1] and math.isfinite(ends[1] - ends[0])),
 )
 
 
@@ -652,27 +650,25 @@ def _csv_writer_text(report):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["seed", *REPORT_CSV_COLUMNS])
     for row in report.rows:
-        writer.writerow(["" if row.seed is None else str(row.seed), *_field_texts(row.report)])
+        writer.writerow(["" if row.seed is None else str(row.seed), *_field_texts(row)])
     return buf.getvalue()
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_REPORT_ROW, max_size=5))
 @example([])
-@example([ReportRow(None, BoundReport(1, math.nan, math.inf, -math.inf, -0.0, 5e-324,
-                                      Verdicts(False, True, False, True),
-                                      BinningScheme(3, Origin.FROM_B, Interval(-0.0, 1e-300))))])
+@example([ReportRow(None, 1, math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                    False, True, False, True, 3, Origin.FROM_B, -0.0, 1e-300)])
 # -0.0 == 0.0 with one hash: each keeps its own text
-@example([ReportRow(2, BoundReport(5, 0.0, -0.0, 0.0, -0.0, 0.0, Verdicts(True, True, True, True),
-                                   BinningScheme(2, Origin.FROM_A, Interval(-0.0, 0.25))))])
+@example([ReportRow(2, 5, 0.0, -0.0, 0.0, -0.0, 0.0, True, True, True, True,
+                    2, Origin.FROM_A, -0.0, 0.25)])
 # one nonzero float in several columns of several rows
-@example([ReportRow(seed, BoundReport(n, 0.1, 0.1, 0.2, 0.1, 0.1, Verdicts(True, False, True, True),
-                                      BinningScheme(10, origin, Interval(0.1, 0.2))))
+@example([ReportRow(seed, n, 0.1, 0.1, 0.2, 0.1, 0.1, True, False, True, True,
+                    10, origin, 0.1, 0.2)
           for seed, n, origin in [(1, 10, Origin.FROM_A), (2, 10, Origin.FROM_B),
                                   (1, 20, Origin.FROM_A)]])
-@example([ReportRow(7, BoundReport(3, math.nan, math.inf, -math.inf, math.nan, -math.inf,
-                                   Verdicts(False, False, False, False),
-                                   BinningScheme(4, Origin.FROM_A, Interval(-1.5, 1.5))))])
+@example([ReportRow(7, 3, math.nan, math.inf, -math.inf, math.nan, -math.inf,
+                    False, False, False, False, 4, Origin.FROM_A, -1.5, 1.5)])
 def test_report_text_matches_json_dumps_and_csv_writer(rows):
     # the templates must write exactly what json.dumps(indent=2) and a
     # csv.writer loop write, NaN and Infinity spelled the json way, and both
@@ -692,9 +688,8 @@ def test_report_text_matches_json_dumps_and_csv_writer(rows):
 def test_report_text_spells_equal_values_of_other_types_apart():
     # 1 == 1.0 == True and np.float64(0.5) == 0.5 hash alike; a value that is
     # not a float keeps its own repr beside an equal float in the same report
-    rows = [ReportRow(1, BoundReport(4, 1.0, 0.5, np.float64(0.5), 1.0, True,
-                                     Verdicts(True, True, True, True),
-                                     BinningScheme(2, Origin.FROM_A, Interval(-1, 1))))]
+    rows = [ReportRow(1, 4, 1.0, 0.5, np.float64(0.5), 1.0, True, True, True, True, True,
+                      2, Origin.FROM_A, -1, 1)]
     report = ConvergenceReport.from_rows(rows)
     assert report_text(report, "csv") == _csv_writer_text(report)
     assert report_text(report, "csv").splitlines()[1].split(",")[2:7] == [
@@ -763,6 +758,19 @@ _BAD_REPORTS = {
     "json_repeated_summary_key": (
         "json", lambda t: t.replace('"rows": 2', '"rows": 2, "rows": 2'),
         None, ": repeated key: summary.rows"),
+    # load_report builds each row's BinningScheme and Interval for these checks
+    "json_zero_bins": (
+        "json", lambda t: t.replace('"bin_count": 10', '"bin_count": 0', 1),
+        None, "rows[0]: bin_count must be >= 1, got 0"),
+    "json_swapped_ends": (
+        "json", lambda t: t.replace('"a_mm": -1.0', '"a_mm": 1.0', 1).replace(
+            '"b_mm": 1.0', '"b_mm": -1.0', 1), None, "rows[0]: interval requires lo < hi"),
+    "json_nan_end": (
+        "json", lambda t: t.replace('"a_mm": -1.0', '"a_mm": NaN', 1),
+        None, "rows[0]: interval endpoints must be finite"),
+    "csv_zero_bins": (
+        "csv", lambda t: _edit_cells(t, 2, lambda c: c[:11] + ["0"] + c[12:]), 2,
+        "bin_count must be >= 1, got 0"),
     "csv_bool_spelled_python": (
         "csv", lambda t: _edit_cells(t, 2, lambda c: c[:7] + ["True"] + c[8:]),
         2, "verdict_lower_const: "),
@@ -789,10 +797,8 @@ def test_load_report_names_row_and_column(tmp_path, case):
     # every one of these loaded (a string "false" as True, 13.9 as 13, a CSV
     # True as False) or failed without a line before the strict parser
     fmt, edit, line, words = _BAD_REPORTS[case]
-    rows = [ReportRow(seed, BoundReport(13, 0.25, 0.5, 0.58, 0.125, 0.145,
-                                        Verdicts(True, True, False, False),
-                                        BinningScheme(10, Origin.FROM_A, Interval(-1.0, 1.0))))
-            for seed in (1, 2)]
+    rows = [ReportRow(seed, 13, 0.25, 0.5, 0.58, 0.125, 0.145, True, True, False, False,
+                      10, Origin.FROM_A, -1.0, 1.0) for seed in (1, 2)]
     good = report_text(ConvergenceReport.from_rows(rows), fmt)
     path = tmp_path / f"report.{fmt}"
     path.write_text(good)
@@ -831,13 +837,12 @@ def test_report_unchanged_when_i0_scales_by_a_power_of_two():
 def test_report_floats_scale_free_in_i0(i0):
     base, scaled_rows = _replication_at(1.0).rows, _replication_at(i0).rows
     assert len(scaled_rows) == len(base)
+    floats = ("sup_deviation", "rhs_lower_const", "rhs_upper_const",
+              "rhs_with_sqrtN_lower", "rhs_with_sqrtN_upper")
     for a, b in zip(base, scaled_rows):
-        assert (a.seed, a.report.N, a.report.verdicts, a.report.scheme) == (
-            b.seed, b.report.N, b.report.verdicts, b.report.scheme)
-        for name in ("sup_deviation", "rhs_lower_const", "rhs_upper_const",
-                     "rhs_with_sqrtN_lower", "rhs_with_sqrtN_upper"):
-            assert getattr(b.report, name) == pytest.approx(getattr(a.report, name), rel=1e-12,
-                                                            abs=0.0)
+        assert a._replace(**dict.fromkeys(floats)) == b._replace(**dict.fromkeys(floats))
+        for name in floats:
+            assert getattr(b, name) == pytest.approx(getattr(a, name), rel=1e-12, abs=0.0)
 
 
 def test_emit_rejects_unknown_format(tmp_path):
@@ -866,10 +871,10 @@ def test_summary_matches_recount():
     report = run_paper_replication(small_config())
     recount = {
         "rows": len(report.rows),
-        "pass_lower_const": sum(r.report.verdicts.lower_const for r in report.rows),
-        "pass_upper_const": sum(r.report.verdicts.upper_const for r in report.rows),
-        "pass_with_sqrtN_lower": sum(r.report.verdicts.with_sqrtN_lower for r in report.rows),
-        "pass_with_sqrtN_upper": sum(r.report.verdicts.with_sqrtN_upper for r in report.rows),
+        "pass_lower_const": sum(r.verdict_lower_const for r in report.rows),
+        "pass_upper_const": sum(r.verdict_upper_const for r in report.rows),
+        "pass_with_sqrtN_lower": sum(r.verdict_with_sqrtN_lower for r in report.rows),
+        "pass_with_sqrtN_upper": sum(r.verdict_with_sqrtN_upper for r in report.rows),
     }
     assert report.summary == recount
 
@@ -878,10 +883,10 @@ def test_constant_override_propagates():
     cfg = small_config(constant_override=1e-3)
     report = run_paper_replication(cfg)
     assert not report.all_literal_pass(cfg.variants)
-    assert all(r.report.rhs_lower_const == pytest.approx(1e-3 * r.report.rhs_lower_const / 1e-3)
+    assert all(r.rhs_lower_const == pytest.approx(1e-3 * r.rhs_lower_const / 1e-3)
                for r in report.rows)
-    assert report.rows[0].report.rhs_upper_const == pytest.approx(
-        1.16 * report.rows[0].report.rhs_lower_const
+    assert report.rows[0].rhs_upper_const == pytest.approx(
+        1.16 * report.rows[0].rhs_lower_const
     )
 
 
@@ -892,6 +897,6 @@ def test_moment_interval_override():
     wide = small_config()
     r_narrow = run_paper_replication(narrow)
     r_wide = run_paper_replication(wide)
-    assert r_narrow.rows[0].report.rhs_lower_const != pytest.approx(
-        r_wide.rows[0].report.rhs_lower_const
+    assert r_narrow.rows[0].rhs_lower_const != pytest.approx(
+        r_wide.rows[0].rhs_lower_const
     )
