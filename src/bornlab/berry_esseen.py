@@ -33,7 +33,7 @@ import numpy as np
 from . import born_density
 from .born_density import DensityModel
 from .errors import EmptyHistogram, ZeroVariance
-from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig, central_moment
+from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig, integrate_with_breakpoints
 
 __all__ = [
     "zolotarev_constant",
@@ -105,9 +105,11 @@ def raw_moments(d: DensityModel, moment_iv: Interval,
     second moment is numerically zero."""
     def compute():
         mass = born_density.total_mass(d, moment_iv, cfg)
-        var_raw = central_moment(d, 2, absolute=False, iv=moment_iv, cfg=cfg)
-        rho_raw = central_moment(d, 3, absolute=True, iv=moment_iv, cfg=cfg)
-        if not var_raw > max(cfg.abs_tol, 0.0):
+        pts = d.subdivision_points(moment_iv)
+        var_raw = integrate_with_breakpoints(lambda t: t**2 * d.evaluate(t), moment_iv, pts, cfg)
+        rho_raw = integrate_with_breakpoints(  # |t|^3 has a kink at the origin
+            lambda t: np.abs(t) ** 3 * d.evaluate(t), moment_iv, (*pts, 0.0), cfg)
+        if not var_raw > cfg.abs_tol:
             raise ZeroVariance(f"second moment over [{moment_iv.lo}, {moment_iv.hi}] is {var_raw}")
         return mass, var_raw, rho_raw
 

@@ -418,7 +418,7 @@ def total_mass(d: DensityModel, iv: Interval | None = None,
     mass = d.exact_mass(iv)
     if mass is None:
         mass = integrate_with_breakpoints(d.evaluate, iv, d.subdivision_points(iv), cfg)
-    if not mass > max(cfg.abs_tol, 0.0):
+    if not mass > cfg.abs_tol:
         raise ZeroMass(f"density mass over [{iv.lo}, {iv.hi}] is {mass}")
     return mass
 

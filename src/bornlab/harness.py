@@ -45,7 +45,7 @@ from .berry_esseen import (
 )
 from .born_density import (SlitGeometry, _read_csv, cdf_at_points, default_support,
                            double_slit_density)
-from .errors import ConfigError, OutOfInterval, ParseError, SlopeUndefined
+from .errors import ConfigError, InvalidInterval, OutOfInterval, ParseError, SlopeUndefined
 from .madelung import (Grid, Potential, PotentialKind, gaussian_packet, harmonic_ground_state,
                        plane_wave, screen_state_from_density)
 from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig
@@ -163,6 +163,21 @@ class ExperimentConfig:
         if override is not None and not 0 < override < math.inf:  # NaN fails too
             raise ConfigError(f"constant_override must be a finite number > 0, got {override!r}",
                               key="constant_override")
+        g, mu, m = self.geometry, self.geometry.center_mu, self.moment_interval
+        _check_reach(g, "geometry.L_mm", (mu,))
+        if self.interval is not None:
+            _check_reach(g, "interval", (self.interval.lo, self.interval.hi))
+        if m is not None:  # centered: the density sees t + mu
+            _check_reach(g, "moment_interval", (m.lo + mu, m.hi + mu))
+
+
+def _check_reach(g: SlitGeometry, key: str, ends: Sequence[float]) -> None:
+    """Raise a ConfigError naming ``key`` unless the double-slit density's
+    ``sqrt(L**2 + (t - mu)**2)`` has a finite argument at the window's ``ends``."""
+    for t in ends:
+        delta = t - g.center_mu
+        if not math.isfinite(g.screen_distance_L * g.screen_distance_L + delta * delta):
+            raise ConfigError(f"{key}: L_mm**2 + (t - mu_mm)**2 overflows at t = {t}", key=key)
 
 
 def _check_entries(key: str, values: Sequence, least) -> None:
@@ -267,6 +282,14 @@ def _interval(value, key: str) -> Interval | None:
                                    for end in ("a_mm", "b_mm")))
 
 
+def _quadrature(value) -> QuadratureConfig:
+    entries = _entries(value, "quadrature", asdict(DEFAULT_QUADRATURE))
+    try:
+        return QuadratureConfig(**entries)
+    except ValueError as exc:  # its message starts with the entry's name
+        raise ConfigError(f"quadrature.{exc}", key=f"quadrature.{str(exc).split()[0]}") from exc
+
+
 def _madelung(value) -> MadelungConfig:
     section = _section(value, "madelung", ("preset", "grid", "state", "potential", "trajectories"))
     preset = section.get("preset", MadelungConfig.preset)
@@ -311,8 +334,7 @@ def config_from_json_dict(obj: Mapping) -> ExperimentConfig:
                         **{_GEOMETRY[name]: v for name, v in geometry.items()}),
         interval=_interval(obj.get("interval"), "interval"),
         moment_interval=_interval(obj.get("moment_interval"), "moment_interval"),
-        quadrature=_build(QuadratureConfig, "quadrature", **_entries(
-            obj.get("quadrature", {}), "quadrature", asdict(DEFAULT_QUADRATURE))),
+        quadrature=_quadrature(obj.get("quadrature", {})),
         constant_override=override,
         madelung=None if obj.get("madelung") is None else _madelung(obj["madelung"]),
         **top, **binning,
@@ -456,11 +478,13 @@ def _seed_blocks(density, interval, ns, seeds, cfg):
 
 def experiment_density(cfg: ExperimentConfig):
     interval = cfg.interval if cfg.interval is not None else default_support(cfg.geometry)
+    # a config's own interval passed this check at load; the default support is the geometry's
+    _check_reach(cfg.geometry, "geometry.L_mm", (interval.lo, interval.hi))
     density = double_slit_density(cfg.geometry, support=interval)
     center = cfg.geometry.center_mu
     moment_iv = cfg.moment_interval
     if moment_iv is None:
-        moment_iv = _build(Interval, "moment_interval", interval.lo - center, interval.hi - center)
+        moment_iv = Interval(interval.lo - center, interval.hi - center)
     return density, interval, center, moment_iv
 
 
@@ -667,14 +691,19 @@ def _report_row(values: list, names: Sequence[str]) -> ReportRow:
     """The row of a seed (an integer or null) and field values in column order,
     each a JSON value of its field's type; a ValueError names it in ``names``.
     Its binning scheme is built for the checks: at least one bin, finite
-    ends and ``a_mm < b_mm``."""
+    ends and ``a_mm < b_mm``, a failure naming the bin count or both ends."""
     for i, (kind, value) in enumerate(zip((int, *(kind for _, _, kind in _FIELDS)), values)):
         if kind is Origin and type(value) is str and value in _ORIGINS:
             values[i] = _ORIGINS[value]
         elif type(value) is not kind and (i or value is not None):
             raise ValueError(f"{names[i]}: expected {kind.__name__}, got {value!r}")
     row = ReportRow(*values)
-    BinningScheme(row.bin_count, row.origin, Interval(row.a_mm, row.b_mm))
+    try:
+        BinningScheme(row.bin_count, row.origin, Interval(row.a_mm, row.b_mm))
+    except ValueError as exc:
+        key = dict(zip(ReportRow._fields, names))
+        at = ("a_mm", "b_mm") if isinstance(exc, InvalidInterval) else ("bin_count",)
+        raise ValueError(f"{', '.join(key[field] for field in at)}: {exc}") from None
     return row
 
 

@@ -24,12 +24,11 @@ from bornlab.born_density import (
     double_slit_density,
     recenter,
     scaled,
-    total_mass,
     uniform_density,
 )
 from bornlab.errors import EmptyHistogram
 from bornlab.harness import ConvergenceReport, ReportRow, emit_report, load_report
-from bornlab.quadrature import DEFAULT_QUADRATURE, Interval, central_moment
+from bornlab.quadrature import DEFAULT_QUADRATURE, Interval, integrate_with_breakpoints
 from bornlab.sampler import bin_counts, sample_positions
 from reference import EmpiricalHistogram, empirical_cdf
 
@@ -101,13 +100,20 @@ def test_bound_rhs_scale_cancels():
 
 
 def test_bound_rhs_equals_normalized_moment_form():
-    # dual path: compute C * rho / sigma^3 from independently normalized moments
+    # dual path: compute C * rho / sigma^3 from independently normalized
+    # moments, each integrated here rather than through raw_moments
     g = SlitGeometry()
     d = recenter(double_slit_density(g), g.center_mu)
     miv = Interval(d.support.lo, d.support.hi)
-    mass = total_mass(d, miv)
-    rho = central_moment(d, 3, absolute=True, iv=miv) / mass
-    sigma = math.sqrt(central_moment(d, 2, absolute=False, iv=miv) / mass)
+    points = d.subdivision_points(miv)
+
+    def moment(weight, extra=()):
+        return integrate_with_breakpoints(lambda t: weight(t) * d.evaluate(t), miv,
+                                          (*points, *extra))
+
+    mass = moment(np.ones_like)
+    rho = moment(lambda t: np.abs(t) ** 3, extra=(0.0,)) / mass
+    sigma = math.sqrt(moment(np.square) / mass)
     expect = zolotarev_constant() * rho / sigma**3
     got = bound_rhs(d, miv, BoundConstantVariant.LOWER_BOUND_CONSTANT)
     assert got == pytest.approx(expect, rel=1e-12)

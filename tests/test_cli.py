@@ -114,9 +114,10 @@ def test_bad_config_key_named_on_stderr(tmp_path, capsys):
          "madelung.potential.values"),
     ]
     # the default moment window, the interval shifted by mu, overflows: once
-    # "interval endpoints must be finite, got [-inf, -8e+307]" with no key
+    # "interval endpoints must be finite, got [-inf, -8e+307]" with no key.
+    # The interval's own end is that far from mu, which the load rejects first
     cases += [(command, {"interval": {"a_mm": -1e308, "b_mm": 0.0},
-                         "geometry": {"mu_mm": 8e307}}, "moment_interval: interval endpoints")
+                         "geometry": {"mu_mm": 8e307}}, "interval: L_mm**2 + (t - mu_mm)**2")
               for command in ("bound", "moments", "replicate")]
     # values that were coerced or let through, and keys that were ignored: the
     # config is checked whole on load, so every subcommand rejects each one
@@ -135,6 +136,18 @@ def test_bad_config_key_named_on_stderr(tmp_path, capsys):
             ({"moment_interval": {"a_mm": -1e308, "b_mm": 1e308}},
              "moment_interval: interval width"),
             ({"quadrature": {"abs_tol": nan}}, "quadrature.abs_tol"),
+            ({"quadrature": {"abs_tol": -1e-12}}, "quadrature.abs_tol"),
+            ({"quadrature": {"rel_tol": 0}}, "quadrature.rel_tol"),
+            # once a RecursionError traceback, exit 1
+            ({"quadrature": {"max_refinement_depth": 201}}, "quadrature.max_refinement_depth"),
+            # L**2 + (t - mu)**2 overflows: once an OverflowError traceback,
+            # or overflow warnings and then exit 3 with "error estimate nan"
+            ({"geometry": {"L_mm": 1e200}}, "geometry.L_mm"),
+            ({"interval": {"a_mm": -1e300, "b_mm": 1e300}}, "interval: L_mm**2"),
+            ({"interval": {"a_mm": 0.0, "b_mm": 2e154}}, "interval: L_mm**2"),
+            ({"moment_interval": {"a_mm": -1e200, "b_mm": 1e200}}, "moment_interval: L_mm**2"),
+            ({"moment_interval": {"a_mm": -1.0, "b_mm": 1e308},
+              "geometry": {"mu_mm": 1e308}}, "moment_interval: L_mm**2"),
             ({"constant_override": nan}, "constant_override"),
             ({"constant_override": 0}, "constant_override"),
             ({"constant_override": -1}, "constant_override"),
@@ -247,6 +260,26 @@ def test_bound_on_a_zero_width_moment_interval_exits_two(config_path, tmp_path, 
     captured = capsys.readouterr()
     assert captured.err.startswith("bornlab: error: second moment over [-1e-07, 1e-07] is ")
     assert captured.out == ""
+
+
+def test_bound_at_the_depth_cap_exits_three(tmp_path, capsys):
+    # an unreachable tolerance at the largest depth a config may ask for
+    # exhausts the refinement budget: numerical instability, not a traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"quadrature": {
+        "rel_tol": 1e-300, "abs_tol": 0, "max_refinement_depth": 200}}))
+    assert cli.main(["bound", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "refinement depth exhausted" in captured.err
+    assert captured.out == ""
+
+
+def test_overflowing_default_support_names_the_distance(tmp_path, capsys):
+    # L**2 alone fits a double, the default support's ends do not
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"geometry": {"L_mm": 1.3e154, "lambda_pm": 1.2e4}}))
+    assert cli.main(["bound", "--config", str(path)]) == 2
+    assert "geometry.L_mm: L_mm**2 + (t - mu_mm)**2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", ["-5,1000", "0,1000", "100,ten", "100,1e4"])

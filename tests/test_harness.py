@@ -758,19 +758,31 @@ _BAD_REPORTS = {
     "json_repeated_summary_key": (
         "json", lambda t: t.replace('"rows": 2', '"rows": 2, "rows": 2'),
         None, ": repeated key: summary.rows"),
-    # load_report builds each row's BinningScheme and Interval for these checks
+    # load_report builds each row's BinningScheme and Interval for these checks;
+    # their errors once named no key or column
     "json_zero_bins": (
         "json", lambda t: t.replace('"bin_count": 10', '"bin_count": 0', 1),
-        None, "rows[0]: bin_count must be >= 1, got 0"),
+        None, "rows[0]: scheme.bin_count: bin_count must be >= 1, got 0"),
     "json_swapped_ends": (
         "json", lambda t: t.replace('"a_mm": -1.0', '"a_mm": 1.0', 1).replace(
-            '"b_mm": 1.0', '"b_mm": -1.0', 1), None, "rows[0]: interval requires lo < hi"),
+            '"b_mm": 1.0', '"b_mm": -1.0', 1), None,
+        "rows[0]: scheme.interval.a_mm, scheme.interval.b_mm: interval requires lo < hi"),
     "json_nan_end": (
-        "json", lambda t: t.replace('"a_mm": -1.0', '"a_mm": NaN', 1),
-        None, "rows[0]: interval endpoints must be finite"),
+        "json", lambda t: t.replace('"a_mm": -1.0', '"a_mm": NaN', 1), None,
+        "rows[0]: scheme.interval.a_mm, scheme.interval.b_mm: interval endpoints must be finite"),
+    "json_overflowing_width": (
+        "json", lambda t: t.replace('"a_mm": -1.0', '"a_mm": -1e+308', 1).replace(
+            '"b_mm": 1.0', '"b_mm": 1e+308', 1), None,
+        "rows[0]: scheme.interval.a_mm, scheme.interval.b_mm: interval width must be finite"),
     "csv_zero_bins": (
         "csv", lambda t: _edit_cells(t, 2, lambda c: c[:11] + ["0"] + c[12:]), 2,
-        "bin_count must be >= 1, got 0"),
+        "bin_count: bin_count must be >= 1, got 0"),
+    "csv_swapped_ends": (
+        "csv", lambda t: _edit_cells(t, 3, lambda c: c[:13] + ["1.0", "-1.0"]), 3,
+        "a_mm, b_mm: interval requires lo < hi"),
+    "csv_inf_end": (
+        "csv", lambda t: _edit_cells(t, 2, lambda c: c[:14] + ["inf"]), 2,
+        "a_mm, b_mm: interval endpoints must be finite"),
     "csv_bool_spelled_python": (
         "csv", lambda t: _edit_cells(t, 2, lambda c: c[:7] + ["True"] + c[8:]),
         2, "verdict_lower_const: "),

@@ -4,16 +4,20 @@ import sys
 import numpy as np
 import pytest
 
+from bornlab.berry_esseen import raw_moments
 from bornlab.errors import InvalidInterval, NonConvergence
 from bornlab.quadrature import (
     DEFAULT_QUADRATURE,
     Interval,
     QuadratureConfig,
-    central_moment,
-    integrate,
     integrate_with_breakpoints,
 )
 from bornlab.born_density import uniform_density
+
+
+def integrate(f, iv, cfg=DEFAULT_QUADRATURE):
+    """The integrator with no breakpoints."""
+    return integrate_with_breakpoints(f, iv, (), cfg)
 
 
 def test_interval_validation():
@@ -28,19 +32,21 @@ def test_interval_validation():
     for lo, hi in ((-1e308, 1e308), (-1e308, 9e307), (-sys.float_info.max, sys.float_info.max)):
         with pytest.raises(InvalidInterval, match="width must be finite"):
             Interval(lo, hi)
-    assert Interval(-8e307, 8e307).width == 1.6e308
+    assert Interval(-8e307, 8e307).midpoint == 0.0
     iv = Interval(-1.0, 3.0)
-    assert iv.width == 4.0 and iv.midpoint == 1.0
+    assert iv.midpoint == 1.0
     assert iv.contains(3.0) and not iv.contains(3.0001)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_refinement_depth=0)
+    nan = float("nan")
+    for bad in ({"rel_tol": 0.0}, {"rel_tol": nan}, {"rel_tol": math.inf},
+                {"abs_tol": -1.0}, {"abs_tol": nan}, {"abs_tol": math.inf},
+                {"max_refinement_depth": 0}, {"max_refinement_depth": 201}):
+        (name, value), = bad.items()
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            QuadratureConfig(**bad)
+    assert QuadratureConfig(abs_tol=0.0, max_refinement_depth=200).max_refinement_depth == 200
 
 
 def test_identity_on_unit_interval():
@@ -54,12 +60,6 @@ def test_odd_function_cancels():
 def test_sine_against_antiderivative_oracle():
     # oracle: closed-form antiderivative, -cos(pi) + cos(0) = 2
     assert integrate(np.sin, Interval(0.0, math.pi)) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_scalar_callable_supported():
-    assert integrate(lambda t: math.exp(t), Interval(0.0, 1.0)) == pytest.approx(
-        math.e - 1.0, rel=1e-9
-    )
 
 
 def test_deterministic_for_fixed_inputs():
@@ -113,35 +113,44 @@ def test_refinement_monotonicity_against_fixed_grid_oracle():
 
 
 def test_central_moment_uniform_second():
-    # oracle: closed form, int_{-1}^{1} t^2 dt = 2/3
-    d = uniform_density(Interval(-1.0, 1.0))
-    got = central_moment(d, 2, absolute=False, iv=Interval(-1.0, 1.0))
-    assert got == pytest.approx(2.0 / 3.0, rel=1e-10)
+    # oracle: closed form, int_{-1}^{1} dt = 2 and int_{-1}^{1} t^2 dt = 2/3
+    iv = Interval(-1.0, 1.0)
+    mass, var_raw, _ = raw_moments(uniform_density(iv), iv, DEFAULT_QUADRATURE)
+    assert mass == pytest.approx(2.0, rel=1e-12)
+    assert var_raw == pytest.approx(2.0 / 3.0, rel=1e-10)
 
 
 def test_central_moment_uniform_third_absolute():
     # oracle: closed form, int_{-1}^{1} |t|^3 dt = 1/2
-    d = uniform_density(Interval(-1.0, 1.0))
-    got = central_moment(d, 3, absolute=True, iv=Interval(-1.0, 1.0))
-    assert got == pytest.approx(0.5, rel=1e-10)
+    iv = Interval(-1.0, 1.0)
+    assert raw_moments(uniform_density(iv), iv, DEFAULT_QUADRATURE)[2] == pytest.approx(
+        0.5, rel=1e-10)
+
+
+@pytest.mark.parametrize("lo, hi", [(-0.3, 1.7), (-1.9, 0.23), (-1.0, 1e-9)])
+def test_third_absolute_moment_kink_off_the_breakpoints(lo, hi):
+    # oracle: closed form, int_lo^hi |t|^3 dt = (lo^4 + hi^4) / 4 for lo < 0 < hi.
+    # The origin is no edge of the window and no subdivision point of the
+    # density, so only the kink breakpoint that raw_moments adds splits there;
+    # without it, at abs_tol 0, the panels around the kink never converge
+    iv = Interval(lo, hi)
+    d = uniform_density(iv, height=1.5)
+    assert 0.0 not in d.subdivision_points(iv)
+    _, var_raw, rho_raw = raw_moments(d, iv, QuadratureConfig(abs_tol=0.0))
+    assert var_raw == pytest.approx(1.5 * (hi**3 - lo**3) / 3.0, rel=1e-12)
+    assert rho_raw == pytest.approx(1.5 * (lo**4 + hi**4) / 4.0, rel=1e-12)
 
 
 def test_central_moment_symmetric_third_vanishes():
     d = uniform_density(Interval(-2.0, 2.0), height=0.7)
-    got = central_moment(d, 3, absolute=False, iv=Interval(-2.0, 2.0))
+    got = integrate(lambda t: t**3 * d.evaluate(t), Interval(-2.0, 2.0))
     assert abs(got) < 1e-10
-
-
-def test_central_moment_rejects_other_orders():
-    d = uniform_density(Interval(-1.0, 1.0))
-    with pytest.raises(ValueError):
-        central_moment(d, 4, iv=Interval(-1.0, 1.0))
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_absolute_moment_nonnegative(k):
     d = uniform_density(Interval(-1.5, 0.5), height=0.3)
-    assert central_moment(d, k, absolute=True, iv=Interval(-1.5, 0.5)) >= 0.0
+    assert integrate(lambda t: np.abs(t) ** k * d.evaluate(t), Interval(-1.5, 0.5)) >= 0.0
 
 
 def test_breakpoint_subdivision_matches_plain_integration():
