@@ -43,7 +43,7 @@ def test_config_validation():
     for bad in ({"rel_tol": 0.0}, {"rel_tol": nan}, {"rel_tol": math.inf},
                 {"abs_tol": -1.0}, {"abs_tol": nan}, {"abs_tol": math.inf},
                 {"max_refinement_depth": 0}, {"max_refinement_depth": 201}):
-        (name, value), = bad.items()
+        [name] = bad
         with pytest.raises(ValueError, match=f"^{name} must be"):
             QuadratureConfig(**bad)
     assert QuadratureConfig(abs_tol=0.0, max_refinement_depth=200).max_refinement_depth == 200
