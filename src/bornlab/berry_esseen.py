@@ -98,17 +98,45 @@ def sup_deviations(counts: np.ndarray, n: int, theory: np.ndarray, origin: Origi
     return np.abs(np.cumsum(counts, axis=1) / n - theory_at).max(axis=1)
 
 
+# Distinct panels whose density values one raw_moments call keeps: 59 on the
+# default config.  An entry (31 values keyed by their 31 nodes) takes about
+# 0.7 KB, so the store stays below 1 MB however many panels an integral that
+# never settles runs through (up to 2**depth); the rest go unstored.
+_MOMENT_STORE_PANELS = 1024
+
+
+def _stored(evaluate):
+    """``evaluate``, keeping its values per node array (that is, per panel) for
+    the first ``_MOMENT_STORE_PANELS`` distinct ones.  The density is
+    elementwise, so a kept value has the bits of a fresh call."""
+    store = {}
+
+    def stored(t):
+        key = t.tobytes()
+        y = store.get(key)
+        if y is None:
+            y = evaluate(t)
+            if len(store) < _MOMENT_STORE_PANELS:
+                store[key] = y
+        return y
+
+    return stored
+
+
 def raw_moments(d: DensityModel, moment_iv: Interval,
                 cfg: QuadratureConfig) -> tuple[float, float, float]:
     """(mass, second raw moment, third absolute raw moment) of a centered
-    density over ``moment_iv`` (memoized).  Raises ZeroVariance when the
-    second moment is numerically zero."""
+    density over ``moment_iv`` (memoized).  The three integrals keep their own
+    breakpoints and panels and read the density from one store, so a panel
+    they share is evaluated once.  Raises ZeroVariance when the second moment
+    is numerically zero."""
     def compute():
-        mass = born_density.total_mass(d, moment_iv, cfg)
+        f = _stored(d.evaluate)
+        mass = born_density.total_mass(d, moment_iv, cfg, f)
         pts = d.subdivision_points(moment_iv)
-        var_raw = integrate_with_breakpoints(lambda t: t**2 * d.evaluate(t), moment_iv, pts, cfg)
+        var_raw = integrate_with_breakpoints(lambda t: t**2 * f(t), moment_iv, pts, cfg)
         rho_raw = integrate_with_breakpoints(  # |t|^3 has a kink at the origin
-            lambda t: np.abs(t) ** 3 * d.evaluate(t), moment_iv, (*pts, 0.0), cfg)
+            lambda t: np.abs(t) ** 3 * f(t), moment_iv, (*pts, 0.0), cfg)
         if not var_raw > cfg.abs_tol:
             raise ZeroVariance(f"second moment over [{moment_iv.lo}, {moment_iv.hi}] is {var_raw}")
         return mass, var_raw, rho_raw

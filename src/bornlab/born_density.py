@@ -410,17 +410,24 @@ def recenter(d: DensityModel, center: float) -> DensityModel:
 
 
 def total_mass(d: DensityModel, iv: Interval | None = None,
-               cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+               cfg: QuadratureConfig = DEFAULT_QUADRATURE, f: Callable | None = None) -> float:
     """Integral of ``d`` over ``iv``: the density's exact mass where it has one,
-    else adaptive quadrature.  Raises ZeroMass when degenerate."""
+    else adaptive quadrature of ``f``, which gives ``d.evaluate``'s values (by
+    default it is ``d.evaluate``).  Raises ZeroMass when degenerate."""
     if iv is None:
         iv = d.support
     mass = d.exact_mass(iv)
     if mass is None:
-        mass = integrate_with_breakpoints(d.evaluate, iv, d.subdivision_points(iv), cfg)
+        mass = integrate_with_breakpoints(f or d.evaluate, iv, d.subdivision_points(iv), cfg)
     if not mass > cfg.abs_tol:
         raise ZeroMass(f"density mass over [{iv.lo}, {iv.hi}] is {mass}")
     return mass
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an ascending array holding no NaN, without the numpy.ma
+    import that ``np.unique`` makes: the first entry of each run of equal ones."""
+    return a[np.concatenate([[True], a[1:] != a[:-1]])]
 
 
 def _newton_form(rows, t: np.ndarray) -> np.ndarray:
@@ -453,7 +460,7 @@ class _CdfTable:
     def __init__(self, d: DensityModel, iv: Interval, cfg: QuadratureConfig):
         base = np.linspace(iv.lo, iv.hi, CDF_TABLE_KNOTS)
         extra = np.asarray(d.subdivision_points(iv), dtype=float)
-        self.knots = np.unique(np.concatenate([base, extra]))
+        self.knots = _distinct(np.sort(np.concatenate([base, extra])))
         # the density's evaluate, not the density: its memo holds this table, and
         # a reference back would keep both alive until the cyclic collector runs
         self._evaluate = d.evaluate
@@ -558,7 +565,7 @@ class _CdfTable:
         idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(knots) - 2)
         new = idx[~self._fitted[idx]]
         if new.size:
-            self._fit(np.unique(new))
+            self._fit(_distinct(new))  # idx ascends
         poly = self._poly[idx]
         p = np.flatnonzero(poly)
         ip = idx[p]

@@ -537,6 +537,14 @@ def run_paper_replication(cfg: ExperimentConfig) -> ConvergenceReport:
         density, interval, sorted(cfg.n_values), sorted(cfg.seeds), cfg.quadrature))
 
 
+def _median(xs: list[float]) -> float:
+    """``np.median``'s value (NaN if any entry is NaN) without its numpy.ma import."""
+    if any(math.isnan(x) for x in xs):
+        return math.nan
+    s, h = sorted(xs), len(xs) // 2
+    return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
+
+
 def run_convergence_sweep(cfg: ExperimentConfig, n_grid: Sequence[int],
                           seeds: Sequence[int] | None = None) -> SweepResult:
     """Replication rows over a geometric N grid (first bin count only) plus the
@@ -555,7 +563,7 @@ def run_convergence_sweep(cfg: ExperimentConfig, n_grid: Sequence[int],
         cfg = replace(cfg, seeds=tuple(seeds))
     report = run_paper_replication(replace(cfg, n_values=tuple(ns), bin_counts=cfg.bin_counts[:1]))
     lead = [r for r in report.rows if r.origin is cfg.orientations[0]]
-    medians = tuple((n, float(np.median([r.sup_deviation for r in lead if r.N == n]))) for n in ns)
+    medians = tuple((n, _median([r.sup_deviation for r in lead if r.N == n])) for n in ns)
     slope = float(np.polyfit(np.log(ns), np.log([m for _, m in medians]), 1)[0])
     return SweepResult(report, slope, medians)
 

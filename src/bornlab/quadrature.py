@@ -1,8 +1,10 @@
 """Deterministic adaptive 1D quadrature.
 
-The integrator is an adaptive Gauss-Legendre pair (10-point estimate nested
-inside a 21-point one, difference used as the error estimate) with recursive
-interval bisection.  Node tables come from ``numpy.polynomial.legendre`` at
+The integrator is an adaptive Gauss-Legendre pair (a 21-point value and a
+10-point one, their difference used as the error estimate) with recursive
+interval bisection.  The two rules share no node, so each panel hands the
+integrand all 31 nodes in one call and takes each rule's sum from its own
+slice of the result.  Node tables come from ``numpy.polynomial.legendre`` at
 import time, so results are bit-reproducible for fixed inputs and there are
 no hand-typed coefficient tables.
 
@@ -33,6 +35,8 @@ __all__ = [
 
 _GL_LO_X, _GL_LO_W = np.polynomial.legendre.leggauss(10)
 _GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(21)
+_GL_X = np.concatenate([_GL_HI_X, _GL_LO_X])  # one panel's nodes: 21-point rule first
+_HI = _GL_HI_X.size
 
 
 @dataclass(frozen=True)
@@ -87,8 +91,9 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    hi = half * float(np.dot(_GL_HI_W, f(mid + half * _GL_HI_X)))
-    lo = half * float(np.dot(_GL_LO_W, f(mid + half * _GL_LO_X)))
+    y = f(mid + half * _GL_X)
+    hi = half * float(np.dot(_GL_HI_W, y[:_HI]))
+    lo = half * float(np.dot(_GL_LO_W, y[_HI:]))
     return hi, abs(hi - lo)
 
 
@@ -96,11 +101,13 @@ def _adapt(f, a, b, abs_tol, rel_tol, depth):
     value, err = _panel(f, a, b)
     if err <= max(abs_tol, rel_tol * abs(value)):
         return value
-    if depth <= 0:
+    mid = 0.5 * (a + b)
+    # mid at an end means no float lies strictly between a and b: bisection
+    # would only repeat this panel, so no depth left can refine it
+    if depth <= 0 or not a < mid < b:
         raise NonConvergence(
             f"refinement depth exhausted on [{a}, {b}] (error estimate {err:.3e})"
         )
-    mid = 0.5 * (a + b)
     left = _adapt(f, a, mid, 0.5 * abs_tol, rel_tol, depth - 1)
     right = _adapt(f, mid, b, 0.5 * abs_tol, rel_tol, depth - 1)
     return left + right

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -262,16 +263,27 @@ def test_bound_on_a_zero_width_moment_interval_exits_two(config_path, tmp_path, 
     assert captured.out == ""
 
 
-def test_bound_at_the_depth_cap_exits_three(tmp_path, capsys):
+def test_bound_at_the_depth_cap_exits_three(tmp_path, capsys, monkeypatch):
     # an unreachable tolerance at the largest depth a config may ask for
-    # exhausts the refinement budget: numerical instability, not a traceback
+    # exhausts the refinement budget: numerical instability, not a traceback.
+    # Bisection reaches a panel one ulp wide, whose midpoint is one of its ends,
+    # and stops there naming it (53 panel evaluations), not after repeating
+    # that panel down to the depth cap (359)
+    from bornlab import quadrature
+
+    panels = []
+    panel = quadrature._panel
+    monkeypatch.setattr(quadrature, "_panel", lambda f, a, b: panels.append(1) or panel(f, a, b))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"quadrature": {
         "rel_tol": 1e-300, "abs_tol": 0, "max_refinement_depth": 200}}))
     assert cli.main(["bound", "--config", str(path)]) == 3
     captured = capsys.readouterr()
-    assert "refinement depth exhausted" in captured.err
+    a, b = -1.015400599716235, -1.0154005997162348
+    assert math.nextafter(a, b) == b
+    assert f"refinement depth exhausted on [{a}, {b}]" in captured.err
     assert captured.out == ""
+    assert len(panels) < 100
 
 
 def test_overflowing_default_support_names_the_distance(tmp_path, capsys):

@@ -21,7 +21,10 @@ it, and do so only together with a version bump.
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -108,6 +111,26 @@ def test_cli_output_matches_golden(tmp_path, config, argv, outputs):
     for name in outputs:
         _assert_matches(_load(tmp_path / name), _load(_golden(name)), name)
         assert (tmp_path / name).read_bytes() == _golden(name).read_bytes(), name
+
+
+def test_golden_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique and np.median import numpy.ma (about 12 ms of each command's
+    # start-up); every golden command runs in one fresh interpreter without it
+    runs = [(config, [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv])
+            for _, config, argv, _ in GOLDEN_RUNS]
+    code = ("import contextlib, io, json, sys\n"
+            "from bornlab import cli\n"
+            "seen = []\n"
+            "for config, argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rc = cli.main([argv[0], '--config', config, *argv[1:]])\n"
+            "    seen.append([argv[0], rc, 'numpy.ma' in sys.modules])\n"
+            "print(json.dumps(seen))\n")
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True,
+                         text=True, check=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert json.loads(out) == [[run[0], 0, False] for run in GOLDEN_RUNS]
 
 
 @pytest.mark.parametrize("name", ["golden_replicate.json", "golden_replicate.csv",

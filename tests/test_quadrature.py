@@ -1,18 +1,24 @@
+import json
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bornlab import berry_esseen, harness, quadrature
 from bornlab.berry_esseen import raw_moments
-from bornlab.errors import InvalidInterval, NonConvergence
+from bornlab.errors import InvalidInterval, NonConvergence, ZeroMass, ZeroVariance
 from bornlab.quadrature import (
     DEFAULT_QUADRATURE,
     Interval,
     QuadratureConfig,
     integrate_with_breakpoints,
 )
-from bornlab.born_density import uniform_density
+from bornlab.born_density import SlitGeometry, double_slit_density, recenter, uniform_density
 
 
 def integrate(f, iv, cfg=DEFAULT_QUADRATURE):
@@ -159,3 +165,97 @@ def test_breakpoint_subdivision_matches_plain_integration():
     plain = integrate(f, iv)
     split = integrate_with_breakpoints(f, iv, [0.4, 1.1, 1.9])
     assert split == pytest.approx(plain, rel=1e-10)
+
+
+def _counting_panel(monkeypatch):
+    """Patch ``quadrature._panel`` to record each panel's ends; returns the list."""
+    panels = []
+    panel = quadrature._panel
+    monkeypatch.setattr(quadrature, "_panel",
+                        lambda f, a, b: panels.append((a, b)) or panel(f, a, b))
+    return panels
+
+
+def test_each_panel_calls_the_integrand_once_on_31_nodes(monkeypatch):
+    # both rules' nodes go to the integrand in one call: 21 then 10
+    panels = _counting_panel(monkeypatch)
+    sizes = []
+    f = lambda t: sizes.append(t.size) or np.sin(17.3 * t) * np.exp(-t * t)
+    integrate(f, Interval(-2.0, 3.0))
+    assert len(panels) > 1
+    assert sizes == [31] * len(panels)
+
+
+def test_unsplittable_panel_raises_at_once(monkeypatch):
+    # no float lies between the ends, so bisection cannot split the panel: an
+    # unreachable tolerance fails on its first evaluation, naming it, not after
+    # the same panel has been evaluated down to the depth cap
+    a, b = 1.0, math.nextafter(1.0, 2.0)
+    panels = _counting_panel(monkeypatch)
+    cfg = QuadratureConfig(rel_tol=1e-300, abs_tol=0.0, max_refinement_depth=200)
+    with pytest.raises(NonConvergence, match=re.escape(f"[{a}, {b}]")):
+        integrate(np.exp, Interval(a, b), cfg)
+    assert panels == [(a, b)]
+
+
+def _three_integrals(d, iv, cfg):
+    """What raw_moments must give: the mass, second and third absolute moment
+    of ``d`` over ``iv``, each its own integral with the density evaluated afresh
+    on every panel, in raw_moments' order and with its two degeneracy rules;
+    an exception is given as its type."""
+    pts = d.subdivision_points(iv)
+    try:
+        mass = integrate_with_breakpoints(d.evaluate, iv, pts, cfg)
+        if not mass > cfg.abs_tol:
+            return ZeroMass
+        var_raw = integrate_with_breakpoints(lambda t: t**2 * d.evaluate(t), iv, pts, cfg)
+        rho_raw = integrate_with_breakpoints(lambda t: np.abs(t) ** 3 * d.evaluate(t), iv,
+                                             (*pts, 0.0), cfg)
+    except NonConvergence:
+        return NonConvergence
+    return (mass, var_raw, rho_raw) if var_raw > cfg.abs_tol else ZeroVariance
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1])
+@settings(max_examples=25, deadline=None)
+@given(w=st.floats(30.0, 120.0), ratio=st.floats(1.5, 6.0), lam=st.floats(20.0, 80.0),
+       mu=st.floats(-0.05, 0.05), center=st.floats(-0.2, 0.2),
+       ends=st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)).filter(lambda e: e[0] != e[1]),
+       rel_tol=st.sampled_from([1e-6, 1e-9, 1e-11]), abs_tol=st.sampled_from([0.0, 1e-12, 1e-9]),
+       depth=st.integers(8, 60))
+def test_raw_moments_equal_three_independent_integrals(cap, w, ratio, lam, mu, center, ends,
+                                                       rel_tol, abs_tol, depth):
+    # the shared store changes which call evaluates a panel, never a value:
+    # bit for bit, with the store at its cap, keeping one panel or none.  The
+    # window often holds 0, which is then a kink of |t|^3 off every breakpoint
+    g = SlitGeometry(slit_width_w=w, slit_separation_d=w * ratio, wavelength_lambda=lam,
+                     center_mu=mu)
+    d = recenter(double_slit_density(g), center)
+    iv = Interval(min(ends), max(ends))
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=abs_tol, max_refinement_depth=depth)
+    want = _three_integrals(d, iv, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(berry_esseen, "_MOMENT_STORE_PANELS", cap)
+        try:
+            got = raw_moments(d, iv, cfg)
+        except (NonConvergence, ZeroMass, ZeroVariance) as err:
+            got = type(err)
+    assert got == want
+
+
+def test_raw_moments_evaluate_each_distinct_panel_once(monkeypatch):
+    # on the golden config the three integrals run 172 panels, of which 59 are
+    # distinct: the density is called once per distinct panel, on 31 points
+    config = Path(__file__).parent / "data" / "golden_config.json"
+    cfg = harness.config_from_json_dict(json.loads(config.read_text()))
+    density, _, center, moment_iv = harness.experiment_density(cfg)
+    centered = recenter(density, center)
+    sizes = []
+    evaluate = centered.evaluate
+    monkeypatch.setattr(centered, "evaluate", lambda t: sizes.append(t.size) or evaluate(t))
+    panels = _counting_panel(monkeypatch)
+    raw_moments(centered, moment_iv, cfg.quadrature)
+    assert len(panels) == 172
+    assert len(set(panels)) == 59
+    assert sizes == [31] * 59
