@@ -65,7 +65,8 @@ class BoundConstantVariant(enum.Enum):
 
 
 class Origin(enum.Enum):
-    """Which end of the interval bin labeling starts from."""
+    """Which end of the interval bin labeling starts from: applied when the sup
+    is taken (:func:`sup_deviations`), not to the bins."""
 
     FROM_A = "from_a"
     FROM_B = "from_b"
@@ -73,10 +74,9 @@ class Origin(enum.Enum):
 
 @dataclass(frozen=True)
 class BinningScheme:
-    """Equal-width partition of an interval with an origin orientation."""
+    """Equal-width partition of an interval."""
 
     bin_count: int
-    origin: Origin
     interval: Interval
 
     def __post_init__(self):
@@ -163,8 +163,8 @@ def bound_rhs(d: DensityModel, moment_iv: Interval,
 def literal_rhs(d: DensityModel, moment_iv: Interval, center: float,
                 cfg: QuadratureConfig, constant_override: float | None) -> tuple[float, float]:
     """:func:`bound_rhs` for both constants, of ``d`` recentered at ``center``
-    (a view memoized on ``d``) over the centered ``moment_iv``."""
-    centered = d.memo(("centered", center), lambda: born_density.recenter(d, center))
+    over the centered ``moment_iv``."""
+    centered = born_density.recenter(d, center)
     return tuple(bound_rhs(centered, moment_iv, v, cfg, constant_override) for v in (
         BoundConstantVariant.LOWER_BOUND_CONSTANT, BoundConstantVariant.PLUS_16_PERCENT))
 

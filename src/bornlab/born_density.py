@@ -172,28 +172,17 @@ class DensityModel:
 
     ``evaluate`` maps a float ndarray of detector coordinates (mm) to
     intensities of the same shape; removable singularities are resolved by
-    the constructor of the concrete density.  ``analytic_zeros`` lists exact
-    interior zeros when known.  Instances are immutable after construction
-    (internal memoization of integrals and of the CDF table's polynomial fits
-    is idempotent, so concurrent reads are safe).
+    the constructor of the concrete density.  ``breakpoints`` are the points
+    where quadrature must split (exact zeros, interpolation knots), read
+    through :meth:`subdivision_points`.  Instances are immutable after
+    construction (internal memoization of integrals and of the CDF table's
+    polynomial fits is idempotent, so concurrent reads are safe).
     """
 
-    def __init__(
-        self,
-        evaluate: Callable,
-        support: Interval,
-        analytic_zeros: Sequence[float] = (),
-        breakpoints: Sequence[float] | None = None,
-        center: float | None = None,
-    ):
+    def __init__(self, evaluate: Callable, support: Interval, breakpoints: Sequence[float] = ()):
         self.evaluate = evaluate
         self.support = support
-        self.analytic_zeros = tuple(sorted(float(z) for z in analytic_zeros))
-        self._breakpoints = (
-            self.analytic_zeros if breakpoints is None
-            else tuple(sorted(float(b) for b in breakpoints))
-        )
-        self.center = center
+        self._breakpoints = tuple(sorted(float(b) for b in breakpoints))
         self._cache: dict = {}
 
     def subdivision_points(self, iv: Interval) -> tuple[float, ...]:
@@ -232,7 +221,6 @@ class TabulatedDensity(DensityModel):
         super().__init__(
             evaluate=lambda x: np.interp(np.asarray(x, dtype=float), t, v),
             support=Interval(float(t[0]), float(t[-1])),
-            analytic_zeros=(),
             breakpoints=t[1:-1],
         )
 
@@ -338,8 +326,8 @@ def double_slit_density(g: SlitGeometry, support: Interval | None = None) -> Den
     """Far-field two-slit intensity as a :class:`DensityModel`.
 
     The sinc singularity at the pattern center is removable and resolves to
-    ``peak_height_I0``.  ``analytic_zeros`` carries every envelope and fringe
-    null inside the support, in closed form.
+    ``peak_height_I0``.  Its breakpoints are every envelope and fringe null
+    inside the support, in closed form.
     """
     if support is None:
         support = default_support(g)
@@ -372,7 +360,7 @@ def double_slit_density(g: SlitGeometry, support: Interval | None = None) -> Den
     two_sided = [mu - z for z in reversed(offsets)] + [mu + z for z in offsets]
     in_support = [z for z in two_sided if support.lo < z < support.hi]
 
-    return DensityModel(evaluate, support, analytic_zeros=in_support, center=mu)
+    return DensityModel(evaluate, support, in_support)
 
 
 def uniform_density(iv: Interval, height: float = 1.0) -> DensityModel:
@@ -384,18 +372,12 @@ def uniform_density(iv: Interval, height: float = 1.0) -> DensityModel:
         t = np.asarray(t, dtype=float)
         return np.where((t >= iv.lo) & (t <= iv.hi), height, 0.0)
 
-    return DensityModel(evaluate, iv, center=iv.midpoint)
+    return DensityModel(evaluate, iv)
 
 
 def scaled(d: DensityModel, a: float) -> DensityModel:
-    """The density ``a * d`` (same support, zeros and center)."""
-    return DensityModel(
-        lambda t: a * d.evaluate(t),
-        d.support,
-        analytic_zeros=d.analytic_zeros,
-        breakpoints=d._breakpoints,
-        center=d.center,
-    )
+    """The density ``a * d`` (same support and breakpoints)."""
+    return DensityModel(lambda t: a * d.evaluate(t), d.support, d._breakpoints)
 
 
 def recenter(d: DensityModel, center: float) -> DensityModel:
@@ -403,9 +385,7 @@ def recenter(d: DensityModel, center: float) -> DensityModel:
     return DensityModel(
         lambda t: d.evaluate(np.asarray(t, dtype=float) + center),
         Interval(d.support.lo - center, d.support.hi - center),
-        analytic_zeros=[z - center for z in d.analytic_zeros],
-        breakpoints=[b - center for b in d._breakpoints],
-        center=0.0 if d.center is not None else None,
+        [b - center for b in d._breakpoints],
     )
 
 

@@ -62,7 +62,6 @@ __all__ = [
     "replication_config",
     "pattern_buildup_config",
     "config_from_json_dict",
-    "config_to_json_dict",
     "load_config",
     "experiment_density",
     "madelung_setup",
@@ -341,35 +340,6 @@ def config_from_json_dict(obj: Mapping) -> ExperimentConfig:
     )
 
 
-def config_to_json_dict(cfg: ExperimentConfig) -> dict:
-    out: dict = {
-        "geometry": {name: getattr(cfg.geometry, f) for name, f in _GEOMETRY.items()},
-        "interval": None if cfg.interval is None else
-            {"a_mm": cfg.interval.lo, "b_mm": cfg.interval.hi},
-        "binning": {
-            "bin_counts": list(cfg.bin_counts),
-            "orientations": [o.value for o in cfg.orientations],
-        },
-        "n_values": list(cfg.n_values),
-        "seeds": list(cfg.seeds),
-        "quadrature": asdict(cfg.quadrature),
-        "moment_interval": None if cfg.moment_interval is None else
-            {"a_mm": cfg.moment_interval.lo, "b_mm": cfg.moment_interval.hi},
-        "variants": [v.value for v in cfg.variants],
-    }
-    if cfg.constant_override is not None:
-        out["constant_override"] = cfg.constant_override
-    m = cfg.madelung
-    if m is not None:
-        out["madelung"] = {"preset": m.preset, "grid": asdict(m.grid), "state": dict(m.state),
-                           "trajectories": {"count": m.count, "seed": m.seed}}
-        if m.potential is not None:
-            kind = m.potential.kind
-            out["madelung"]["potential"] = {"kind": kind.value, **{
-                name: getattr(m.potential, name) for name in _POTENTIALS[kind]}}
-    return out
-
-
 def _unique_keys(pairs: list) -> dict:
     """The ``object_pairs_hook`` of both JSON readers.  Plain ``json.load``
     keeps the last of a repeated key; this object also holds the first
@@ -393,16 +363,25 @@ def _repeated_keys(node, path: str = ""):
             yield from _repeated_keys(value, f"{path}[{i}]")
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_json(path, invalid, repeated):
+    """The JSON value in ``path``, read with :func:`_unique_keys`.  Invalid JSON
+    raises ``invalid(message, line)``, and a key given twice raises
+    ``repeated(key)`` with the key's path."""
     try:
         with open(path) as fh:
-            raw = json.load(fh, object_pairs_hook=_unique_keys)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    key = next(_repeated_keys(raw), None)
+        raise invalid(f"{path}: invalid JSON ({exc})", exc.lineno) from exc
+    key = next(_repeated_keys(obj), None)
     if key is not None:
-        raise ConfigError(f"{path}: repeated config key: {key}", key=key)
-    return config_from_json_dict(raw)
+        raise repeated(key)
+    return obj
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_json_dict(_read_json(
+        path, lambda message, _: ConfigError(message),
+        lambda key: ConfigError(f"{path}: repeated config key: {key}", key=key)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +416,6 @@ class ConvergenceReport:
         upper = BoundConstantVariant.PLUS_16_PERCENT in variants
         return all((r.verdict_lower_const or not lower) and (r.verdict_upper_const or not upper)
                    for r in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {"rows": [_json_row([r.seed, *map(_text_value, _field_texts(r))])
-                         for r in self.rows], "summary": self.summary}
 
 
 @dataclass(frozen=True)
@@ -508,7 +483,7 @@ def _verify_blocks(cfg: ExperimentConfig, setup, runs) -> ConvergenceReport:
     the tuple returned by :func:`experiment_density`."""
     density, interval, center, moment_iv = setup
     rhs = literal_rhs(density, moment_iv, center, cfg.quadrature, cfg.constant_override)
-    ascending = [BinningScheme(bins, Origin.FROM_A, interval) for bins in cfg.bin_counts]
+    ascending = [BinningScheme(bins, interval) for bins in cfg.bin_counts]
     theories = [cdf_at_points(density, interval, s.edges(), cfg.quadrature) for s in ascending]
     rows: list[ReportRow] = []
     for seeds, segments in runs:
@@ -707,7 +682,7 @@ def _report_row(values: list, names: Sequence[str]) -> ReportRow:
             raise ValueError(f"{names[i]}: expected {kind.__name__}, got {value!r}")
     row = ReportRow(*values)
     try:
-        BinningScheme(row.bin_count, row.origin, Interval(row.a_mm, row.b_mm))
+        BinningScheme(row.bin_count, Interval(row.a_mm, row.b_mm))
     except ValueError as exc:
         key = dict(zip(ReportRow._fields, names))
         at = ("a_mm", "b_mm") if isinstance(exc, InvalidInterval) else ("bin_count",)
@@ -716,10 +691,10 @@ def _report_row(values: list, names: Sequence[str]) -> ReportRow:
 
 
 def report_text(report: ConvergenceReport, fmt: str) -> str:
-    """The text :func:`emit_report` writes.  ``json``: the bytes of
-    ``json.dumps(report.to_json_dict(), indent=2)`` and a newline, its rows
-    filled in from the template (``indent`` runs json's Python encoder).
-    ``csv``: those of a ``csv.writer`` loop (no cell needs quotes).  Each
+    """The text :func:`emit_report` writes.  ``json``: rows filled in from the
+    template, laid out as ``json.dumps(..., indent=2)`` lays out the object the
+    text holds, and a newline (``indent`` runs json's Python encoder).
+    ``csv``: the bytes of a ``csv.writer`` loop (no cell needs quotes).  Each
     distinct float is spelled once per call (:func:`_speller`)."""
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
@@ -765,15 +740,12 @@ def load_report(path, fmt: str | None = None) -> ConvergenceReport:
         return ConvergenceReport(tuple(rows), _summarize(rows))
     if fmt != "json":
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
-    with open(path) as fh:
-        try:
-            obj = json.load(fh, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})", line=exc.lineno) from exc
-    repeated = next(_repeated_keys(obj), None)
-    if repeated is not None:
-        row, _, key = repeated.rpartition("].")  # rows[i] and the path inside it
-        raise ParseError(f"{path}: {row + ']: ' if row else ''}repeated key: {key}")
+
+    def repeated(path_in_file):
+        row, _, key = path_in_file.rpartition("].")  # rows[i] and the path inside it
+        return ParseError(f"{path}: {row + ']: ' if row else ''}repeated key: {key}")
+
+    obj = _read_json(path, lambda message, line: ParseError(message, line=line), repeated)
     if not isinstance(obj, dict) or not isinstance(obj.get("rows"), list):
         raise ParseError(f"{path}: expected an object holding a list of rows")
     keys, rows = ["seed", *(key for _, key, _ in _FIELDS)], []

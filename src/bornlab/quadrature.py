@@ -54,10 +54,6 @@ class Interval:
         if not math.isfinite(self.hi - self.lo):
             raise InvalidInterval(f"interval width must be finite, got [{self.lo}, {self.hi}]")
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, x):
         """Elementwise for arrays; NaN is never contained."""
         return (self.lo <= x) & (x <= self.hi)

@@ -78,10 +78,10 @@ _BIN_BLOCK = 16384  # events per pass of bin_counts
 
 def bin_counts(block: np.ndarray, scheme: BinningScheme) -> np.ndarray:
     """The rows x bins count matrix of a rows x N position block, in ascending
-    bin order whatever the scheme's origin.  Bins are half-open, an event on an
-    edge goes to the higher bin and the last bin is closed: the bin is
-    ``searchsorted(edges, x, side="right") - 1``, clipped to the bins.
-    ``OutOfInterval.indices`` are flat indices into the block.
+    bin order.  Bins are half-open, an event on an edge goes to the higher bin
+    and the last bin is closed: the bin is ``searchsorted(edges, x,
+    side="right") - 1``, clipped to the bins.  ``OutOfInterval.indices`` are
+    flat indices into the block.
 
     Each event's bin is guessed by arithmetic, ``(x - lo) * bins / (hi - lo)``
     truncated and clipped, and kept where ``edges[k] <= x < edges[k + 1]`` (or

@@ -1,6 +1,6 @@
 """Definition-level empirical CDF, the check from outside the block API.
 
-A histogram holds its counts in scheme order (bin 1 nearest the origin), and
+A histogram holds its counts in origin order (bin 1 nearest its origin), and
 its CDF at a point is read off the definition: the fraction of events in
 whole bins at or before that point.  Nothing here imports the block
 helpers of ``bornlab.sampler`` or ``bornlab.berry_esseen``, so the tests can
@@ -17,9 +17,10 @@ from bornlab.errors import EmptyHistogram
 
 @dataclass(frozen=True)
 class EmpiricalHistogram:
-    """Binned detection counts, indexed in scheme order (bin 1 nearest origin)."""
+    """Binned detection counts, indexed from the origin (bin 1 nearest it)."""
 
     scheme: BinningScheme
+    origin: Origin
     counts: tuple[int, ...]
     total_N: int
 
@@ -46,7 +47,7 @@ def empirical_cdf(h: EmpiricalHistogram, x: float) -> float:
         raise ValueError(f"x={x} outside the scheme interval [{iv.lo}, {iv.hi}]")
     edges = h.scheme.edges()
     cum = np.cumsum(h.counts)
-    if h.scheme.origin is Origin.FROM_A:
+    if h.origin is Origin.FROM_A:
         # whole bins with right edge <= x
         j = int(np.searchsorted(edges[1:], x, side="right"))
     else:

@@ -109,7 +109,7 @@ def shipped_densities():
 def test_criterion_3_moment_ratio_at_least_one():
     worst = math.inf
     for name, d in shipped_densities():
-        center = d.center if d.center is not None else mean_position(d)
+        center = mean_position(d)
         centered = recenter(d, center)
         miv = Interval(centered.support.lo, centered.support.hi)
         ratio = bound_rhs(centered, miv, BoundConstantVariant.LOWER_BOUND_CONSTANT)

@@ -37,33 +37,31 @@ UNIT = Interval(-1.0, 1.0)
 
 def make_hist(counts, origin=Origin.FROM_A, iv=UNIT):
     counts = tuple(counts)
-    return EmpiricalHistogram(
-        BinningScheme(len(counts), origin, iv), counts, sum(counts)
-    )
+    return EmpiricalHistogram(BinningScheme(len(counts), iv), origin, counts, sum(counts))
 
 
-def histogram(positions, scheme):
-    """``positions`` binned by ``bin_counts`` as a 1 x N block, in scheme order."""
+def histogram(positions, scheme, origin=Origin.FROM_A):
+    """``positions`` binned by ``bin_counts`` as a 1 x N block, counted from ``origin``."""
     counts = bin_counts(np.reshape(positions, (1, -1)), scheme)[0]
-    if scheme.origin is Origin.FROM_B:
+    if origin is Origin.FROM_B:
         counts = counts[::-1]
-    return EmpiricalHistogram(scheme, tuple(counts.tolist()), int(counts.sum()))
+    return EmpiricalHistogram(scheme, origin, tuple(counts.tolist()), int(counts.sum()))
 
 
 def block_sup(h, d):
     """``sup_deviations`` of one histogram, a 1 x bins count block."""
     theory = cdf_at_points(d, h.scheme.interval, h.scheme.edges())
-    return sup_deviations(np.array([h.counts]), h.total_N, theory, h.scheme.origin).item()
+    return sup_deviations(np.array([h.counts]), h.total_N, theory, h.origin).item()
 
 
-def block_report(h, d, constant_override=None):
+def block_report(h, d, c, constant_override=None):
     """The report row of one histogram: ``bound_reports`` of its sup, the
     right-hand sides from ``literal_rhs`` over the histogram interval centered
-    at the density's center."""
-    iv, c = h.scheme.interval, d.center
+    at ``c``."""
+    iv = h.scheme.interval
     rhs = literal_rhs(d, Interval(iv.lo - c, iv.hi - c), c, DEFAULT_QUADRATURE, constant_override)
     r = bound_reports(np.array([block_sup(h, d)]), h.total_N, rhs)[0]
-    return ReportRow(None, h.total_N, *r, h.scheme.bin_count, h.scheme.origin, iv.lo, iv.hi)
+    return ReportRow(None, h.total_N, *r, h.scheme.bin_count, h.origin, iv.lo, iv.hi)
 
 
 def test_zolotarev_value():
@@ -172,11 +170,11 @@ def test_orientation_duality_property(data, bins):
     # bin_counts is ascending for both, so the scheme-order counts reverse
     # exactly, and at every shared edge the two empirical CDFs sum to exactly
     # 1; events on edges and at both ends included
-    edges = BinningScheme(bins, Origin.FROM_A, UNIT).edges().tolist()
+    edges = BinningScheme(bins, UNIT).edges().tolist()
     position = st.floats(UNIT.lo, UNIT.hi) | st.sampled_from(edges)
     positions = data.draw(st.lists(position, min_size=1, max_size=60))
-    ha = histogram(positions, BinningScheme(bins, Origin.FROM_A, UNIT))
-    hb = histogram(positions, BinningScheme(bins, Origin.FROM_B, UNIT))
+    ha = histogram(positions, BinningScheme(bins, UNIT))
+    hb = histogram(positions, BinningScheme(bins, UNIT), Origin.FROM_B)
     assert hb.counts == ha.counts[::-1]
     assert sum(ha.counts) == ha.total_N == hb.total_N == len(positions)
     for edge in edges:
@@ -220,8 +218,8 @@ def test_sup_deviation_orientations_agree_at_shared_edges():
     g = SlitGeometry()
     d = double_slit_density(g)
     pos = sample_positions(d, d.support, 200, seed=5)
-    ha = histogram(pos, BinningScheme(10, Origin.FROM_A, d.support))
-    hb = histogram(pos, BinningScheme(10, Origin.FROM_B, d.support))
+    ha = histogram(pos, BinningScheme(10, d.support))
+    hb = histogram(pos, BinningScheme(10, d.support), Origin.FROM_B)
     assert block_sup(ha, d) == pytest.approx(block_sup(hb, d), abs=1e-12)
 
 
@@ -232,7 +230,7 @@ def test_sup_deviation_matches_bruteforce_scan():
     d = double_slit_density(g)
     iv = d.support
     pos = sample_positions(d, iv, 350, seed=11)
-    scheme = BinningScheme(10, Origin.FROM_A, iv)
+    scheme = BinningScheme(10, iv)
     h = histogram(pos, scheme)
     edge_sup = block_sup(h, d)
 
@@ -248,7 +246,7 @@ def test_sup_deviation_matches_bruteforce_scan():
 
 def test_verify_proportional_counts_all_pass():
     h = make_hist([10] * 10)
-    report = block_report(h, uniform_density(UNIT))
+    report = block_report(h, uniform_density(UNIT), 0.0)
     assert report.verdict_lower_const and report.verdict_upper_const
     assert report.verdict_with_sqrtN_lower and report.verdict_with_sqrtN_upper
 
@@ -257,7 +255,7 @@ def test_verify_adversarial_histogram_fails_literal_form():
     # all 13 events in the first of 10 bins against the uniform density:
     # sup = 0.9 exceeds the literal bound C * 1.299 ~ 0.532
     h = make_hist([13, 0, 0, 0, 0, 0, 0, 0, 0, 0])
-    report = block_report(h, uniform_density(UNIT))
+    report = block_report(h, uniform_density(UNIT), 0.0)
     assert report.sup_deviation >= 0.9 - 1e-12
     assert report.rhs_lower_const == pytest.approx(0.5322, abs=1e-3)
     assert not report.verdict_lower_const
@@ -268,8 +266,8 @@ def test_verdicts_match_definition():
     g = SlitGeometry()
     d = double_slit_density(g)
     pos = sample_positions(d, d.support, 54, seed=3)
-    h = histogram(pos, BinningScheme(12, Origin.FROM_B, d.support))
-    r = block_report(h, d)
+    h = histogram(pos, BinningScheme(12, d.support), Origin.FROM_B)
+    r = block_report(h, d, g.center_mu)
     assert r.verdict_lower_const == (r.sup_deviation <= r.rhs_lower_const)
     assert r.verdict_upper_const == (r.sup_deviation <= r.rhs_upper_const)
     assert r.verdict_with_sqrtN_lower == (r.sup_deviation <= r.rhs_with_sqrtN_lower)
@@ -301,26 +299,26 @@ def test_constant_override_forces_failure():
     # nearly proportional counts pass normally; a near-zero constant must fail
     # once any deviation at all is present
     h = make_hist([11, 10, 10, 10, 10, 10, 10, 10, 10, 9])
-    assert block_report(h, uniform_density(UNIT)).verdict_lower_const
-    r = block_report(h, uniform_density(UNIT), constant_override=1e-9)
+    assert block_report(h, uniform_density(UNIT), 0.0).verdict_lower_const
+    r = block_report(h, uniform_density(UNIT), 0.0, constant_override=1e-9)
     assert not r.verdict_lower_const
 
 
 def test_histogram_validation():
     with pytest.raises(ValueError):
-        EmpiricalHistogram(BinningScheme(3, Origin.FROM_A, UNIT), (1, 2), 3)
+        EmpiricalHistogram(BinningScheme(3, UNIT), Origin.FROM_A, (1, 2), 3)
     with pytest.raises(ValueError):
-        EmpiricalHistogram(BinningScheme(2, Origin.FROM_A, UNIT), (1, -1), 0)
+        EmpiricalHistogram(BinningScheme(2, UNIT), Origin.FROM_A, (1, -1), 0)
     with pytest.raises(ValueError):
-        EmpiricalHistogram(BinningScheme(2, Origin.FROM_A, UNIT), (1, 1), 3)
+        EmpiricalHistogram(BinningScheme(2, UNIT), Origin.FROM_A, (1, 1), 3)
     with pytest.raises(ValueError):
-        BinningScheme(0, Origin.FROM_A, UNIT)
+        BinningScheme(0, UNIT)
 
 
 def test_median_sup_scales_like_inverse_sqrt_n():
     # doubling N should shrink the median sup-deviation by roughly 1/sqrt(2)
     d = uniform_density(UNIT)
-    scheme = BinningScheme(10, Origin.FROM_A, UNIT)
+    scheme = BinningScheme(10, UNIT)
 
     def median_sup(n):
         sups = []
@@ -345,8 +343,8 @@ def test_report_json_roundtrip(tmp_path):
     g = SlitGeometry()
     d = double_slit_density(g)
     pos = sample_positions(d, d.support, 101, seed=9)
-    h = histogram(pos, BinningScheme(10, Origin.FROM_A, d.support))
-    r = block_report(h, d)
+    h = histogram(pos, BinningScheme(10, d.support))
+    r = block_report(h, d, g.center_mu)
     assert _report_round_trip(r, "json", tmp_path).rows[0] == r
 
 
@@ -354,8 +352,8 @@ def test_report_csv_roundtrip(tmp_path):
     g = SlitGeometry()
     d = double_slit_density(g)
     pos = sample_positions(d, d.support, 101, seed=9)
-    h = histogram(pos, BinningScheme(10, Origin.FROM_B, d.support))
-    r = block_report(h, d)
+    h = histogram(pos, BinningScheme(10, d.support), Origin.FROM_B)
+    r = block_report(h, d, g.center_mu)
     back = _report_round_trip(r, "csv", tmp_path)
     assert back.rows[0] == r
     assert len(back.rows) == 1
@@ -365,8 +363,8 @@ def test_report_is_value_object():
     g = SlitGeometry()
     d = double_slit_density(g)
     pos = sample_positions(d, d.support, 13, seed=1)
-    h = histogram(pos, BinningScheme(10, Origin.FROM_A, d.support))
-    assert block_report(h, d) == block_report(h, d)
+    h = histogram(pos, BinningScheme(10, d.support))
+    assert block_report(h, d, g.center_mu) == block_report(h, d, g.center_mu)
     # plain Python values, so a row equals its copy read back from a report
     r = bound_reports(np.array([block_sup(h, d)]), 13, (0.5, 0.58))[0]
     assert [type(value) for value in r] == [float] * 5 + [bool] * 4

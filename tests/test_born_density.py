@@ -103,7 +103,7 @@ def test_density_even_about_center(density, geometry):
 
 
 def test_first_fringe_zero(density, geometry):
-    zeros = [z for z in density.analytic_zeros if z > geometry.center_mu]
+    zeros = [z for z in density.subdivision_points(density.support) if z > geometry.center_mu]
     t_star = zeros[0]
     # first positive zero satisfies n(t*) (t* - mu) = pi/2
     phase = fringe_n(geometry, t_star) * (t_star - geometry.center_mu)
@@ -112,7 +112,7 @@ def test_first_fringe_zero(density, geometry):
 
 
 def test_all_advertised_zeros_vanish(density, geometry):
-    vals = density.evaluate(np.array(density.analytic_zeros))
+    vals = density.evaluate(np.array(density.subdivision_points(density.support)))
     assert np.all(vals < 1e-12 * geometry.peak_height_I0)
 
 
@@ -295,7 +295,8 @@ def test_explicit_support_override():
     iv = Interval(-0.5, 0.5)
     d = double_slit_density(g, support=iv)
     assert d.support == iv
-    assert all(iv.lo < z < iv.hi for z in d.analytic_zeros)
+    zeros = d.subdivision_points(Interval(-10.0, 10.0))  # none kept outside the support
+    assert zeros and all(iv.lo < z < iv.hi for z in zeros)
 
 
 def test_default_support_rejects_subwavelength_slits(tmp_path):
@@ -318,7 +319,8 @@ def test_default_support_with_fewer_than_five_envelope_nulls():
     assert support.hi == pytest.approx(1.05 * 5 * first, rel=1e-14)
     d = double_slit_density(g)
     assert d.support == support
-    assert d.analytic_zeros and all(support.lo < z < support.hi for z in d.analytic_zeros)
+    zeros = d.subdivision_points(Interval(2 * support.lo, 2 * support.hi))
+    assert zeros and all(support.lo < z < support.hi for z in zeros)
 
 
 @settings(max_examples=12, deadline=None)
@@ -337,7 +339,8 @@ def test_advertised_zeros_match_mpmath_roots(w, d_over_w, lam_over_w, big_l, mu)
                      wavelength_lambda=1000.0 * w * lam_over_w, center_mu=mu)
     d = double_slit_density(g)
     half = d.support.hi - mu
-    assert d.analytic_zeros
+    zeros = d.subdivision_points(d.support)
+    assert zeros
     with mpmath.workdps(50):
         lam, length, center = (mpmath.mpf(v) for v in (g.lambda_mm, big_l, mu))
 
@@ -351,7 +354,7 @@ def test_advertised_zeros_match_mpmath_roots(w, d_over_w, lam_over_w, big_l, mu)
         def fringe(t):
             return mpmath.cos(phase(g.d_mm, t))
 
-        for z in d.analytic_zeros:
+        for z in zeros:
             f = min((envelope, fringe), key=lambda f: abs(f(z)))
             root = mpmath.findroot(f, (mpmath.mpf(z), mpmath.mpf(z) + 1e-12 * half))
             assert abs(root - z) <= 1e-14 * half

