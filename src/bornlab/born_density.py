@@ -312,6 +312,12 @@ def _null_offset(g: SlitGeometry, slit_mm: float, order: float) -> float | None:
     return s * g.screen_distance_L / math.sqrt(gap / (2 * b * q) ** 2)
 
 
+def _null_count(g: SlitGeometry, half: float) -> float:
+    """About how many nulls :func:`double_slit_density` makes within ``half`` of
+    the center: ``(w + d) sin(theta) / lambda`` per side at that offset."""
+    return 2 * (g.w_mm + g.d_mm) * (half / math.hypot(g.screen_distance_L, half)) / g.lambda_mm
+
+
 def default_support(g: SlitGeometry) -> Interval:
     """Symmetric support holding the central peak plus >= 4 envelope nulls per
     side: 1.05 times the fifth null, or five times the first when fewer exist."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
@@ -43,7 +44,7 @@ from .berry_esseen import (
     literal_rhs,
     sup_deviations,
 )
-from .born_density import (SlitGeometry, _read_csv, cdf_at_points, default_support,
+from .born_density import (SlitGeometry, _null_count, _read_csv, cdf_at_points, default_support,
                            double_slit_density)
 from .errors import ConfigError, InvalidInterval, OutOfInterval, ParseError, SlopeUndefined
 from .madelung import (Grid, Potential, PotentialKind, gaussian_packet, harmonic_ground_state,
@@ -87,6 +88,10 @@ _ALL_VARIANTS = (
 )
 
 
+# the most nulls (both sides) a detection window may hold within its half-width
+# about mu_mm, each a quadrature segment and a CDF-table knot: the default window
+# holds 56, and `bound` takes 0.4 s at 1,700 (d_nm 1e4) and 1 s at 9,800 (5.8e4)
+_MAX_NULLS = 10_000
 # the config file's name of each SlitGeometry field
 _GEOMETRY = {"w_nm": "slit_width_w", "d_nm": "slit_separation_d", "L_mm": "screen_distance_L",
              "lambda_pm": "wavelength_lambda", "mu_mm": "center_mu", "I0": "peak_height_I0"}
@@ -162,12 +167,32 @@ class ExperimentConfig:
         if override is not None and not 0 < override < math.inf:  # NaN fails too
             raise ConfigError(f"constant_override must be a finite number > 0, got {override!r}",
                               key="constant_override")
-        g, mu, m = self.geometry, self.geometry.center_mu, self.moment_interval
+        g, window, m = self.geometry, self.interval, self.moment_interval
+        mu = g.center_mu
         _check_reach(g, "geometry.L_mm", (mu,))
-        if self.interval is not None:
-            _check_reach(g, "interval", (self.interval.lo, self.interval.hi))
+        for bad, key, what in (  # what the density forms from the geometry alone
+                (g.screen_distance_L ** 2 < sys.float_info.min, "L_mm", "L_mm**2 underflows"),
+                (not g.lambda_mm > 0 or math.pi * g.w_mm / g.lambda_mm == math.inf, "lambda_pm",
+                 "pi * w / lambda overflows"),
+                (g.slit_separation_d / g.slit_width_w == math.inf, "w_nm", "d / w overflows"),
+                (g.d_mm * g.d_mm == math.inf, "d_nm", "d_mm**2 overflows")):
+            if bad:
+                raise ConfigError(f"geometry.{key}: {what}", key=f"geometry.{key}")
+        if window is not None:
+            _check_reach(g, "interval", (window.lo, window.hi))
         if m is not None:  # centered: the density sees t + mu
             _check_reach(g, "moment_interval", (m.lo + mu, m.hi + mu))
+        if window is None:
+            try:
+                window = default_support(g)
+            except ValueError as exc:  # no envelope null, or mu_mm too large for its width
+                key = "geometry.mu_mm" if isinstance(exc, InvalidInterval) else "geometry.lambda_pm"
+                raise ConfigError(f"{key}: {exc}", key=key) from exc
+            _check_reach(g, "geometry.L_mm", (window.lo, window.hi))
+        nulls = _null_count(g, max(abs(window.lo - mu), abs(window.hi - mu)))
+        if not nulls <= _MAX_NULLS:
+            raise ConfigError(f"geometry.d_nm: the detection window holds about {nulls:.4g} "
+                              f"nulls, more than {_MAX_NULLS:,}", key="geometry.d_nm")
 
 
 def _check_reach(g: SlitGeometry, key: str, ends: Sequence[float]) -> None:
@@ -453,8 +478,6 @@ def _seed_blocks(density, interval, ns, seeds, cfg):
 
 def experiment_density(cfg: ExperimentConfig):
     interval = cfg.interval if cfg.interval is not None else default_support(cfg.geometry)
-    # a config's own interval passed this check at load; the default support is the geometry's
-    _check_reach(cfg.geometry, "geometry.L_mm", (interval.lo, interval.hi))
     density = double_slit_density(cfg.geometry, support=interval)
     center = cfg.geometry.center_mu
     moment_iv = cfg.moment_interval

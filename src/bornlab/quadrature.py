@@ -60,6 +60,10 @@ class Interval:
 
 
 _MAX_DEPTH = 200  # bisections of one panel: well inside the interpreter's stack limit
+# panels one integral may evaluate per segment between its breakpoints: the
+# moments take 1-4 per segment, a step density with no breakpoint 109 on its
+# one segment, and a window far wider than the density up to 2**depth
+_PANELS_PER_SEGMENT = 512
 
 
 @dataclass(frozen=True)
@@ -93,35 +97,33 @@ def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
     return hi, abs(hi - lo)
 
 
-def _adapt(f, a, b, abs_tol, rel_tol, depth):
+def _adapt(f, a, b, abs_tol, rel_tol, depth, budget):
     value, err = _panel(f, a, b)
     if err <= max(abs_tol, rel_tol * abs(value)):
         return value
     mid = 0.5 * (a + b)
+    budget[0] -= 2  # panels the call may still evaluate, these two halves charged
     # mid at an end means no float lies strictly between a and b: bisection
     # would only repeat this panel, so no depth left can refine it
-    if depth <= 0 or not a < mid < b:
-        raise NonConvergence(
-            f"refinement depth exhausted on [{a}, {b}] (error estimate {err:.3e})"
-        )
-    left = _adapt(f, a, mid, 0.5 * abs_tol, rel_tol, depth - 1)
-    right = _adapt(f, mid, b, 0.5 * abs_tol, rel_tol, depth - 1)
+    if depth <= 0 or not a < mid < b or budget[0] < 0:
+        what = "refinement depth" if budget[0] >= 0 else "panel budget"
+        raise NonConvergence(f"{what} exhausted on [{a}, {b}] (error estimate {err:.3e})")
+    left = _adapt(f, a, mid, 0.5 * abs_tol, rel_tol, depth - 1, budget)
+    right = _adapt(f, mid, b, 0.5 * abs_tol, rel_tol, depth - 1, budget)
     return left + right
 
 
-def integrate_with_breakpoints(
-    f: Callable,
-    iv: Interval,
-    breakpoints: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def integrate_with_breakpoints(f: Callable, iv: Interval, breakpoints: Sequence[float],
+                               cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Integrate ``f`` over ``iv``, split at the breakpoints inside it, until each
     panel's error estimate meets ``max(abs_tol, rel_tol * |I|)``; else raise
-    :class:`NonConvergence`.  Deterministic for fixed inputs."""
+    :class:`NonConvergence`, also when the call has evaluated
+    ``_PANELS_PER_SEGMENT`` panels per segment.  Deterministic for fixed inputs."""
     pts = [p for p in sorted(set(float(b) for b in breakpoints)) if iv.lo < p < iv.hi]
     edges = [iv.lo, *pts, iv.hi]
     seg_abs = cfg.abs_tol / len(edges)
+    budget = [(_PANELS_PER_SEGMENT - 1) * (len(edges) - 1)]  # past each segment's first panel
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        total += _adapt(f, a, b, seg_abs, cfg.rel_tol, cfg.max_refinement_depth)
+        total += _adapt(f, a, b, seg_abs, cfg.rel_tol, cfg.max_refinement_depth, budget)
     return total

@@ -1,6 +1,8 @@
 import json
 import math
+import signal
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +294,76 @@ def test_overflowing_default_support_names_the_distance(tmp_path, capsys):
     path.write_text(json.dumps({"geometry": {"L_mm": 1.3e154, "lambda_pm": 1.2e4}}))
     assert cli.main(["bound", "--config", str(path)]) == 2
     assert "geometry.L_mm: L_mm**2 + (t - mu_mm)**2" in capsys.readouterr().err
+
+
+class _Overtime(BaseException):
+    """Raised by the timer of test_hostile_config_ends_in_time.  Not an
+    Exception: cli.main reports a TimeoutError, an OSError, as exit 2."""
+
+
+_UNIT = {"a_mm": -1.0, "b_mm": 1.0}
+# a hostile config, its subcommand, its exit code, the key an exit 2 names on
+# stderr, and what it did before the config load judged it
+_HOSTILE = {
+    "d_nm_1e200": ("bound", {"geometry": {"d_nm": 1e200}}, 2, "geometry.d_nm"),  # OverflowError
+    "d_nm_1e200_narrow": ("bound", {"geometry": {"d_nm": 1e200},  # the same, one null in view
+                                    "interval": {"a_mm": 0.0, "b_mm": 1e-300}}, 2, "geometry.d_nm"),
+    "d_nm_1e5": ("bound", {"geometry": {"d_nm": 1e5}}, 2, "geometry.d_nm"),  # 17,000 nulls, 2 s
+    "d_nm_1e6": ("bound", {"geometry": {"d_nm": 1e6}}, 2, "geometry.d_nm"),  # 21 s
+    # no envelope null: exit 2 naming no key from bound, exit 0 from trajectories
+    "lambda_1000w": ("bound", {"geometry": {"lambda_pm": 62e3}}, 2, "geometry.lambda_pm"),
+    "lambda_1000w_trajectories": ("trajectories", {"geometry": {"lambda_pm": 62e3}}, 2,
+                                  "geometry.lambda_pm"),
+    # L_mm**2 underflows: a divide-by-zero warning, then exit 3
+    "L_mm_1e-300": ("bound", {"geometry": {"L_mm": 1e-300}}, 2, "geometry.L_mm"),
+    # lambda_mm rounds to 0: a ZeroDivisionError; d / w is inf: a warning from cos
+    "lambda_underflow": ("bound", {"geometry": {"lambda_pm": 1e-320}, "interval": _UNIT}, 2,
+                         "geometry.lambda_pm"),
+    "d_over_w_overflow": ("bound", {"geometry": {"w_nm": 1e-310}, "interval": _UNIT}, 2,
+                          "geometry.w_nm"),
+    # mu_mm swallows the default window's half-width: exit 2 naming no key
+    "mu_mm_1e154": ("bound", {"geometry": {"mu_mm": 1e154}}, 2, "geometry.mu_mm"),
+    # the density is a nonzero constant far outside its support, so every
+    # panel out there failed on both halves: no end after 60 s
+    "moment_window_1e12": ("bound", {"moment_interval": {"a_mm": -1e12, "b_mm": 1e12}}, 3, None),
+    "moment_window_1e120": ("bound", {"moment_interval": {"a_mm": -1e120, "b_mm": 1e120}}, 3,
+                            None),
+    "mu_mm_1e12": ("bound", {"geometry": {"mu_mm": 1e12}}, 3, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_HOSTILE))
+def test_hostile_config_ends_in_time(tmp_path, capsys, case):
+    # a documented exit code within the time limit, with no traceback and no
+    # warning, and the key named for a config error
+    command, cfg, code, key = _HOSTILE[case]
+    limit = 1.0 if code == 2 else 2.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = ["--out", str(tmp_path / "out.csv")] if command == "trajectories" else []
+
+    def overtime(*_):
+        raise _Overtime(f"{case} still running after {limit} s")
+
+    previous = signal.signal(signal.SIGALRM, overtime)
+    signal.setitimer(signal.ITIMER_REAL, 5 * limit)  # ends a run that would not end
+    start = time.perf_counter()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([command, "--config", str(path), *out])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert elapsed < limit, f"{case} took {elapsed:.2f} s"
+    assert "Traceback" not in err
+    if code == 2:
+        assert f"bornlab: error: {key}" in err
+    else:
+        assert err.startswith("bornlab: numerical instability: panel budget exhausted on [")
 
 
 @pytest.mark.parametrize("grid", ["-5,1000", "0,1000", "100,ten", "100,1e4"])

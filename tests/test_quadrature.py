@@ -196,6 +196,22 @@ def test_unsplittable_panel_raises_at_once(monkeypatch):
     assert panels == [(a, b)]
 
 
+@pytest.mark.parametrize("breakpoints", [(), (-0.5, 0.25, 3.0)])
+def test_panel_budget_bounds_each_call(monkeypatch, breakpoints):
+    # a step at an irrational point never settles below this tolerance, and
+    # depth 200 alone would allow 2**200 panels: the call stops after
+    # _PANELS_PER_SEGMENT panels per segment, naming the failing panel
+    monkeypatch.setattr(quadrature, "_PANELS_PER_SEGMENT", 40)
+    panels = _counting_panel(monkeypatch)
+    cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=0.0, max_refinement_depth=200)
+    f = lambda t: np.where(np.abs(t) < 1 / math.pi, 1.0, 2.0)
+    with pytest.raises(NonConvergence, match=r"^panel budget exhausted on \[\S+, \S+\]"):
+        integrate_with_breakpoints(f, Interval(-1.0, 1.0), breakpoints, cfg)
+    segments = 1 + sum(-1.0 < p < 1.0 for p in breakpoints)
+    # the budget also holds the right halves still pending on the failing path
+    assert 20 * segments < len(panels) <= 40 * segments
+
+
 def _three_integrals(d, iv, cfg):
     """What raw_moments must give: the mass, second and third absolute moment
     of ``d`` over ``iv``, each its own integral with the density evaluated afresh
