@@ -28,10 +28,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
+from functools import cached_property
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -193,6 +197,20 @@ class ExperimentConfig:
         if not nulls <= _MAX_NULLS:
             raise ConfigError(f"geometry.d_nm: the detection window holds about {nulls:.4g} "
                               f"nulls, more than {_MAX_NULLS:,}", key="geometry.d_nm")
+        # density values are at most I0, and a moment integrand |t|**k (k <= 3)
+        # times them at most I0 * max(1, |t|)**3 over the centered moment window.
+        # A panel's 31-node sum is at most 2 times its largest value, and an
+        # integral (a CDF table's total, a moment) at most the window's width
+        # times it.  A factor that overflows at I0 = 1 is the windows' own, and
+        # their integrals fail on their own
+        if m is None:
+            m = Interval(window.lo - mu, window.hi - mu)
+        reach = max(1.0, -m.lo, m.hi)
+        factor = max(2.0, window.hi - window.lo,
+                     reach * reach * reach * max(2.0, m.hi - m.lo))
+        if factor < math.inf and not g.peak_height_I0 * factor < math.inf:
+            raise ConfigError(f"geometry.I0: the quadrature sums, up to I0 * {factor:.4g}, "
+                              f"overflow", key="geometry.I0")
 
 
 def _check_reach(g: SlitGeometry, key: str, ends: Sequence[float]) -> None:
@@ -413,14 +431,14 @@ def load_config(path) -> ExperimentConfig:
 # reports
 
 def _sort_key(row: ReportRow):
-    return (row.N, row.bin_count, row.origin.value, -1 if row.seed is None else row.seed)
+    return (row.N, row.bin_count, _ORIGIN_VALUE(row.origin), -1 if row.seed is None else row.seed)
 
 
 def _summarize(rows: Sequence[ReportRow]) -> dict:
     """The row count, then ``pass_x`` counting the rows that pass each verdict
     column ``verdict_x``."""
     return {"rows": len(rows), **{f"pass_{column.removeprefix('verdict_')}":
-                                  sum(getattr(r, column) for r in rows)
+                                  sum(map(attrgetter(column), rows))
                                   for column, _, kind in _FIELDS if kind is bool}}
 
 
@@ -433,6 +451,15 @@ class ConvergenceReport:
     def from_rows(cls, rows: Sequence[ReportRow]) -> "ConvergenceReport":
         ordered = tuple(sorted(rows, key=_sort_key))
         return cls(ordered, _summarize(ordered))
+
+    @cached_property
+    def cells(self) -> tuple[list[str], ...]:
+        """The CSV text of every cell, one list per column: the seed's (empty
+        for None), then each field's in ``_FIELDS`` order.  Spelled once per
+        report; both formats of :func:`report_text` join these lists."""
+        seeds, *columns = zip(*self.rows) if self.rows else [()] * len(ReportRow._fields)
+        return (["" if seed is None else str(seed) for seed in seeds],
+                *(_COLUMN_CELLS[kind](column) for (_, _, kind), column in zip(_FIELDS, columns)))
 
     def all_literal_pass(self, variants: Sequence[BoundConstantVariant] = _ALL_VARIANTS) -> bool:
         """True when every row passes the literal (N-free) form for the
@@ -613,44 +640,31 @@ REPORT_CSV_COLUMNS = [column for column, _, _ in _FIELDS]
 # one verification keyed by (N, bins, origin, seed); seed is None for ingested events
 ReportRow = namedtuple("ReportRow", ["seed", *REPORT_CSV_COLUMNS])
 _ORIGINS = {origin.value: origin for origin in Origin}
+# an origin's value, read from the member itself (Enum.value runs a Python getter)
+_ORIGIN_VALUE = attrgetter("_value_")
 # the JSON text of the values that a CSV cell spells as Python does: a seed of
 # None is empty, and repr writes the non-finite floats nan, inf and -inf
 _JSON_SPELLING = {"": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _field_texts(row: ReportRow, spell=repr) -> tuple[str, ...]:
-    """The CSV text of each field of ``row`` after its seed, in column order (its
-    JSON text too, an origin's quoted, when ``spell`` writes a float's JSON
-    text), unpacked and written in one expression because it runs per row."""
-    _, n, sup, lo, hi, lo_n, hi_n, v1, v2, v3, v4, bins, origin, a, b = row
-    return (str(n), spell(sup), spell(lo), spell(hi), spell(lo_n), spell(hi_n),
-            "true" if v1 else "false", "true" if v2 else "false",
-            "true" if v3 else "false", "true" if v4 else "false",
-            str(bins), origin.value, spell(a), spell(b))
+def _float_cells(column: Sequence) -> list[str]:
+    """The ``repr`` of each value in a float column, ``repr`` run once per
+    distinct nonzero float; zeros and values of other types are not looked
+    up, since -0.0 == 0.0 and 1 == 1.0 == True share a key."""
+    distinct = {x for x in column if type(x) is float and x}
+    spelled = dict(zip(distinct, map(repr, distinct)))
+    return [spelled[x] if type(x) is float and x else repr(x) for x in column]
 
 
-def _speller(fmt: str):
-    """The ``spell`` of one :func:`report_text` call: a float's ``repr``, which
-    JSON writes NaN, Infinity and -Infinity when it is nan, inf and -inf.  A
-    memo keeps each nonzero float's text, so ``repr`` runs once per distinct
-    value; zeros and values of other types are not looked up, since -0.0 ==
-    0.0 and 1 == 1.0 share a key."""
-    nonfinite = _JSON_SPELLING if fmt == "json" else {}
-    memo: dict[float, str] = {}
-
-    def text(x) -> str:
-        spelled = repr(x)
-        return nonfinite.get(spelled, spelled)
-
-    def spell(x) -> str:
-        if type(x) is not float or not x:
-            return text(x)
-        spelled = memo.get(x)
-        if spelled is None:
-            spelled = memo[x] = text(x)
-        return spelled
-
-    return spell
+# the cells of a column of each field type, its CSV text
+_COLUMN_CELLS = {
+    int: lambda column: list(map(str, column)),
+    float: _float_cells,
+    bool: lambda column: ["true" if v else "false" for v in column],
+    Origin: lambda column: list(map(_ORIGIN_VALUE, column)),
+}
+# the columns, seed first, whose JSON text may differ from their CSV text
+_JSON_SPELLED = [0, *(i for i, (_, _, kind) in enumerate(_FIELDS, 1) if kind is float)]
 
 
 def _text_value(text: str):
@@ -682,15 +696,16 @@ def _json_leaves(obj: Mapping, prefix: str = ""):
             yield prefix + key, value
 
 
-def _json_row_template() -> str:
-    """A row as json.dumps(indent=2) lays it out in "rows", with %s for each
-    value's text; an origin keeps its quotes."""
+def _json_row_pieces() -> list[str]:
+    """A row as json.dumps(indent=2) lays it out in "rows", cut where each
+    value's text goes: the text before the seed, then the text after each
+    value; an origin keeps its quotes."""
     holes = ["\0", *("\1" if kind is Origin else "\0" for _, _, kind in _FIELDS)]
     text = "    " + json.dumps(_json_row(holes), indent=2).replace("\n", "\n    ")
-    return text.replace('"\\u0000"', "%s").replace("\\u0001", "%s")
+    return re.split(r'"\\u0000"|\\u0001', text)
 
 
-_JSON_ROW_TEMPLATE = _json_row_template()
+_JSON_ROW_PIECES = _json_row_pieces()
 
 
 def _report_row(values: list, names: Sequence[str]) -> ReportRow:
@@ -714,22 +729,27 @@ def _report_row(values: list, names: Sequence[str]) -> ReportRow:
 
 
 def report_text(report: ConvergenceReport, fmt: str) -> str:
-    """The text :func:`emit_report` writes.  ``json``: rows filled in from the
+    """The text :func:`emit_report` writes, joined from the report's cells
+    (:attr:`ConvergenceReport.cells`).  ``json``: rows filled in from the
     template, laid out as ``json.dumps(..., indent=2)`` lays out the object the
     text holds, and a newline (``indent`` runs json's Python encoder).
-    ``csv``: the bytes of a ``csv.writer`` loop (no cell needs quotes).  Each
-    distinct float is spelled once per call (:func:`_speller`)."""
+    ``csv``: the bytes of a ``csv.writer`` loop (no cell needs quotes)."""
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
-    spell = _speller(fmt)
+    cells = list(report.cells)
     if fmt == "csv":
-        lines = [",".join(["seed", *REPORT_CSV_COLUMNS])]
-        lines += [f"{'' if r.seed is None else r.seed},{','.join(_field_texts(r, spell))}"
-                  for r in report.rows]
-        return "\n".join(lines) + "\n"
-    rows = ",\n".join([_JSON_ROW_TEMPLATE % ("null" if r.seed is None else r.seed,
-                                             *_field_texts(r, spell))
-                       for r in report.rows])
+        return "\n".join([",".join(["seed", *REPORT_CSV_COLUMNS]),
+                          *map(",".join, zip(*cells))]) + "\n"
+    for i in _JSON_SPELLED:
+        if not _JSON_SPELLING.keys().isdisjoint(cells[i]):
+            cells[i] = [_JSON_SPELLING.get(text, text) for text in cells[i]]
+    # one join over the rows: the template's pieces between the cells, and
+    # before each row after the first the separator ",\n"
+    head, *tails = _JSON_ROW_PIECES
+    parts = [chain([head], repeat(",\n" + head))]
+    for column, tail in zip(cells, tails):
+        parts += [column, repeat(tail)]
+    rows = "".join(chain.from_iterable(zip(*parts)))
     rows = f"[\n{rows}\n  ]" if rows else "[]"
     summary = json.dumps(report.summary, indent=2).replace("\n", "\n  ")
     return f'{{\n  "rows": {rows},\n  "summary": {summary}\n}}\n'

@@ -1,12 +1,21 @@
-"""Definition-level empirical CDF, the check from outside the block API.
+"""Definition-level oracles: the empirical CDF, the check from outside the
+block API, and the report texts written row by row.
 
 A histogram holds its counts in origin order (bin 1 nearest its origin), and
 its CDF at a point is read off the definition: the fraction of events in
 whole bins at or before that point.  Nothing here imports the block
 helpers of ``bornlab.sampler`` or ``bornlab.berry_esseen``, so the tests can
 compare them against it.
+
+The report oracle spells each row on its own: CSV through a ``csv.writer``
+loop, JSON through a row template filled per row, each float by ``repr``
+(NaN and Infinity the JSON way).  It imports nothing of ``bornlab.harness``'s
+report format, so the tests can compare the column-wise writer against it.
 """
 
+import csv
+import io
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,3 +63,73 @@ def empirical_cdf(h: EmpiricalHistogram, x: float) -> float:
         # whole bins with left edge >= x
         j = h.scheme.bin_count - int(np.searchsorted(edges[:-1], x, side="left"))
     return 0.0 if j == 0 else float(cum[j - 1]) / h.total_N
+
+
+def field_texts(row, spell=repr) -> tuple[str, ...]:
+    """The CSV text of each field of a report row after its seed, in column
+    order (its JSON text too, an origin's unquoted, when ``spell`` writes a
+    float's JSON text)."""
+    _, n, sup, lo, hi, lo_n, hi_n, v1, v2, v3, v4, bins, origin, a, b = row
+    return (str(n), spell(sup), spell(lo), spell(hi), spell(lo_n), spell(hi_n),
+            "true" if v1 else "false", "true" if v2 else "false",
+            "true" if v3 else "false", "true" if v4 else "false",
+            str(bins), origin.value, spell(a), spell(b))
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def speller(fmt: str):
+    """A float's text in one report: its ``repr``, which JSON writes NaN,
+    Infinity and -Infinity when it is nan, inf and -inf."""
+    nonfinite = _JSON_NONFINITE if fmt == "json" else {}
+
+    def spell(x) -> str:
+        spelled = repr(x)
+        return nonfinite.get(spelled, spelled)
+
+    return spell
+
+
+REPORT_HEADER = ["seed", "N", "sup_deviation", "rhs_lower_const", "rhs_upper_const",
+                 "rhs_with_sqrtN_lower", "rhs_with_sqrtN_upper", "verdict_lower_const",
+                 "verdict_upper_const", "verdict_with_sqrtN_lower", "verdict_with_sqrtN_upper",
+                 "bin_count", "origin", "a_mm", "b_mm"]
+
+
+def report_csv(report) -> str:
+    """The report CSV as a ``csv.writer`` loop writes it."""
+    spell = speller("csv")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(REPORT_HEADER)
+    for row in report.rows:
+        writer.writerow(["" if row.seed is None else str(row.seed), *field_texts(row, spell)])
+    return buf.getvalue()
+
+
+def _row_template() -> str:
+    """A row as ``json.dumps(indent=2)`` lays it out in "rows", with %s for
+    each value's text; the origin keeps its quotes.  The keys are the
+    README's."""
+    h, q = "\0", "\1"
+    row = {"seed": h, "N": h, "sup_deviation": h, "rhs_lower_const": h, "rhs_upper_const": h,
+           "rhs_with_sqrtN_lower": h, "rhs_with_sqrtN_upper": h,
+           "verdicts": {"lower_const": h, "upper_const": h, "with_sqrtN_lower": h,
+                        "with_sqrtN_upper": h},
+           "scheme": {"bin_count": h, "origin": q, "interval": {"a_mm": h, "b_mm": h}}}
+    text = "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
+    return text.replace('"\\u0000"', "%s").replace("\\u0001", "%s")
+
+
+_ROW_TEMPLATE = _row_template()
+
+
+def report_json(report) -> str:
+    """The report JSON, each row filled into the template on its own."""
+    spell = speller("json")
+    rows = ",\n".join(_ROW_TEMPLATE % ("null" if row.seed is None else row.seed,
+                                        *field_texts(row, spell)) for row in report.rows)
+    rows = f"[\n{rows}\n  ]" if rows else "[]"
+    summary = json.dumps(report.summary, indent=2).replace("\n", "\n  ")
+    return f'{{\n  "rows": {rows},\n  "summary": {summary}\n}}\n'

@@ -329,6 +329,11 @@ _HOSTILE = {
     "moment_window_1e120": ("bound", {"moment_interval": {"a_mm": -1e120, "b_mm": 1e120}}, 3,
                             None),
     "mu_mm_1e12": ("bound", {"geometry": {"mu_mm": 1e12}}, 3, None),
+    # an overflow RuntimeWarning in the CDF table's panel sums, then exit 3
+    "I0_1.7e308": ("replicate", {"geometry": {"I0": 1.7e308}}, 2, "geometry.I0"),
+    # a pattern 800 mm wide: a narrow moment window leaves the table's total to overflow
+    "I0_1e306_wide_pattern": ("replicate", {"geometry": {"I0": 1e306, "L_mm": 1e6},
+                                            "moment_interval": _UNIT}, 2, "geometry.I0"),
 }
 
 
@@ -340,7 +345,8 @@ def test_hostile_config_ends_in_time(tmp_path, capsys, case):
     limit = 1.0 if code == 2 else 2.0
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    out = ["--out", str(tmp_path / "out.csv")] if command == "trajectories" else []
+    out = {"trajectories": ["--out", str(tmp_path / "out.csv")],
+           "replicate": ["--out", str(tmp_path / "out.json")]}.get(command, [])
 
     def overtime(*_):
         raise _Overtime(f"{case} still running after {limit} s")

@@ -1,6 +1,4 @@
-import csv
 import functools
-import io
 import json
 import math
 import re
@@ -28,10 +26,8 @@ from bornlab.harness import (
     MadelungConfig,
     PAPER_REPLICATION_N_VALUES,
     PATTERN_BUILDUP_N_VALUES,
-    REPORT_CSV_COLUMNS,
     ReportRow,
     SweepResult,
-    _field_texts,
     config_from_json_dict,
     emit_report,
     ingest_events,
@@ -49,6 +45,7 @@ from bornlab.madelung import Grid, Potential
 from bornlab.quadrature import Interval
 from bornlab.sampler import (bin_counts, inverse_cdf_sample, rng_from_seed, sample_positions,
                              write_events_csv)
+from reference import field_texts, report_csv, report_json
 
 
 def small_config(**overrides):
@@ -452,7 +449,7 @@ def test_block_verify_matches_per_row():
         (n, s, b, o) for n in ends for s in seeds for b in bin_sizes for o in Origin}
     for got in rows:
         want = _per_row_report(setup, cfg, rhs, got, block[seeds.index(got.seed), :got.N])
-        assert got == want and _field_texts(got) == _field_texts(want)
+        assert got == want and field_texts(got) == field_texts(want)
 
     # sampled streams: the row at each N is judged on sample_positions(N, seed)
     cfg = replace(cfg, seeds=(4, 1, 6), n_values=(200, 13, 54))
@@ -461,7 +458,7 @@ def test_block_verify_matches_per_row():
     for got in rows:
         positions = sample_positions(density, interval, got.N, got.seed, cfg.quadrature)
         want = _per_row_report(setup, cfg, rhs, got, positions)
-        assert got == want and _field_texts(got) == _field_texts(want)
+        assert got == want and field_texts(got) == field_texts(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -692,16 +689,6 @@ def _report_object(rows):
                                                               for r in rows) for v in verdicts}}}
 
 
-def _csv_writer_text(report):
-    """The report CSV as the csv.writer loop that report_text replaced wrote it."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["seed", *REPORT_CSV_COLUMNS])
-    for row in report.rows:
-        writer.writerow(["" if row.seed is None else str(row.seed), *_field_texts(row)])
-    return buf.getvalue()
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_REPORT_ROW, max_size=5))
 @example([])
@@ -726,7 +713,7 @@ def test_report_text_matches_json_dumps_and_csv_writer(rows):
     text = {"json": report_text(report, "json"), "csv": report_text(report, "csv")}
     assert text["json"] == json.dumps(json.loads(text["json"]), indent=2) + "\n"
     assert text["json"] == json.dumps(_report_object(report.rows), indent=2) + "\n"
-    assert text["csv"] == _csv_writer_text(report)
+    assert text["csv"] == report_csv(report)
     with tempfile.TemporaryDirectory() as tmp:
         for fmt in ("json", "csv"):
             path = Path(tmp) / f"report.{fmt}"
@@ -741,9 +728,56 @@ def test_report_text_spells_equal_values_of_other_types_apart():
     rows = [ReportRow(1, 4, 1.0, 0.5, np.float64(0.5), 1.0, True, True, True, True, True,
                       2, Origin.FROM_A, -1, 1)]
     report = ConvergenceReport.from_rows(rows)
-    assert report_text(report, "csv") == _csv_writer_text(report)
+    assert report_text(report, "csv") == report_csv(report)
+    assert report_text(report, "json") == report_json(report)
     assert report_text(report, "csv").splitlines()[1].split(",")[2:7] == [
         "1.0", "0.5", "np.float64(0.5)", "1.0", "True"]
+
+
+@st.composite
+def _rows_sharing_floats(draw):
+    """Report rows whose float fields come from a few drawn values, so that
+    one value repeats across columns and rows.  The values include nan, +-inf
+    and +-0.0, and values of other types equal to a float (1, True and
+    np.float64(0.5) beside 1.0 and 0.5)."""
+    pool = st.sampled_from(draw(st.lists(
+        _REPORT_FLOAT | st.sampled_from([1.0, 0.5, 1, True, np.float64(0.5)]),
+        min_size=1, max_size=4)))
+    return draw(st.lists(st.builds(
+        lambda seed, n, floats, verdicts, bins, origin: ReportRow(
+            seed, n, *floats[:5], *verdicts, bins, origin, *floats[5:]),
+        st.none() | st.integers(0, 2**64 - 1), st.integers(1, 10**12),
+        st.tuples(*[pool] * 7), st.tuples(*[st.booleans()] * 4), st.integers(1, 10**6),
+        st.sampled_from(Origin)), max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows_sharing_floats())
+@example([ReportRow(None, 1, math.nan, -0.0, 0.0, math.inf, -math.inf, True, False, True, False,
+                    3, Origin.FROM_B, math.nan, -0.0),
+          ReportRow(4, 1, 0.0, math.nan, -math.inf, -0.0, math.inf, False, True, False, True,
+                    3, Origin.FROM_A, 0.0, math.inf)])
+def test_report_text_matches_row_by_row_reference(rows):
+    # the column-wise writer writes what the reference writes row by row, and
+    # one report's cells serve both formats in either order
+    want = {"json": report_json(ConvergenceReport.from_rows(rows)),
+            "csv": report_csv(ConvergenceReport.from_rows(rows))}
+    for fmt in want:
+        assert report_text(ConvergenceReport.from_rows(rows), fmt) == want[fmt]
+    for order in (("csv", "json"), ("json", "csv")):
+        report = ConvergenceReport.from_rows(rows)
+        for fmt in order:
+            assert report_text(report, fmt) == want[fmt], order
+
+
+def test_paper_size_report_matches_row_by_row_reference():
+    # the goldens hold 36 rows; the paper's nine N values x 40 seeds x bins
+    # 10/20/50/100 x two orientations hold 2,880
+    report = run_paper_replication(replication_config(
+        seeds=tuple(range(1, 41)), bin_counts=(10, 20, 50, 100)))
+    assert len(report.rows) == 9 * 40 * 4 * 2
+    assert report_text(report, "json") == report_json(report)
+    assert report_text(report, "csv") == report_csv(report)
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bornlab import madelung
 from bornlab.born_density import SlitGeometry, TabulatedDensity, double_slit_density
@@ -413,6 +415,8 @@ def _advected_error(grid, field, potential, x0, exact, t_end):
 
 
 _DTS = (0.04, 0.02, 0.01, 0.005)
+# the largest error at the finest dt, 0.005, of the two closed-form oracles below
+_FREE_BOUND, _COHERENT_BOUND = 1.5e-6, 1.5e-5
 
 
 def _assert_second_order(errors, finest_bound):
@@ -424,40 +428,61 @@ def _assert_second_order(errors, finest_bound):
     assert errors[-1] <= finest_bound, errors
 
 
-def test_free_gaussian_trajectories_match_closed_form():
-    # oracle (Holland 1993, 4.7): a free Gaussian of sigma0 = 1 drifting at
-    # v = 2 pi k / L carries each particle along x0 * sigma(t) / sigma0 + v t,
-    # with sigma(t) = sqrt(1 + (t / 2)^2) at hbar = m = 1
-    k_index, length = 10, 80.0
-    v = 2.0 * math.pi * k_index / length
+def _free_gaussian_error(dt, sigma0=1.0, k_index=10):
+    # oracle (Holland 1993, 4.7): a free Gaussian drifting at v = 2 pi k / L
+    # carries each particle along x0 * sigma(t) / sigma0 + v t, with
+    # sigma(t) = sigma0 * sqrt(1 + (t / (2 sigma0^2))^2) at hbar = m = 1
+    v = 2.0 * math.pi * k_index / 80.0
 
     def exact(x0, t):
-        return v * t + x0 * math.sqrt(1.0 + (t / 2.0) ** 2)
+        return v * t + x0 * math.sqrt(1.0 + (t / (2.0 * sigma0 * sigma0)) ** 2)
 
-    errors = []
-    for dt in _DTS:
-        grid = Grid(-40.0, 40.0, 2048, dt)
-        field = gaussian_packet(grid, 0.0, 1.0, k_index)
-        errors.append(_advected_error(grid, field, FREE, np.linspace(-2.0, 2.0, 41), exact, 1.0))
-    _assert_second_order(errors, 1.5e-6)
+    grid = Grid(-40.0, 40.0, 2048, dt)
+    field = gaussian_packet(grid, 0.0, sigma0, k_index)
+    return _advected_error(grid, field, FREE, np.linspace(-2.0, 2.0, 41) * sigma0, exact, 1.0)
 
 
-def test_coherent_state_trajectories_match_closed_form():
+def _coherent_state_error(dt, a=1.5, omega=1.0):
     # oracle (Holland 1993, 4.9): the harmonic ground state displaced by a
     # moves rigidly, its center at a cos(omega t), so every particle follows
     # x0 + a (cos(omega t) - 1); this also exercises the potential kick
-    a, omega = 1.5, 1.0
-
     def exact(x0, t):
         return x0 + a * (math.cos(omega * t) - 1.0)
 
-    errors = []
-    for dt in _DTS:
-        grid = Grid(-20.0, 20.0, 1024, dt)
-        field = harmonic_ground_state(grid, omega, center=a)
-        errors.append(_advected_error(grid, field, Potential.harmonic(omega, 0.0),
-                                      np.linspace(a - 2.0, a + 2.0, 41), exact, 1.0))
-    _assert_second_order(errors, 1.5e-5)
+    grid = Grid(-20.0, 20.0, 1024, dt)
+    field = harmonic_ground_state(grid, omega, center=a)
+    reach = 2.0 / math.sqrt(omega)  # 2.8 standard deviations of the density
+    return _advected_error(grid, field, Potential.harmonic(omega, 0.0),
+                           np.linspace(a - reach, a + reach, 41), exact, 1.0)
+
+
+def test_free_gaussian_trajectories_match_closed_form():
+    _assert_second_order([_free_gaussian_error(dt) for dt in _DTS], _FREE_BOUND)
+
+
+def test_coherent_state_trajectories_match_closed_form():
+    _assert_second_order([_coherent_state_error(dt) for dt in _DTS], _COHERENT_BOUND)
+
+
+# One dt per example, its error within the finest-dt bound scaled by
+# (dt / 0.005)^2.  The error grows as sigma0 shrinks (about sigma0^-6) and as
+# omega grows (about omega^3): at sigma0 = 0.7 or omega = 2 it passes the
+# bound, so the draws stay where the bound of sigma0 = 1 and omega = 1 holds.
+# The drift k leaves the free error unchanged: the split step moves a plane
+# wave exactly.
+@settings(max_examples=8, deadline=None)
+@given(sigma0=st.floats(1.0, 2.0), k_index=st.integers(0, 20), dt=st.sampled_from(_DTS))
+@example(sigma0=1.0, k_index=0, dt=0.04)
+def test_free_gaussian_trajectories_over_parameters(sigma0, k_index, dt):
+    assert _free_gaussian_error(dt, sigma0, k_index) <= _FREE_BOUND * (dt / 0.005) ** 2
+
+
+@settings(max_examples=8, deadline=None)
+@given(a=st.floats(-2.0, 2.0), omega=st.floats(0.5, 1.0), dt=st.sampled_from(_DTS))
+@example(a=2.0, omega=1.0, dt=0.04)
+@example(a=-2.0, omega=1.0, dt=0.005)
+def test_coherent_state_trajectories_over_parameters(a, omega, dt):
+    assert _coherent_state_error(dt, a, omega) <= _COHERENT_BOUND * (dt / 0.005) ** 2
 
 
 def test_ensemble_matches_density_after_free_flight():
