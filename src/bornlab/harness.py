@@ -487,15 +487,18 @@ def _seed_blocks(density, interval, ns, seeds, cfg):
     """Yield one run (seeds, segments) per chunk of at most
     ``_BATCH_SAMPLE_LIMIT // max(ns)`` seeds (one at least).  Each seed's PCG64
     stream is built once; per N of the ascending ``ns``, ``segments`` yields the
-    seeds x (N - previous N) block of its next draws, inverted by one call.  A
+    seeds x (N - previous N) block of its next draws, each seed's written into
+    its own row of one array, inverted by one call.  A
     row's first N draws are ``sample_positions(..., N, seed)`` bit for bit: a
     stream drawn in parts gives the doubles drawn at once, and the inversion is
     elementwise.  Its temporaries hold one ``_CdfTable._INVERT_BLOCK``, so the
     limit bounds a segment's u, sort order and positions: about 32 bytes per draw."""
     def segments(streams):
         for done, n in zip((0, *ns), ns):
-            yield inverse_cdf_sample(density, interval,
-                                     np.stack([r.random(n - done) for r in streams]), cfg)
+            u = np.empty((len(streams), n - done))
+            for r, row in zip(streams, u):
+                r.random(out=row)
+            yield inverse_cdf_sample(density, interval, u, cfg)
 
     chunk = max(1, _BATCH_SAMPLE_LIMIT // ns[-1])
     for start in range(0, len(seeds), chunk):

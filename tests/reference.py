@@ -1,5 +1,6 @@
 """Definition-level oracles: the empirical CDF, the check from outside the
-block API, and the report texts written row by row.
+block API, the report texts written row by row, and the double-slit
+intensity as its closed form reads.
 
 A histogram holds its counts in origin order (bin 1 nearest its origin), and
 its CDF at a point is read off the definition: the fraction of events in
@@ -11,11 +12,16 @@ The report oracle spells each row on its own: CSV through a ``csv.writer``
 loop, JSON through a row template filled per row, each float by ``repr``
 (NaN and Infinity the JSON way).  It imports nothing of ``bornlab.harness``'s
 report format, so the tests can compare the column-wise writer against it.
+
+The intensity oracle is the closed form written one numpy expression per
+term, each a fresh array; the in-place kernel of ``double_slit_density``
+must give its bits.
 """
 
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,3 +139,18 @@ def report_json(report) -> str:
     rows = f"[\n{rows}\n  ]" if rows else "[]"
     summary = json.dumps(report.summary, indent=2).replace("\n", "\n  ")
     return f'{{\n  "rows": {rows},\n  "summary": {summary}\n}}\n'
+
+
+def double_slit_intensity(g, t):
+    """``I0 cos^2(n (t - mu)) sinc^2(m (t - mu))`` of the geometry ``g`` at
+    ``t``, with ``|m (t - mu)|`` below 4e-9 taken as 4e-9 (sinc is 1.0 to the
+    last ulp there)."""
+    m_scale = math.pi * g.w_mm / g.lambda_mm
+    ratio = g.slit_separation_d / g.slit_width_w
+    delta = np.asarray(t, dtype=float) - g.center_mu
+    am = m_scale * delta / np.sqrt(g.screen_distance_L**2 + delta * delta)
+    an = am * ratio
+    am_safe = np.where(np.abs(am) < 4e-9, 4e-9, am)
+    s = np.sin(am_safe) / am_safe
+    c = np.cos(an)
+    return g.peak_height_I0 * (c * c) * (s * s)

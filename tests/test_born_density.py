@@ -30,6 +30,7 @@ from bornlab.errors import (
     ZeroMass,
 )
 from bornlab.quadrature import Interval
+from reference import double_slit_intensity
 
 
 @pytest.fixture(scope="module")
@@ -358,3 +359,43 @@ def test_advertised_zeros_match_mpmath_roots(w, d_over_w, lam_over_w, big_l, mu)
             f = min((envelope, fringe), key=lambda f: abs(f(z)))
             root = mpmath.findroot(f, (mpmath.mpf(z), mpmath.mpf(z) + 1e-12 * half))
             assert abs(root - z) <= 1e-14 * half
+
+
+def _same_bits(got, want):
+    """Same type, shape and bits (NaN payloads included)."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=st.floats(20.0, 200.0), d_over_w=st.floats(1.1, 6.0), lam_over_w=st.floats(0.01, 0.9),
+       big_l=st.floats(50.0, 1000.0), mu=st.floats(-1e3, 1e3), i0=st.floats(1e-3, 1e3),
+       n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+@example(w=62.0, d_over_w=272.0 / 62.0, lam_over_w=50.0 / 62000.0, big_l=240.0, mu=0.0, i0=1.0,
+         n=21, seed=0)
+def test_kernel_matches_closed_form_bit_for_bit(w, d_over_w, lam_over_w, big_l, mu, i0, n, seed):
+    # the in-place kernel against the closed form of tests/reference.py: across
+    # the support, at mu, within 4e-9 of mu (where the sinc guard takes over
+    # and where it lets go), at NaN and +-inf, for every form of input
+    g = SlitGeometry(slit_width_w=w, slit_separation_d=w * d_over_w, screen_distance_L=big_l,
+                     wavelength_lambda=1000.0 * w * lam_over_w, center_mu=mu, peak_height_I0=i0)
+    evaluate = double_slit_density(g).evaluate
+    rng = np.random.default_rng(seed)
+    half = default_support(g).hi - mu
+    # |m (t - mu)| = 4e-9 about this far from mu, where the guard lets go
+    guard = 4e-9 * big_l / (math.pi * g.w_mm / g.lambda_mm)
+    near = [mu, np.nextafter(mu, math.inf), np.nextafter(mu, -math.inf), mu + guard,
+            mu - guard * (1 - 1e-12), mu + guard * (1 + 1e-12), mu + 4e-9, mu - 4e-9,
+            *(mu + rng.uniform(-4e-9, 4e-9, 4))]
+    specials = [*near, math.nan, math.inf, -math.inf]
+    xs = np.concatenate([specials, mu + half * rng.uniform(-1.2, 1.2, n)])
+    cube = mu + half * rng.uniform(-1.2, 1.2, (3, n, 21))
+    cube[0, 0, :len(specials)] = specials[:21]
+    with np.errstate(invalid="ignore"):  # inf / inf at +-inf, on both sides
+        for x in specials:
+            _same_bits(evaluate(x), double_slit_intensity(g, x))
+            _same_bits(evaluate(np.array(x)), double_slit_intensity(g, np.array(x)))
+        for t in (xs.tolist(), xs, xs[::-3], cube, cube.transpose(2, 0, 1)):
+            _same_bits(evaluate(t), double_slit_intensity(g, t))

@@ -16,10 +16,13 @@ drift between versions.
 
 ``GOLDEN_RUNS`` is the one table of commands and outputs.  Run this file,
 ``PYTHONPATH=src python tests/test_golden.py``, to rewrite every golden from
-it, and do so only together with a version bump.
+it, and do so only together with a version bump.  It also prints the digest of
+``MULTI_BLOCK_SAMPLE``, a 200,000-event sample kept as a sha256 only, to copy
+into that constant.
 """
 
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -95,6 +98,13 @@ GOLDEN_RUNS = [
 ]
 
 
+# sha256 of the events CSV of ``sample --n 200000 --seed 7`` on the golden
+# config: 13 inversion blocks and a few hundred draws on Newton panels, where
+# the goldens' 500 events fill one block.  Rewrite it with the goldens
+MULTI_BLOCK_SAMPLE = (["sample", "--n", "200000", "--seed", "7", "--out", "{events.csv}"],
+                      "8f75d48c2ec94130be155bc127008ebf70452538991640a386657951898de88f")
+
+
 def _golden(name):
     return DATA / ("golden_" + name.replace("/", "_"))
 
@@ -111,6 +121,12 @@ def test_cli_output_matches_golden(tmp_path, config, argv, outputs):
     for name in outputs:
         _assert_matches(_load(tmp_path / name), _load(_golden(name)), name)
         assert (tmp_path / name).read_bytes() == _golden(name).read_bytes(), name
+
+
+def test_multi_block_sample_matches_recorded_digest(tmp_path):
+    argv, digest = MULTI_BLOCK_SAMPLE
+    _run(tmp_path, CONFIG, argv)
+    assert hashlib.sha256((tmp_path / "events.csv").read_bytes()).hexdigest() == digest
 
 
 def test_golden_commands_do_not_import_numpy_ma(tmp_path):
@@ -149,3 +165,7 @@ if __name__ == "__main__":
             for name in outputs:
                 shutil.copyfile(Path(tmp) / name, _golden(name))
                 print(f"wrote {_golden(name)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        _run(Path(tmp), CONFIG, MULTI_BLOCK_SAMPLE[0])
+        digest = hashlib.sha256((Path(tmp) / "events.csv").read_bytes()).hexdigest()
+        print(f"MULTI_BLOCK_SAMPLE digest: {digest}")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from bornlab import cli, sampler
 from bornlab.berry_esseen import BinningScheme, Origin, sup_deviations
 from bornlab.born_density import (
+    CDF_TABLE_KNOTS,
     DensityModel,
     SlitGeometry,
     TabulatedDensity,
@@ -109,7 +110,10 @@ def _closed_form_intensity(g):
 def _scipy_cdf():
     """F(x) of the default double slit by scipy's QUADPACK on the closed-form
     intensity, split at its closed-form zeros and normalized by its own total
-    mass: an oracle independent of bornlab's quadrature and CDF table."""
+    mass: an oracle independent of bornlab's quadrature and CDF table.  Within
+    a segment between zeros it integrates the longer side of x, so the piece
+    it asks 1e-13 of is never a sliver next to a null (1e-26 of mass 1e-8
+    past one, where QUADPACK meets roundoff before the relative bound)."""
     from scipy.integrate import quad
 
     g = SlitGeometry()
@@ -124,6 +128,8 @@ def _scipy_cdf():
 
     def f_scipy(x):
         j = min(int(np.searchsorted(edges, x, side="right")) - 1, edges.size - 2)
+        if x - edges[j] < edges[j + 1] - x:
+            return (below[j + 1] - integral(x, edges[j + 1])) / below[-1]
         return (below[j] + integral(edges[j], x)) / below[-1]
     return f_scipy
 
@@ -337,6 +343,8 @@ _MIXED_EDGES = 1 + np.flatnonzero(_SLIT_TABLE._poly[:-1] != _SLIT_TABLE._poly[1:
 @example(int(_MIXED_EDGES[0]), 0.0, 0)
 @example(int(_MIXED_EDGES[-1]), -1.0, 0)
 @example(int(_MIXED_EDGES[-1]), 1.0, 40)
+@example(int(_MIXED_EDGES[14]), 1.0, 1)  # x lands 1e-8 past a null
+@example(int(_MIXED_EDGES[98]), 1.0, 1)
 def test_draws_near_polynomial_newton_edges_hit_the_cdf(edge, share, ulps):
     # u within one panel's mass of an edge between a polynomial and a Newton
     # panel, from a whole panel away down to a few ulps: the draw meets the
@@ -351,20 +359,80 @@ def test_draws_near_polynomial_newton_edges_hit_the_cdf(edge, share, ulps):
     assert abs(_scipy_cdf()(x) - u) <= 2e-10
 
 
-def test_inversion_memory_does_not_grow_with_the_temporaries():
-    # the Newton loop holds one block of sorted draws at a time, so what grows
-    # with the batch is u, the sort order and the output; the 3-node density
-    # evaluations would take about 300 bytes per draw if they spanned it
-    d = double_slit_density(SlitGeometry())
-    inverse_cdf_sample(d, d.support, 0.5)  # builds the CDF table
+class _NullInEveryPanel(DensityModel):
+    """cos^2(pi (K - 1) t) on [0, 1], K = CDF_TABLE_KNOTS: a null in the middle
+    of every panel of the table's grid, where x(u) grows like u^(1/3), so no
+    fit passes and every draw takes Newton passes.  Its mass is in closed form:
+    adaptive quadrature would need a panel per period."""
+
+    _C = math.pi * (CDF_TABLE_KNOTS - 1)
+
+    def __init__(self):
+        super().__init__(lambda t: np.cos(self._C * np.asarray(t, dtype=float)) ** 2, UNIT)
+
+    def exact_mass(self, iv):
+        c = self._C
+        return (iv.hi - iv.lo) / 2 + (math.sin(2 * c * iv.hi) - math.sin(2 * c * iv.lo)) / (4 * c)
+
+
+def _newton_sizes(monkeypatch) -> list:
+    """The number of draws of each ``_CdfTable._newton`` call from now on."""
+    sizes, real = [], _CdfTable._newton
+
+    def counted(self, u, *rest):
+        sizes.append(u.size)
+        real(self, u, *rest)
+
+    monkeypatch.setattr(_CdfTable, "_newton", counted)
+    return sizes
+
+
+def test_inversion_memory_does_not_grow_with_the_temporaries(monkeypatch):
+    # the polynomial pass holds one block of sorted draws at a time, and the
+    # Newton draws of all blocks are pooled into passes of at most one block,
+    # so what grows with the batch is u, the sort order and the output; the
+    # 3-node density evaluations would take about 300 bytes per draw if they
+    # spanned it.  On the double slit few draws take Newton passes; on the
+    # second density all of them do
     u = rng_from_seed(12).random(200_000)
-    tracemalloc.start()
-    try:
-        inverse_cdf_sample(d, d.support, u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    for d, newton_share in ((double_slit_density(SlitGeometry()), (0.0, 0.01)),
+                            (_NullInEveryPanel(), (0.99, 1.0))):
+        inverse_cdf_sample(d, d.support, 0.5)  # builds the CDF table
+        sizes = _newton_sizes(monkeypatch)
+        tracemalloc.start()
+        try:
+            inverse_cdf_sample(d, d.support, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert newton_share[0] <= sum(sizes) / u.size <= newton_share[1]
+        assert max(sizes) <= _CdfTable._INVERT_BLOCK
+        assert peak < 16 * 2**20
+        monkeypatch.undo()
+
+
+def test_newton_draws_of_all_blocks_share_one_pass(monkeypatch):
+    # invert pools the Newton-panel draws of its blocks and passes them to
+    # _newton when they would overfill a block, and once at the end: a
+    # three-block batch whose Newton draws fill less than one block takes one
+    # call, and each of those draws gets the bits it gets inverted alone
+    d = double_slit_density(SlitGeometry())
+    table = _fitted_table(d)
+    block = _CdfTable._INVERT_BLOCK
+    u = rng_from_seed(17).random(3 * block)
+
+    def on_newton_panel(v):
+        k = np.clip(np.searchsorted(table.cum, v, side="right") - 1, 0, table.knots.size - 2)
+        return ~table._poly[k]
+
+    per_block = on_newton_panel(np.sort(u)).reshape(3, block).sum(axis=1)
+    assert np.all(per_block > 0) and per_block.sum() < block
+    sizes = _newton_sizes(monkeypatch)
+    xs = inverse_cdf_sample(d, d.support, u)
+    assert sizes == [per_block.sum()]
+    newton = on_newton_panel(u)
+    solo = [inverse_cdf_sample(d, d.support, v) for v in u[newton].tolist()]
+    assert np.array_equal(_bits(xs[newton]), _bits(solo))
 
 
 def test_batch_keeps_input_shape():
