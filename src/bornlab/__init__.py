@@ -9,7 +9,7 @@ ensembles, and an experiment harness with a CLI front end.
 from . import berry_esseen, born_density, harness, madelung, quadrature, sampler
 from .errors import BornLabError
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "BornLabError",

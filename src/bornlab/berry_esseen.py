@@ -8,7 +8,11 @@ normalized theoretical CDF|.  The right-hand side is
 with t measured from the distribution center, C the Zolotarev lower-bound
 constant (3 + sqrt(10)) / (6 sqrt(2 pi)) or its +16% slack variant.  The
 ratio of raw integrals equals the normalized third absolute moment over
-sigma^3, so the bound is invariant under rescaling the density.
+sigma^3, so the bound is invariant under rescaling the density.  The three
+integrals are rule sums of the CDF table over the moment window
+(:meth:`born_density._CdfTable.moments`), the table whose CDF the left-hand
+side reads at the default window: one rule gives the CDF, the samples and the
+moments.
 
 Two normalization variants of the right-hand side are computed: the literal
 form with no N dependence, and the classical form carrying an extra
@@ -30,10 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import born_density
-from .born_density import DensityModel
+from .born_density import DensityModel, _cdf_table
 from .errors import EmptyHistogram, ZeroVariance
-from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig, integrate_with_breakpoints
+from .quadrature import DEFAULT_QUADRATURE, Interval, QuadratureConfig
 
 __all__ = [
     "zolotarev_constant",
@@ -98,50 +101,18 @@ def sup_deviations(counts: np.ndarray, n: int, theory: np.ndarray, origin: Origi
     return np.abs(np.cumsum(counts, axis=1) / n - theory_at).max(axis=1)
 
 
-# Distinct panels whose density values one raw_moments call keeps: 59 on the
-# default config.  An entry (31 values keyed by their 31 nodes) takes about
-# 0.7 KB, so the store stays below 1 MB however many panels an integral that
-# never settles runs through (up to 2**depth); the rest go unstored.
-_MOMENT_STORE_PANELS = 1024
-
-
-def _stored(evaluate):
-    """``evaluate``, keeping its values per node array (that is, per panel) for
-    the first ``_MOMENT_STORE_PANELS`` distinct ones.  The density is
-    elementwise, so a kept value has the bits of a fresh call."""
-    store = {}
-
-    def stored(t):
-        key = t.tobytes()
-        y = store.get(key)
-        if y is None:
-            y = evaluate(t)
-            if len(store) < _MOMENT_STORE_PANELS:
-                store[key] = y
-        return y
-
-    return stored
-
-
-def raw_moments(d: DensityModel, moment_iv: Interval,
+def raw_moments(d: DensityModel, moment_iv: Interval, center: float,
                 cfg: QuadratureConfig) -> tuple[float, float, float]:
-    """(mass, second raw moment, third absolute raw moment) of a centered
-    density over ``moment_iv`` (memoized).  The three integrals keep their own
-    breakpoints and panels and read the density from one store, so a panel
-    they share is evaluated once.  Raises ZeroVariance when the second moment
-    is numerically zero."""
-    def compute():
-        f = _stored(d.evaluate)
-        mass = born_density.total_mass(d, moment_iv, cfg, f)
-        pts = d.subdivision_points(moment_iv)
-        var_raw = integrate_with_breakpoints(lambda t: t**2 * f(t), moment_iv, pts, cfg)
-        rho_raw = integrate_with_breakpoints(  # |t|^3 has a kink at the origin
-            lambda t: np.abs(t) ** 3 * f(t), moment_iv, (*pts, 0.0), cfg)
-        if not var_raw > cfg.abs_tol:
-            raise ZeroVariance(f"second moment over [{moment_iv.lo}, {moment_iv.hi}] is {var_raw}")
-        return mass, var_raw, rho_raw
-
-    return d.memo(("raw_moments", moment_iv.lo, moment_iv.hi, cfg), compute)
+    """(mass, second moment, third absolute moment) of ``d`` about ``center``
+    over the centered ``moment_iv``: the rule sums of the CDF table over
+    ``moment_iv`` shifted by ``center``, which at the default window is the
+    table that sampling and the edge CDFs read.  Raises ZeroVariance when the
+    second moment is numerically zero."""
+    iv = Interval(moment_iv.lo + center, moment_iv.hi + center)
+    mass, var_raw, rho_raw = _cdf_table(d, iv, cfg).moments(center)
+    if not var_raw > cfg.abs_tol:
+        raise ZeroVariance(f"second moment over [{moment_iv.lo}, {moment_iv.hi}] is {var_raw}")
+    return mass, var_raw, rho_raw
 
 
 def bound_rhs(d: DensityModel, moment_iv: Interval,
@@ -155,18 +126,18 @@ def bound_rhs(d: DensityModel, moment_iv: Interval,
     ``constant_override`` replaces the lower-bound constant (the +16% variant
     is then 1.16x the override); it exists for forced-failure testing.
     """
-    mass, var_raw, rho_raw = raw_moments(d, moment_iv, cfg)
-    # normalized moments first: a power-of-two rescaling of d then moves no bit
-    return variant.constant(constant_override) * ((rho_raw / mass) / (var_raw / mass) ** 1.5)
+    both = literal_rhs(d, moment_iv, 0.0, cfg, constant_override)
+    return dict(zip(BoundConstantVariant, both))[variant]
 
 
 def literal_rhs(d: DensityModel, moment_iv: Interval, center: float,
                 cfg: QuadratureConfig, constant_override: float | None) -> tuple[float, float]:
-    """:func:`bound_rhs` for both constants, of ``d`` recentered at ``center``
-    over the centered ``moment_iv``."""
-    centered = born_density.recenter(d, center)
-    return tuple(bound_rhs(centered, moment_iv, v, cfg, constant_override) for v in (
-        BoundConstantVariant.LOWER_BOUND_CONSTANT, BoundConstantVariant.PLUS_16_PERCENT))
+    """:func:`bound_rhs` for both constants, in :class:`BoundConstantVariant`
+    order, of ``d`` about ``center`` over the centered ``moment_iv``."""
+    mass, var_raw, rho_raw = raw_moments(d, moment_iv, center, cfg)
+    # normalized moments first: a power-of-two rescaling of d then moves no bit
+    ratio = (rho_raw / mass) / (var_raw / mass) ** 1.5
+    return tuple(v.constant(constant_override) * ratio for v in BoundConstantVariant)
 
 
 def bound_reports(sups: np.ndarray, n: int, rhs: tuple[float, float]) -> list[tuple]:

@@ -36,6 +36,9 @@ it has one (a tabulated density's trapezoid sum), else adaptive, like
 No other module reads the table's arrays.  ``_CdfTable.cdf`` gives ``cdf`` and
 ``cdf_at_points`` (not memoized: a run reads them once per bin count) as
 ``F(x) = cum[k] + partial(knot[k], x)`` for the panel ``k`` holding ``x``.
+``_CdfTable.moments`` gives :mod:`berry_esseen` the bound's moments about a
+center as the same rule's sums over the same panels, the one holding the
+center split there.
 ``_CdfTable.invert`` gives :mod:`sampler` the x with ``|F(x) - u| <= 1e-10``.
 Each ``u`` is bracketed into the panel ``[a, b]`` with ``cum[i] <= u <
 cum[i + 1]``.
@@ -96,8 +99,6 @@ __all__ = [
     "TabulatedDensity",
     "double_slit_density",
     "uniform_density",
-    "envelope_m",
-    "fringe_n",
     "total_mass",
     "cdf",
     "cdf_at_points",
@@ -155,25 +156,6 @@ class SlitGeometry:
         return self.wavelength_lambda * _PM_TO_MM
 
 
-def envelope_m(g: SlitGeometry, t) -> float | np.ndarray:
-    """Single-slit envelope wavenumber m(t) in 1/mm, evaluated pointwise."""
-    delta = np.asarray(t, dtype=float) - g.center_mu
-    hyp = np.sqrt(g.screen_distance_L**2 + delta * delta)
-    out = (math.pi * g.w_mm / g.lambda_mm) / hyp
-    return float(out) if np.isscalar(t) else out
-
-
-def fringe_n(g: SlitGeometry, t) -> float | np.ndarray:
-    """Two-slit fringe wavenumber n(t) in 1/mm.
-
-    Defined through the slit separation the same way the envelope is defined
-    through the slit width, so n(t)/m(t) == d/w holds exactly for all t.
-    """
-    ratio = g.slit_separation_d / g.slit_width_w
-    out = envelope_m(g, t) * ratio
-    return float(out) if np.isscalar(t) else out
-
-
 class DensityModel:
     """Non-negative, possibly unnormalized 1D intensity on an interval.
 
@@ -182,7 +164,7 @@ class DensityModel:
     the constructor of the concrete density.  ``breakpoints`` are the points
     where quadrature must split (exact zeros, interpolation knots), read
     through :meth:`subdivision_points`.  Instances are immutable after
-    construction (internal memoization of integrals and of the CDF table's
+    construction (internal memoization of the CDF tables and of their
     polynomial fits is idempotent, so concurrent reads are safe).
     """
 
@@ -416,15 +398,14 @@ def recenter(d: DensityModel, center: float) -> DensityModel:
 
 
 def total_mass(d: DensityModel, iv: Interval | None = None,
-               cfg: QuadratureConfig = DEFAULT_QUADRATURE, f: Callable | None = None) -> float:
+               cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Integral of ``d`` over ``iv``: the density's exact mass where it has one,
-    else adaptive quadrature of ``f``, which gives ``d.evaluate``'s values (by
-    default it is ``d.evaluate``).  Raises ZeroMass when degenerate."""
+    else adaptive quadrature.  Raises ZeroMass when degenerate."""
     if iv is None:
         iv = d.support
     mass = d.exact_mass(iv)
     if mass is None:
-        mass = integrate_with_breakpoints(f or d.evaluate, iv, d.subdivision_points(iv), cfg)
+        mass = integrate_with_breakpoints(d.evaluate, iv, d.subdivision_points(iv), cfg)
     if not mass > cfg.abs_tol:
         raise ZeroMass(f"density mass over [{iv.lo}, {iv.hi}] is {mass}")
     return mass
@@ -552,6 +533,20 @@ class _CdfTable:
         # the knots run from iv.lo to iv.hi, so k is a valid knot for every x
         k = np.searchsorted(self.knots, xs, side="right") - 1
         return np.clip(self.cum[k] + self.partial(self.knots[k], xs), 0.0, 1.0)
+
+    def moments(self, center: float) -> tuple[float, float, float]:
+        """The table's rule sums of the density times 1, ``(x - center)**2`` and
+        ``|x - center|**3`` over its interval, with the panel that holds
+        ``center`` split there, where the third has a kink."""
+        knots = self.knots
+        if knots[0] < center < knots[-1]:
+            knots = _distinct(np.sort(np.append(knots, center)))
+        half = 0.5 * (knots[1:] - knots[:-1])
+        x = 0.5 * (knots[1:] + knots[:-1]) + half * self._gx[:, None]
+        f = self._evaluate(x) * (self._gw[:, None] * half)
+        s = np.abs(x - center)
+        f2 = f * (s * s)
+        return float(f.sum()), float(f2.sum()), float((f2 * s).sum())
 
     def invert(self, u: np.ndarray) -> np.ndarray:
         """The x with ``|F(x) - u| <= CDF_VALUE_TOL`` of each uniform in the flat ``u``."""

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import berry_esseen, born_density, harness, madelung, sampler
+from . import berry_esseen, harness, madelung, sampler
 from .errors import BornLabError, ConfigError, NonConvergence, UnstableStep
 from .sampler import atomic_open
 from .svg import line_chart_svg
@@ -74,8 +74,7 @@ def _cmd_density(args, cfg: harness.ExperimentConfig) -> int:
 
 def _cmd_moments(args, cfg: harness.ExperimentConfig) -> int:
     density, interval, center, moment_iv = harness.experiment_density(cfg)
-    centered = born_density.recenter(density, center)
-    mass, var_raw, rho_raw = berry_esseen.raw_moments(centered, moment_iv, cfg.quadrature)
+    mass, var_raw, rho_raw = berry_esseen.raw_moments(density, moment_iv, center, cfg.quadrature)
     sigma = math.sqrt(var_raw / mass)
     rho = rho_raw / mass
     _write_json(args.out, {
@@ -92,12 +91,9 @@ def _cmd_moments(args, cfg: harness.ExperimentConfig) -> int:
 
 def _cmd_bound(args, cfg: harness.ExperimentConfig) -> int:
     density, _, center, moment_iv = harness.experiment_density(cfg)
-    centered = born_density.recenter(density, center)
-    rhs = {
-        v.value: berry_esseen.bound_rhs(centered, moment_iv, v, cfg.quadrature,
-                                        cfg.constant_override)
-        for v in cfg.variants
-    }
+    both = dict(zip(berry_esseen.BoundConstantVariant, berry_esseen.literal_rhs(
+        density, moment_iv, center, cfg.quadrature, cfg.constant_override)))
+    rhs = {v.value: both[v] for v in cfg.variants}
     _write_json(args.out, {
         "zolotarev_constant": berry_esseen.zolotarev_constant(),
         "constant_override": cfg.constant_override,

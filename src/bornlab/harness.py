@@ -184,8 +184,11 @@ class ExperimentConfig:
                 raise ConfigError(f"geometry.{key}: {what}", key=f"geometry.{key}")
         if window is not None:
             _check_reach(g, "interval", (window.lo, window.hi))
-        if m is not None:  # centered: the density sees t + mu
+        if m is not None:  # centered: the moments are taken over [lo + mu, hi + mu]
             _check_reach(g, "moment_interval", (m.lo + mu, m.hi + mu))
+            if not m.lo + mu < m.hi + mu:
+                raise ConfigError(f"moment_interval: both ends shifted by mu_mm round to "
+                                  f"{m.lo + mu}", key="moment_interval")
         if window is None:
             try:
                 window = default_support(g)

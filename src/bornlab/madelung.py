@@ -49,7 +49,6 @@ __all__ = [
     "NODE_THRESHOLD_REL",
     "Evolution",
     "decompose_polar",
-    "recompose",
     "quantum_potential",
     "hj_residual",
     "continuity_residual",
@@ -275,11 +274,6 @@ def decompose_polar(w: WaveField, node_threshold_rel: float = NODE_THRESHOLD_REL
     for a, b in _segments(~mask):
         s[a:b] = w.grid.hbar * np.unwrap(angles[a:b])
     return PolarField(w.grid, r, s, mask, w.time)
-
-
-def recompose(p: PolarField) -> np.ndarray:
-    """R * exp(iS/hbar); inverse of decompose_polar off the node mask."""
-    return p.R * np.exp(1j * p.S / p.grid.hbar)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ class Interval:
 
 _MAX_DEPTH = 200  # bisections of one panel: well inside the interpreter's stack limit
 # panels one integral may evaluate per segment between its breakpoints: the
-# moments take 1-4 per segment, a step density with no breakpoint 109 on its
+# default window's mass takes 1 per segment, a step density with no breakpoint 109 on its
 # one segment, and a window far wider than the density up to 2**depth
 _PANELS_PER_SEGMENT = 512
 

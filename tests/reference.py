@@ -141,15 +141,22 @@ def report_json(report) -> str:
     return f'{{\n  "rows": {rows},\n  "summary": {summary}\n}}\n'
 
 
-def double_slit_intensity(g, t):
-    """``I0 cos^2(n (t - mu)) sinc^2(m (t - mu))`` of the geometry ``g`` at
-    ``t``, with ``|m (t - mu)|`` below 4e-9 taken as 4e-9 (sinc is 1.0 to the
-    last ulp there)."""
+def phases(g, t):
+    """``(m (t - mu), n (t - mu))`` of the geometry ``g`` at ``t``, with the
+    envelope wavenumber ``m(t) = pi w / (lambda hypot(L, t - mu))`` and the
+    fringe wavenumber ``n(t) = m(t) d / w``."""
     m_scale = math.pi * g.w_mm / g.lambda_mm
     ratio = g.slit_separation_d / g.slit_width_w
     delta = np.asarray(t, dtype=float) - g.center_mu
     am = m_scale * delta / np.sqrt(g.screen_distance_L**2 + delta * delta)
-    an = am * ratio
+    return am, am * ratio
+
+
+def double_slit_intensity(g, t):
+    """``I0 cos^2(n (t - mu)) sinc^2(m (t - mu))`` of the geometry ``g`` at
+    ``t``, with ``|m (t - mu)|`` below 4e-9 taken as 4e-9 (sinc is 1.0 to the
+    last ulp there)."""
+    am, an = phases(g, t)
     am_safe = np.where(np.abs(am) < 4e-9, 4e-9, am)
     s = np.sin(am_safe) / am_safe
     c = np.cos(an)

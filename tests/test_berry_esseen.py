@@ -374,40 +374,44 @@ def test_raw_moments_match_mpmath():
     # oracle: mpmath's tanh-sinh quadrature at 30 digits on the closed-form
     # default intensity (centered at 0), split at its closed-form zeros and at
     # the origin, where |t|^3 has a kink; it shares no code with bornlab's
-    # density or quadrature
+    # density or quadrature.  At mu 0 the moments are read from the table over
+    # the support, which sampling inverts; at mu 0.4 the centered window is
+    # no detection interval, so raw_moments builds its own table over [0.1,
+    # 0.9] and splits the panel that holds the center
     import mpmath
 
-    g = SlitGeometry()
-    density = double_slit_density(g)
-    iv = density.support
-    with mpmath.workdps(30):
-        w = mpmath.mpf(g.slit_width_w) / 10**6
-        sep = mpmath.mpf(g.slit_separation_d) / 10**6
-        lam = mpmath.mpf(g.wavelength_lambda) / 10**9
-        big_l = mpmath.mpf(g.screen_distance_L)
+    for mu, window in ((0.0, None), (0.4, (-0.3, 0.5))):
+        g = SlitGeometry(center_mu=mu)
+        density = double_slit_density(g)
+        iv = density.support if window is None else Interval(*window)
+        with mpmath.workdps(30):
+            w = mpmath.mpf(g.slit_width_w) / 10**6
+            sep = mpmath.mpf(g.slit_separation_d) / 10**6
+            lam = mpmath.mpf(g.wavelength_lambda) / 10**9
+            big_l = mpmath.mpf(g.screen_distance_L)
 
-        def intensity(t):
-            m = mpmath.pi * w / (lam * mpmath.hypot(big_l, t))
-            return mpmath.cos(m * sep / w * t) ** 2 * mpmath.sinc(m * t) ** 2
+            def intensity(t):
+                m = mpmath.pi * w / (lam * mpmath.hypot(big_l, t))
+                return mpmath.cos(m * sep / w * t) ** 2 * mpmath.sinc(m * t) ** 2
 
-        # envelope nulls at m(t) t = k pi (k >= 1), fringe nulls at
-        # n(t) t = (j + 1/2) pi (j >= 0)
-        offsets = []
-        for width, order in ((w, mpmath.mpf(1)), (sep, mpmath.mpf(1) / 2)):
-            while order * lam < width:
-                kl = order * lam
-                offsets.append(kl * big_l / mpmath.sqrt(width**2 - kl**2))
-                order += 1
-        cuts = sorted({s * z for z in offsets for s in (-1, 1)} | {mpmath.mpf(0)})
-        pts = [mpmath.mpf(iv.lo), *[z for z in cuts if iv.lo < z < iv.hi], mpmath.mpf(iv.hi)]
-        want = [
-            mpmath.quad(intensity, pts),
-            mpmath.quad(lambda t: t**2 * intensity(t), pts),
-            mpmath.quad(lambda t: abs(t) ** 3 * intensity(t), pts),
-        ]
-    got = raw_moments(density, iv, DEFAULT_QUADRATURE)
-    for value, oracle in zip(got, want):
-        assert value == pytest.approx(float(oracle), rel=1e-12, abs=0.0)
-    mass, var, rho = got
-    ratio = float(want[2] * mpmath.sqrt(want[0]) / want[1] ** 1.5)
-    assert rho * math.sqrt(mass) / var**1.5 == pytest.approx(ratio, rel=1e-12, abs=0.0)
+            # envelope nulls at m(t) t = k pi (k >= 1), fringe nulls at
+            # n(t) t = (j + 1/2) pi (j >= 0)
+            offsets = []
+            for width, order in ((w, mpmath.mpf(1)), (sep, mpmath.mpf(1) / 2)):
+                while order * lam < width:
+                    kl = order * lam
+                    offsets.append(kl * big_l / mpmath.sqrt(width**2 - kl**2))
+                    order += 1
+            cuts = sorted({s * z for z in offsets for s in (-1, 1)} | {mpmath.mpf(0)})
+            pts = [mpmath.mpf(iv.lo), *[z for z in cuts if iv.lo < z < iv.hi], mpmath.mpf(iv.hi)]
+            want = [
+                mpmath.quad(intensity, pts),
+                mpmath.quad(lambda t: t**2 * intensity(t), pts),
+                mpmath.quad(lambda t: abs(t) ** 3 * intensity(t), pts),
+            ]
+        got = raw_moments(density, iv, mu, DEFAULT_QUADRATURE)
+        for value, oracle in zip(got, want):
+            assert value == pytest.approx(float(oracle), rel=1e-12, abs=0.0)
+        mass, var, rho = got
+        ratio = float(want[2] * mpmath.sqrt(want[0]) / want[1] ** 1.5)
+        assert rho * math.sqrt(mass) / var**1.5 == pytest.approx(ratio, rel=1e-12, abs=0.0)

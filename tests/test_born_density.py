@@ -14,8 +14,6 @@ from bornlab.born_density import (
     cdf,
     default_support,
     double_slit_density,
-    envelope_m,
-    fringe_n,
     mean_position,
     recenter,
     scaled,
@@ -30,7 +28,7 @@ from bornlab.errors import (
     ZeroMass,
 )
 from bornlab.quadrature import Interval
-from reference import double_slit_intensity
+from reference import double_slit_intensity, phases
 
 
 @pytest.fixture(scope="module")
@@ -53,40 +51,47 @@ def test_geometry_validation():
 
 
 def test_envelope_at_center_direct_arithmetic():
-    # w=100 nm, L=1e5 nm = 0.1 mm, lambda=0.05 nm = 50 pm at t=mu:
-    # m = pi*w/(L*lambda) = pi/50 per nm once every length is in nm
+    # w=100 nm, L=1e5 nm = 0.1 mm, lambda=0.05 nm = 50 pm: with every length in
+    # nm, m(t) t = pi at t = L lambda / sqrt(w^2 - lambda^2), the first
+    # envelope null, where the kernel's sinc factor vanishes (n = 3m, so the
+    # fringe factor is 1 there)
     g = SlitGeometry(slit_width_w=100.0, slit_separation_d=300.0,
                      screen_distance_L=0.1, wavelength_lambda=50.0)
-    m_per_mm = envelope_m(g, g.center_mu)
-    assert m_per_mm == pytest.approx(math.pi * 1e-4 / (0.1 * 5e-8), rel=1e-12)
-    assert m_per_mm * 1e-6 == pytest.approx(math.pi / 50.0, rel=1e-12)  # per nm
+    t_nm = 1e5 * 0.05 / math.sqrt(100.0**2 - 0.05**2)
+    d = double_slit_density(g)
+    assert d.evaluate(t_nm * 1e-6) < 1e-20
+    assert d.evaluate(1.001 * t_nm * 1e-6) > 1e-7
 
 
+# the wavenumber tests below read tests/reference.phases, the closed form that
+# the kernel matches bit for bit (test_kernel_matches_closed_form_bit_for_bit)
 def test_envelope_center_closed_form(geometry):
     expect = math.pi * geometry.w_mm / (geometry.screen_distance_L * geometry.lambda_mm)
-    assert envelope_m(geometry, geometry.center_mu) == pytest.approx(expect, rel=1e-14)
+    am, _ = phases(geometry, geometry.center_mu + 1e-9)
+    assert am / 1e-9 == pytest.approx(expect, rel=1e-14)
 
 
 def test_envelope_even_in_offset(geometry):
     mu = geometry.center_mu
     for delta in (0.01, 0.3, 0.9):
-        assert envelope_m(geometry, mu + delta) == envelope_m(geometry, mu - delta)
+        assert phases(geometry, mu + delta)[0] == -phases(geometry, mu - delta)[0]
 
 
 def test_fringe_ratio_exact(geometry):
-    for t in (-0.7, 0.0, 0.123, 0.9):
-        assert fringe_n(geometry, t) / envelope_m(geometry, t) == 272.0 / 62.0
+    for t in (-0.7, -0.05, 0.123, 0.9):
+        am, an = phases(geometry, t)
+        assert an / am == 272.0 / 62.0
 
 
 def test_fringe_ratio_value(geometry):
-    assert fringe_n(geometry, 0.5) / envelope_m(geometry, 0.5) == pytest.approx(
-        4.387096774193548, rel=1e-12
-    )
+    am, an = phases(geometry, 0.5)
+    assert an / am == pytest.approx(4.387096774193548, rel=1e-12)
 
 
 def test_fringe_center_closed_form(geometry):
     expect = math.pi * geometry.d_mm / (geometry.screen_distance_L * geometry.lambda_mm)
-    assert fringe_n(geometry, geometry.center_mu) == pytest.approx(expect, rel=5e-15)
+    _, an = phases(geometry, geometry.center_mu + 1e-9)
+    assert an / 1e-9 == pytest.approx(expect, rel=5e-15)
 
 
 def test_peak_value_is_exactly_i0():
@@ -107,7 +112,7 @@ def test_first_fringe_zero(density, geometry):
     zeros = [z for z in density.subdivision_points(density.support) if z > geometry.center_mu]
     t_star = zeros[0]
     # first positive zero satisfies n(t*) (t* - mu) = pi/2
-    phase = fringe_n(geometry, t_star) * (t_star - geometry.center_mu)
+    _, phase = phases(geometry, t_star)
     assert phase == pytest.approx(math.pi / 2.0, rel=1e-12)
     assert float(density.evaluate(np.array([t_star]))[0]) < 1e-12 * geometry.peak_height_I0
 

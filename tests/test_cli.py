@@ -329,6 +329,10 @@ _HOSTILE = {
     "moment_window_1e120": ("bound", {"moment_interval": {"a_mm": -1e120, "b_mm": 1e120}}, 3,
                             None),
     "mu_mm_1e12": ("bound", {"geometry": {"mu_mm": 1e12}}, 3, None),
+    # the moments are taken over the window shifted by mu_mm, here one float
+    "moment_window_under_ulp_mu": ("bound", {"geometry": {"mu_mm": 1.0},
+                                             "moment_interval": {"a_mm": 1e-20, "b_mm": 2e-20}},
+                                   2, "moment_interval"),
     # an overflow RuntimeWarning in the CDF table's panel sums, then exit 3
     "I0_1.7e308": ("replicate", {"geometry": {"I0": 1.7e308}}, 2, "geometry.I0"),
     # a pattern 800 mm wide: a narrow moment window leaves the table's total to overflow
@@ -370,6 +374,31 @@ def test_hostile_config_ends_in_time(tmp_path, capsys, case):
         assert f"bornlab: error: {key}" in err
     else:
         assert err.startswith("bornlab: numerical instability: panel budget exhausted on [")
+
+
+def _far_pattern_rhs(tmp_path, command, mu):
+    """The literal right-hand sides that ``command`` writes at ``geometry.mu_mm``
+    ``mu`` (``moments``: the ratio rho / sigma^3 they share)."""
+    path = tmp_path / f"mu_{mu}.json"
+    path.write_text(json.dumps({"geometry": {"mu_mm": mu}, "n_values": [13], "seeds": [1]}))
+    out = tmp_path / f"{command}_{mu}.json"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    if command == "bound":
+        return list(report["rhs_literal"].values())
+    if command == "moments":
+        return [report["normalized"]["ratio_rho_over_sigma3"]]
+    return [report["rows"][0]["rhs_lower_const"], report["rows"][0]["rhs_upper_const"]]
+
+
+@pytest.mark.parametrize("mu", [524288.0, 1e6])
+@pytest.mark.parametrize("command", ["bound", "moments", "replicate"])
+def test_far_pattern_center_gives_the_centered_rhs(tmp_path, command, mu):
+    # the moments are rule sums of the uncentered density about mu, so no
+    # integral evaluates (t + mu) - mu, a step function on panels narrower
+    # than ulp(mu) that exhausted the panel budget from mu_mm 2**19 on
+    far = _far_pattern_rhs(tmp_path, command, mu)
+    assert far == pytest.approx(_far_pattern_rhs(tmp_path, command, 0.0), rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("grid", ["-5,1000", "0,1000", "100,ten", "100,1e4"])

@@ -16,14 +16,17 @@ drift between versions.
 
 ``GOLDEN_RUNS`` is the one table of commands and outputs.  Run this file,
 ``PYTHONPATH=src python tests/test_golden.py``, to rewrite every golden from
-it, and do so only together with a version bump.  It also prints the digest of
-``MULTI_BLOCK_SAMPLE``, a 200,000-event sample kept as a sha256 only, to copy
-into that constant.
+it, and do so only together with a version bump.  For each golden it prints
+"unchanged" or the largest relative move of any float, and names each other
+value that changed, so that the version's note can be pasted from it.  It also
+prints the digest of ``MULTI_BLOCK_SAMPLE``, a 200,000-event sample kept as a
+sha256 only, to copy into that constant.
 """
 
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -66,6 +69,22 @@ def _cell(text):
         except ValueError:
             pass
     return text
+
+
+def _moves(got, want, where="$"):
+    """(the largest relative move of a float, the paths of the other values that
+    changed) from ``want`` to ``got``, walked as :func:`_assert_matches` walks."""
+    if isinstance(want, float) and isinstance(got, float):
+        if got == want:
+            return 0.0, []
+        return (abs(got - want) / abs(want) if want else math.inf), []
+    if isinstance(want, dict) and isinstance(got, dict) and list(got) == list(want):
+        parts = [_moves(got[key], want[key], f"{where}.{key}") for key in want]
+    elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        parts = [_moves(g, w, f"{where}[{i}]") for i, (g, w) in enumerate(zip(got, want))]
+    else:
+        return 0.0, [] if type(got) is type(want) and got == want else [where]
+    return max((m for m, _ in parts), default=0.0), [p for _, paths in parts for p in paths]
 
 
 def _load(path):
@@ -163,9 +182,16 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             _run(Path(tmp), config, argv)
             for name in outputs:
-                shutil.copyfile(Path(tmp) / name, _golden(name))
-                print(f"wrote {_golden(name)}")
+                new, old = Path(tmp) / name, _golden(name)
+                if new.read_bytes() == old.read_bytes():
+                    print(f"{old.name}: unchanged")
+                    continue
+                move, changed = _moves(_load(new), _load(old), name)
+                others = f"; other values changed: {', '.join(changed)}" if changed else ""
+                print(f"{old.name}: largest relative float move {move:.2e}{others}")
+                shutil.copyfile(new, old)
     with tempfile.TemporaryDirectory() as tmp:
         _run(Path(tmp), CONFIG, MULTI_BLOCK_SAMPLE[0])
         digest = hashlib.sha256((Path(tmp) / "events.csv").read_bytes()).hexdigest()
-        print(f"MULTI_BLOCK_SAMPLE digest: {digest}")
+        print(f"MULTI_BLOCK_SAMPLE digest: "
+              f"{'unchanged' if digest == MULTI_BLOCK_SAMPLE[1] else digest}")

@@ -25,7 +25,6 @@ from bornlab.madelung import (
     ks_distance,
     plane_wave,
     quantum_potential,
-    recompose,
     sample_ensemble_from_field,
     screen_state_from_density,
     write_polar_csv,
@@ -128,7 +127,7 @@ def test_recomposition_roundtrip():
     evo = Evolution(gaussian_packet(grid, sigma=1.0, k_index=3), FREE)
     evo.step(37)
     p = decompose_polar(evo.field)
-    back = recompose(p)
+    back = p.R * np.exp(1j * p.S / p.grid.hbar)
     off = ~p.node_mask
     assert np.abs(back - evo.field.psi)[off].max() < 1e-10
 
@@ -141,7 +140,7 @@ def test_standing_wave_segments_unwrap_independently():
     p = decompose_polar(w)
     assert p.node_mask.any()
     off = ~p.node_mask
-    assert np.abs(recompose(p) - psi)[off].max() < 1e-10
+    assert np.abs(p.R * np.exp(1j * p.S / p.grid.hbar) - psi)[off].max() < 1e-10
 
 
 def test_quantum_potential_constant_amplitude_identically_zero():
