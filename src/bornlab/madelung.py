@@ -29,6 +29,7 @@ plus the validity mask left after node masking and stencil-halo erosion.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -134,6 +135,11 @@ class PolarField:
     S: np.ndarray
     node_mask: np.ndarray
     time: float = 0.0
+
+    @functools.cached_property
+    def velocity(self) -> np.ndarray:
+        """grad(S)/m, NaN where the phase is not usable; built on first use."""
+        return _velocity_field(self)
 
 
 class PotentialKind(enum.Enum):
@@ -447,39 +453,48 @@ def advect_trajectories(e: TrajectoryEnsemble, p: PolarField,
     leave the domain) are frozen in place and counted as collisions.
 
     Trajectories are taken ``_ADVECT_BLOCK`` at a time in storage order and
-    moved in place.  ``np.interp`` is fastest on ascending queries; a sampled
-    ensemble is stored ascending and 1D trajectories along grad(S)/m do not
-    cross, so it stays ascending with no per-step sort.  Every result is
-    elementwise, so the outcome does not depend on the order of the particles
-    or on the blocks: each one moves exactly as it would alone.
+    written straight into the result.  ``np.interp`` is fastest on ascending
+    queries; a sampled ensemble is stored ascending and 1D trajectories along
+    grad(S)/m do not cross, so it stays ascending with no per-step sort.  Every
+    result is elementwise, so each particle moves exactly as it would alone.
+    The arithmetic runs in place (the probe in the result's slots) with the
+    IEEE operations, in order, of ``p0 + dt*k1`` and ``p0 + 0.5*dt*(k1 + k2)``;
+    the freeze mask is built only for a block with a frozen member or a step
+    leaving the domain (NaN too), as elsewhere it would be all False.  Neither
+    moves a byte.
     """
     grid = p.grid
+    if p_next is not None and p_next.grid != grid:
+        raise ValueError("snapshots live on different grids")
     dt_step = (p_next.time - p.time) if p_next is not None else grid.dt
     if not dt_step > 0:
         raise ValueError("snapshots must advance in time")
     x = grid.x()
-    v_now = _velocity_field(p)
-    v_then = _velocity_field(p_next) if p_next is not None else v_now
+    v_now, v_then = p.velocity, (p_next or p).velocity  # each snapshot's field once
+    probe_step = dt_step if p_next is not None else 0.5 * dt_step
 
-    pos = e.positions.copy()
+    pos = np.empty_like(e.positions)
     frozen = e.frozen.copy()
     collisions = e.collisions
     for start in range(0, pos.size, _ADVECT_BLOCK):
-        p0 = pos[start:start + _ADVECT_BLOCK]
+        p0 = e.positions[start:start + _ADVECT_BLOCK]
+        p1 = pos[start:start + _ADVECT_BLOCK]
         stuck = frozen[start:start + _ADVECT_BLOCK]
         k1 = np.interp(p0, x, v_now)
+        np.multiply(k1, probe_step, out=p1)  # the probe, in the result's slots
+        p1 += p0
+        k2 = np.interp(p1, x, v_then)
         if p_next is not None:
-            probe = p0 + dt_step * k1
-            k2 = np.interp(probe, x, v_then)
-            p1 = p0 + 0.5 * dt_step * (k1 + k2)
+            np.add(k1, k2, out=p1)
+            p1 *= 0.5 * dt_step
         else:
-            probe = p0 + 0.5 * dt_step * k1
-            k2 = np.interp(probe, x, v_now)
-            p1 = p0 + dt_step * k2
-        bad = ~((p1 >= grid.x_min) & (p1 <= grid.x_max)) & ~stuck  # NaN and +-inf too
-        collisions += int(np.count_nonzero(bad))
-        stuck |= bad
-        np.copyto(p0, p1, where=~stuck)
+            np.multiply(k2, dt_step, out=p1)
+        p1 += p0
+        if stuck.any() or not (grid.x_min <= p1.min() and p1.max() <= grid.x_max):
+            bad = ~((p1 >= grid.x_min) & (p1 <= grid.x_max)) & ~stuck  # NaN and +-inf too
+            collisions += int(np.count_nonzero(bad))
+            stuck |= bad
+            np.copyto(p1, p0, where=stuck)
     return TrajectoryEnsemble(pos, e.time + dt_step, frozen, collisions, e.index)
 
 

@@ -16,6 +16,11 @@ report format, so the tests can compare the column-wise writer against it.
 The intensity oracle is the closed form written one numpy expression per
 term, each a fresh array; the in-place kernel of ``double_slit_density``
 must give its bits.
+
+The quantile map of a density tabulated on a grid (its trapezoid CDF, read
+by ``np.interp`` both ways) is the equivariance oracle of the trajectories:
+in one dimension a Bohmian particle that starts at quantile u of R^2(0) sits
+at quantile u of R^2(t).
 """
 
 import csv
@@ -161,3 +166,21 @@ def double_slit_intensity(g, t):
     s = np.sin(am_safe) / am_safe
     c = np.cos(an)
     return g.peak_height_I0 * (c * c) * (s * s)
+
+
+def _trapezoid_cdf(x, density):
+    seg = 0.5 * (density[1:] + density[:-1]) * np.diff(x)
+    cdf = np.concatenate(([0.0], np.cumsum(seg)))
+    return cdf / cdf[-1]
+
+
+def born_quantile(x, density, positions):
+    """The quantile of each position under ``density`` tabulated on the grid
+    ``x``: its trapezoid CDF, read by ``np.interp``."""
+    return np.interp(positions, x, _trapezoid_cdf(x, density))
+
+
+def born_position(x, density, u):
+    """The position at each quantile ``u`` under ``density`` on ``x``: the
+    inverse of :func:`born_quantile`."""
+    return np.interp(u, _trapezoid_cdf(x, density), x)

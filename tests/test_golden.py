@@ -20,7 +20,8 @@ it, and do so only together with a version bump.  For each golden it prints
 "unchanged" or the largest relative move of any float, and names each other
 value that changed, so that the version's note can be pasted from it.  It also
 prints the digest of ``MULTI_BLOCK_SAMPLE``, a 200,000-event sample kept as a
-sha256 only, to copy into that constant.
+sha256 only, and those of ``MULTI_BLOCK_TRAJECTORIES``, 50,000 particles over
+100 steps on the benchmark's grid, to copy into those constants.
 """
 
 import csv
@@ -123,6 +124,20 @@ GOLDEN_RUNS = [
 MULTI_BLOCK_SAMPLE = (["sample", "--n", "200000", "--seed", "7", "--out", "{events.csv}"],
                       "8f75d48c2ec94130be155bc127008ebf70452538991640a386657951898de88f")
 
+# sha256 of the positions CSV and summary of ``trajectories`` at the
+# benchmark's grid and free Gaussian (2,048 points, dt 1e-3), 100 steps and
+# 50,000 particles: 7 advection blocks, where the golden's 500 particles fill
+# one.  Rewrite it with the goldens
+MULTI_BLOCK_CONFIG = {"madelung": {
+    "preset": "free_gaussian",
+    "grid": {"x_min": -40.0, "x_max": 40.0, "points": 2048, "dt": 1e-3},
+    "state": {"center": 0.0, "sigma": 1.0, "k_index": 10}}}
+MULTI_BLOCK_TRAJECTORIES = (
+    ["trajectories", "--steps", "100", "--count", "50000", "--seed", "11",
+     "--out", "{trajectories.csv}", "--summary", "{summary.json}"],
+    {"trajectories.csv": "6d3901e505567d82a0931493cd6e910a4eede2dd73b68edaa1b9bd1be1267b05",
+     "summary.json": "d4c6159a371b715f0f7ae590d8c0c77ae5a4937f04a4aab3ce839a8998c22f14"})
+
 
 def _golden(name):
     return DATA / ("golden_" + name.replace("/", "_"))
@@ -146,6 +161,18 @@ def test_multi_block_sample_matches_recorded_digest(tmp_path):
     argv, digest = MULTI_BLOCK_SAMPLE
     _run(tmp_path, CONFIG, argv)
     assert hashlib.sha256((tmp_path / "events.csv").read_bytes()).hexdigest() == digest
+
+
+def _multi_block_trajectory_digests(out_dir):
+    config = out_dir / "config.json"
+    config.write_text(json.dumps(MULTI_BLOCK_CONFIG))
+    _run(out_dir, str(config), MULTI_BLOCK_TRAJECTORIES[0])
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in MULTI_BLOCK_TRAJECTORIES[1]}
+
+
+def test_multi_block_trajectories_match_recorded_digests(tmp_path):
+    assert _multi_block_trajectory_digests(tmp_path) == MULTI_BLOCK_TRAJECTORIES[1]
 
 
 def test_golden_commands_do_not_import_numpy_ma(tmp_path):
@@ -195,3 +222,7 @@ if __name__ == "__main__":
         digest = hashlib.sha256((Path(tmp) / "events.csv").read_bytes()).hexdigest()
         print(f"MULTI_BLOCK_SAMPLE digest: "
               f"{'unchanged' if digest == MULTI_BLOCK_SAMPLE[1] else digest}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, digest in _multi_block_trajectory_digests(Path(tmp)).items():
+            print(f"MULTI_BLOCK_TRAJECTORIES {name} digest: "
+                  f"{'unchanged' if digest == MULTI_BLOCK_TRAJECTORIES[1][name] else digest}")

@@ -1,11 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bornlab import madelung
+from bornlab import cli, madelung
 from bornlab.born_density import SlitGeometry, TabulatedDensity, double_slit_density
 from bornlab.errors import InsufficientHistory, UnstableStep
 from bornlab.madelung import (
@@ -31,6 +32,7 @@ from bornlab.madelung import (
     write_trajectories_csv,
 )
 from bornlab.sampler import sample_positions
+from reference import born_position, born_quantile
 
 FREE = Potential.free()
 
@@ -321,7 +323,32 @@ def test_node_collision_freezes_and_counts():
     assert out.positions[0] == pytest.approx(6.0)
 
 
-@pytest.mark.parametrize("block", [None, 4], ids=["one_block", "blocks_of_4"])
+def test_advect_rejects_a_snapshot_on_another_grid():
+    p = decompose_polar(gaussian_packet(Grid(-10.0, 10.0, 256, dt=1e-3)))
+    ens = TrajectoryEnsemble(np.array([-1.0, 0.5]))
+    # the same point count on another extent, and another point count
+    for grid in (Grid(-20.0, 20.0, 256, dt=1e-3), Grid(-10.0, 10.0, 512, dt=1e-3)):
+        later = decompose_polar(WaveField(grid, gaussian_packet(grid).psi, 1e-3))
+        with pytest.raises(ValueError, match="snapshots live on different grids"):
+            advect_trajectories(ens, p, later)
+
+
+def test_trajectories_command_builds_each_velocity_field_once(tmp_path, monkeypatch):
+    # step k's later snapshot is step k+1's earlier one, so s steps read s + 1
+    # velocity fields, not 2 s
+    calls = []
+    build = madelung._velocity_field
+    monkeypatch.setattr(madelung, "_velocity_field", lambda p: calls.append(p) or build(p))
+    config = str(Path(__file__).parent / "data" / "golden_madelung_config.json")
+    for steps in (1, 7):
+        calls.clear()
+        assert cli.main(["trajectories", "--config", config, "--steps", str(steps),
+                         "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(calls) == steps + 1
+        assert len({id(p) for p in calls}) == steps + 1
+
+
+@pytest.mark.parametrize("block", [None, 4, 2], ids=["one_block", "blocks_of_4", "blocks_of_2"])
 @pytest.mark.parametrize("two_snapshots", [True, False], ids=["heun", "frozen_field"])
 def test_advect_result_does_not_depend_on_particle_order(two_snapshots, block, monkeypatch):
     if block is not None:
@@ -360,6 +387,13 @@ def test_advect_result_does_not_depend_on_particle_order(two_snapshots, block, m
     assert np.array_equal(whole.positions[whole.frozen], start[whole.frozen], equal_nan=True)
     moved = ~whole.frozen
     assert moved.sum() >= 5 and (whole.positions[moved] > start[moved]).all()
+    if block == 2:
+        # both kinds of block in one call: (10.25, 0.5), and for the midpoint
+        # step (24.0, 45.0), keep every member active and inside the domain,
+        # so no freeze mask is built; each other block holds a frozen member,
+        # a NaN or a step that leaves the domain or reads a node cell
+        masked = [(frozen | whole.frozen)[i:i + block].any() for i in range(0, start.size, block)]
+        assert False in masked and True in masked
 
 
 def _benchmark_field():
@@ -482,6 +516,46 @@ def test_free_gaussian_trajectories_over_parameters(sigma0, k_index, dt):
 @example(a=-2.0, omega=1.0, dt=0.005)
 def test_coherent_state_trajectories_over_parameters(a, omega, dt):
     assert _coherent_state_error(dt, a, omega) <= _COHERENT_BOUND * (dt / 0.005) ** 2
+
+
+def _assert_equivariant(evo, ens, u, steps):
+    # equivariance (Duerr, Goldstein & Zanghi, J. Stat. Phys. 67, 843, 1992):
+    # the flow along grad(S)/m carries R^2 and 1D trajectories do not cross,
+    # so the particle that starts at quantile u of R^2(0) sits at quantile u
+    # of R^2(t).  The quantile map reads R^2 on the grid (error O(dx^2)) and
+    # Heun steps it (O(dt^2)); frozen particles are left out and counted
+    grid = evo.field.grid
+    polar = decompose_polar(evo.field)
+    for _ in range(steps):
+        prev = polar
+        evo.step()
+        polar = decompose_polar(evo.field)
+        ens = advect_trajectories(ens, prev, polar)
+    moved = ~ens.frozen
+    err = np.abs(born_quantile(grid.x(), polar.R * polar.R, ens.positions[moved]) - u[moved])
+    assert err.max() <= grid.dx**2 + grid.dt**2
+    assert np.count_nonzero(ens.frozen) == ens.collisions
+
+
+def test_free_gaussian_ensemble_keeps_its_born_quantiles():
+    # the benchmark's grid and packet, 100 steps: the largest error measured
+    # 8.5e-6 against dx^2 = 1.5e-3
+    evo = _benchmark_field()
+    polar = decompose_polar(evo.field)
+    ens = sample_ensemble_from_field(polar, 20_000, seed=5)
+    u = born_quantile(polar.grid.x(), polar.R * polar.R, ens.positions)
+    _assert_equivariant(evo, ens, u, 100)
+
+
+def test_displaced_harmonic_ground_state_keeps_its_born_quantiles():
+    # the ground state displaced by 1.5 from the well's center oscillates
+    # rigidly; particles start at 2e4 evenly spaced quantiles, and after 100
+    # steps (t = 1) the largest error measured 9.0e-5 against dx^2 = 1.5e-3
+    grid = Grid(-20.0, 20.0, 1024, dt=1e-2)
+    evo = Evolution(harmonic_ground_state(grid, 1.0, center=1.5), Potential.harmonic(1.0, 0.0))
+    r2 = np.abs(evo.field.psi) ** 2
+    u = (np.arange(20_000) + 0.5) / 20_000
+    _assert_equivariant(evo, TrajectoryEnsemble(born_position(grid.x(), r2, u)), u, 100)
 
 
 def test_ensemble_matches_density_after_free_flight():
