@@ -22,8 +22,9 @@ combinations; nothing is silently "fixed" either way.
 The API works on blocks, one histogram being a 1 x bins block:
 :func:`sup_deviations` gives each count-matrix row's sup at the bin edges (exact
 up to within-bin mass), :func:`literal_rhs` a run's right-hand sides and
-:func:`bound_reports` each sup with the four right-hand sides and its verdicts,
-as a plain tuple that :mod:`harness` places in its report row.
+:func:`bound_reports` a block's sups with the four right-hand sides and the
+verdicts as nine array columns, which :mod:`harness` gathers into its report's
+columns.
 """
 
 from __future__ import annotations
@@ -140,12 +141,14 @@ def literal_rhs(d: DensityModel, moment_iv: Interval, center: float,
     return tuple(v.constant(constant_override) * ratio for v in BoundConstantVariant)
 
 
-def bound_reports(sups: np.ndarray, n: int, rhs: tuple[float, float]) -> list[tuple]:
-    """Per sup-deviation at ``n`` events, ``(sup, rhs_lo, rhs_hi, rhs_lo /
-    sqrt(n), rhs_hi / sqrt(n))`` and then the verdict ``sup <= rhs`` against
-    each of the four: a tie passes, a NaN sup fails."""
+def bound_reports(sups: np.ndarray, n: int, rhs: tuple[float, float]) -> tuple[np.ndarray, ...]:
+    """The report columns of a block of sup-deviations at ``n`` events, each
+    an array of ``sups.size`` values: the sups, the right-hand sides
+    ``rhs_lo, rhs_hi, rhs_lo / sqrt(n), rhs_hi / sqrt(n)``, each one value
+    repeated, then the verdict ``sup <= rhs`` against each of the
+    four, compared as arrays: a tie passes, a NaN sup fails."""
     rhs_lo, rhs_hi = rhs
     root_n = math.sqrt(n)
-    lo_n, hi_n = rhs_lo / root_n, rhs_hi / root_n
-    return [(sup, rhs_lo, rhs_hi, lo_n, hi_n,
-             sup <= rhs_lo, sup <= rhs_hi, sup <= lo_n, sup <= hi_n) for sup in sups.tolist()]
+    sides = (rhs_lo, rhs_hi, rhs_lo / root_n, rhs_hi / root_n)
+    return (sups, *(np.full(sups.shape, side) for side in sides),
+            *(sups <= side for side in sides))

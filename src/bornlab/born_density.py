@@ -62,11 +62,13 @@ collapses to adjacent floats first resolves its draw to the current point.  A
 batch is visited in ascending ``u`` (one ``argsort``), so the table gathers and
 a tabulated density's ``np.interp`` run in memory order, and each panel's
 draws are one run of a block, found by searching the block for each ``cum``
-entry.  It is visited in blocks of ``_INVERT_BLOCK`` sorted draws; the draws
-on Newton panels, about 0.2% on the double slit, are pooled across blocks and
-iterated whenever the pool would pass one block, and once at the end.  So the
-temporaries hold one block: what grows with the batch is ``u``, the order and
-the output, about 24 bytes per draw.  The double-slit kernel computes in three
+entry; a block with fewer draws than the table has panels searches ``cum``
+for each draw instead, which finds the same panels.  It is visited in blocks
+of ``_INVERT_BLOCK`` sorted draws; the draws on Newton panels, about 0.2% on
+the double slit, are pooled across blocks and iterated whenever the pool
+would pass one block, and once at the end.  So the temporaries hold one
+block: what grows with the batch is ``u``, the order and the output, about 24
+bytes per draw.  The double-slit kernel computes in three
 buffers of its input's shape, with the closed form's operations in its order.
 Every step is elementwise, each panel's fit reads only that panel, and each
 result lands at its draw's own index, so neither the visiting order, nor the
@@ -572,19 +574,29 @@ class _CdfTable:
         """Write to ``out[slot]`` the inverse of each ``u[slot]`` whose panel's
         fit passed, by its polynomial; return the ``u``, panel and slot of the
         others, which ``invert`` passes to Newton iteration.  ``u[slot]``
-        ascends, so each panel's draws are one run of it."""
+        ascends, so each panel's draws are one run of it, found by one search
+        per ``cum`` entry, or by one search per draw when the block has fewer
+        draws than the table has panels."""
         knots, cum = self.knots, self.cum
         u = u[slot]
         # panel k holds the draws with cum[k] <= u < cum[k + 1], so it has
-        # positive mass; the first and last runs take any u below 0 or at 1
-        bounds = np.searchsorted(u, cum, side="left")
-        bounds[0], bounds[-1] = 0, u.size
-        counts = np.diff(bounds)
-        new = np.flatnonzero((counts > 0) & ~self._fitted)
-        if new.size:
-            self._fit(new)
-        idx = np.repeat(np.arange(counts.size), counts)
-        poly = np.repeat(self._poly, counts)
+        # positive mass; the first and last panels take any u below 0 or at 1
+        panels = cum.size - 1
+        if u.size < panels:  # search cum for each draw's panel
+            idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, panels - 1)
+            new = idx[~self._fitted[idx]]
+            if new.size:  # each panel once: idx ascends
+                self._fit(new[np.diff(new, prepend=-1) > 0])
+            poly = self._poly[idx]
+        else:  # search the block for each cum entry: each panel's draws are a run
+            bounds = np.searchsorted(u, cum, side="left")
+            bounds[0], bounds[-1] = 0, u.size
+            counts = np.diff(bounds)
+            new = np.flatnonzero((counts > 0) & ~self._fitted)
+            if new.size:
+                self._fit(new)
+            idx = np.repeat(np.arange(panels), counts)
+            poly = np.repeat(self._poly, counts)
         p = np.flatnonzero(poly)
         ip = idx[p]
         out[slot[p]] = knots[ip] + _newton_form((row[ip] for row in self._coef), u[p] - cum[ip])

@@ -6,22 +6,27 @@ is a finite number, unknown keys and repeated list entries are errors naming the
 
 The whole pipeline is a pure function of (config, seeds): sampling uses the
 fixed PCG64 streams, binning and verification are deterministic, and report
-rows are canonically sorted before serialization, so two runs with the same
-config produce byte-identical report files.  One table, ``_FIELDS``, gives each
-row field's CSV column, JSON key path and type; a report row is one flat named
-tuple, ``ReportRow``, of the seed and then those fields, and every report writer
-and the strict reader :func:`load_report` follow the table.
+rows are put in canonical order (N, bin count, origin, seed) before
+serialization, so two runs with the same config produce byte-identical report
+files.  One table, ``_FIELDS``, gives each row field's CSV column, JSON key path
+and type.  A report is its columns: the seeds, then one list of Python scalars
+per field, and a summary counted from the verdict columns.  ``ReportRow``, one
+flat named tuple of the seed and then the fields, is its row view, built on
+first use; every report writer and the strict reader :func:`load_report` follow
+the table.
 
 One loop, ``_verify_blocks``, bins and judges every run with the block API: per
 run of seeds it adds each segment's counts to running seeds x bins counts
 (``bin_counts``), takes each seed's sup as a row maximum (``sup_deviations``;
-``from_b`` reverses the columns) and reports it (``bound_reports``) against
-right-hand sides and edge CDFs read once per call (``literal_rhs``) and once per
-bin count.  Replication feeds it each seed's one sampled stream, segment by
-segment up to the largest N, so the row at a smaller N is a prefix; a sweep is
-a replication at its N grid and first bin count, whose per-N medians are read
-from the report's rows; ``verify_events`` feeds it one segment of one row,
-whose seed is None.
+``from_b`` reverses the columns) and reports the block's columns
+(``bound_reports``) against right-hand sides and edge CDFs read once per call
+(``literal_rhs``) and once per bin count.  It appends each block's columns and
+orders the whole report with one ``np.lexsort`` over keys ranked once per block.
+Replication feeds it each seed's one sampled stream, segment by segment up to
+the largest N, so the row at a smaller N is a prefix; a sweep is a replication
+at its N grid and first bin count, whose per-N medians are read from the
+report's rows; ``verify_events`` feeds it one segment of one row, whose seed is
+None.
 """
 
 from __future__ import annotations
@@ -433,44 +438,88 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # reports
 
-def _sort_key(row: ReportRow):
-    return (row.N, row.bin_count, _ORIGIN_VALUE(row.origin), -1 if row.seed is None else row.seed)
+def _ranks(column: Sequence, key=None) -> np.ndarray:
+    """The rank of each value's ``key`` (the value itself when None) among
+    the column's distinct keys in ascending order.  Equal keys share a rank,
+    so ``np.lexsort`` over ranks orders rows as ``sorted`` over the keys, ties
+    in input order, for any Python integers (seeds up to 2**64 - 1 too)."""
+    keys = {value: value if key is None else key(value) for value in set(column)}
+    rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
+    place = {value: rank[k] for value, k in keys.items()}
+    return np.fromiter(map(place.__getitem__, column), np.intp, len(column))
 
 
-def _summarize(rows: Sequence[ReportRow]) -> dict:
-    """The row count, then ``pass_x`` counting the rows that pass each verdict
-    column ``verdict_x``."""
-    return {"rows": len(rows), **{f"pass_{column.removeprefix('verdict_')}":
-                                  sum(map(attrgetter(column), rows))
-                                  for column, _, kind in _FIELDS if kind is bool}}
+def _columns(rows: Sequence[ReportRow]) -> tuple[list, list[list]]:
+    """The seed column and the field columns of ``rows``."""
+    seeds, *columns = map(list, zip(*rows)) if rows else ([] for _ in ReportRow._fields)
+    return seeds, columns
+
+
+def _canonical_order(seeds: Sequence, ns: Sequence, bins: Sequence, origins: Sequence,
+                     sizes: Sequence[int] | int = 1) -> np.ndarray:
+    """The row order of a report: by N, bin count, origin value and seed, a
+    seed of None counting as -1, ties in input order.  ``seeds`` holds each
+    row's seed; ``ns``, ``bins`` and ``origins`` the keys of each block of
+    consecutive rows, ranked once per block, and ``sizes`` the blocks' row
+    counts (a block per row by default)."""
+    return np.lexsort([_ranks(seeds, lambda seed: -1 if seed is None else seed),
+                       *(np.repeat(_ranks(keys), sizes)
+                         for keys in (list(map(_ORIGIN_VALUE, origins)), bins, ns))])
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    rows: tuple[ReportRow, ...]
+    """A report as its columns: ``seeds``, then one list per ``_FIELDS`` entry
+    in ``columns`` (row i is entry i of each), every value a Python scalar of
+    its field's type, so that ``==`` compares values; and ``summary``, the row
+    count and each verdict column's passes."""
+
+    seeds: list
+    columns: tuple[list, ...]
     summary: dict
 
     @classmethod
+    def from_columns(cls, seeds: list, columns: Sequence[list],
+                     order: np.ndarray | None = None) -> "ConvergenceReport":
+        """The report of these columns, their rows taken in ``order`` (an
+        index array) when given, with its summary counted from them."""
+        if order is not None and np.any(order[1:] < order[:-1]):  # in order: kept as is
+            at = order.tolist()
+            seeds, *columns = ([column[i] for i in at] for column in (seeds, *columns))
+        return cls(seeds, tuple(columns), {
+            "rows": len(seeds), **{f"pass_{name.removeprefix('verdict_')}": sum(column)
+                                   for (name, _, kind), column in zip(_FIELDS, columns)
+                                   if kind is bool}})
+
+    @classmethod
     def from_rows(cls, rows: Sequence[ReportRow]) -> "ConvergenceReport":
-        ordered = tuple(sorted(rows, key=_sort_key))
-        return cls(ordered, _summarize(ordered))
+        """The report of ``rows`` in canonical order (:func:`_canonical_order`)."""
+        seeds, columns = _columns(rows)
+        keys = (columns[_FIELD_AT[name]] for name in ("N", "bin_count", "origin"))
+        return cls.from_columns(seeds, columns, _canonical_order(seeds, *keys))
+
+    @cached_property
+    def rows(self) -> tuple[ReportRow, ...]:
+        """The report's rows, built from its columns on first use."""
+        return tuple(map(ReportRow._make, zip(self.seeds, *self.columns)))
 
     @cached_property
     def cells(self) -> tuple[list[str], ...]:
         """The CSV text of every cell, one list per column: the seed's (empty
         for None), then each field's in ``_FIELDS`` order.  Spelled once per
         report; both formats of :func:`report_text` join these lists."""
-        seeds, *columns = zip(*self.rows) if self.rows else [()] * len(ReportRow._fields)
-        return (["" if seed is None else str(seed) for seed in seeds],
-                *(_COLUMN_CELLS[kind](column) for (_, _, kind), column in zip(_FIELDS, columns)))
+        seeds = self.seeds
+        return (_spelled(seeds, int, str) or ["" if seed is None else str(seed) for seed in seeds],
+                *(_COLUMN_CELLS[kind](column)
+                  for (_, _, kind), column in zip(_FIELDS, self.columns)))
 
     def all_literal_pass(self, variants: Sequence[BoundConstantVariant] = _ALL_VARIANTS) -> bool:
         """True when every row passes the literal (N-free) form for the
-        requested constant variants."""
-        lower = BoundConstantVariant.LOWER_BOUND_CONSTANT in variants
-        upper = BoundConstantVariant.PLUS_16_PERCENT in variants
-        return all((r.verdict_lower_const or not lower) and (r.verdict_upper_const or not upper)
-                   for r in self.rows)
+        requested constant variants: when their summary pass counts are the
+        row count."""
+        passes = {BoundConstantVariant.LOWER_BOUND_CONSTANT: "pass_lower_const",
+                  BoundConstantVariant.PLUS_16_PERCENT: "pass_upper_const"}
+        return all(self.summary[passes[v]] == self.summary["rows"] for v in variants)
 
 
 @dataclass(frozen=True)
@@ -535,15 +584,19 @@ def _verify_blocks(cfg: ExperimentConfig, setup, runs) -> ConvergenceReport:
     adds each segment's counts (integers, so exactly the prefix's counts), and
     at the end of each segment every row is judged at N = its events so far
     under every configured (bins, orientation) pair.  The right-hand sides are
-    computed once and the CDF at the edges once per bin count.  ``setup`` is
-    the tuple returned by :func:`experiment_density`."""
+    computed once and the CDF at the edges once per bin count.  Each judged
+    block adds its seeds, its keys (N, bin count, origin) and the columns of
+    ``bound_reports`` to the report's columns, which one ``np.lexsort`` over
+    the keys ranked per block puts in canonical order.  ``setup`` is the tuple
+    returned by :func:`experiment_density`."""
     density, interval, center, moment_iv = setup
     rhs = literal_rhs(density, moment_iv, center, cfg.quadrature, cfg.constant_override)
     ascending = [BinningScheme(bins, interval) for bins in cfg.bin_counts]
     theories = [cdf_at_points(density, interval, s.edges(), cfg.quadrature) for s in ascending]
-    rows: list[ReportRow] = []
-    for seeds, segments in runs:
-        totals = [np.zeros((len(seeds), s.bin_count), dtype=np.intp) for s in ascending]
+    # bound_reports gives the columns of the fields between N and bin_count
+    seeds, blocks, bound = [], [], [[] for _ in range(_FIELD_AT["bin_count"] - 1)]
+    for run, segments in runs:
+        totals = [np.zeros((len(run), s.bin_count), dtype=np.intp) for s in ascending]
         n = 0
         for segment in segments:
             n += segment.shape[1]
@@ -552,10 +605,17 @@ def _verify_blocks(cfg: ExperimentConfig, setup, runs) -> ConvergenceReport:
                 for origin in cfg.orientations:
                     oriented = counts if origin is Origin.FROM_A else counts[:, ::-1]
                     sups = sup_deviations(oriented, n, theory, origin)
-                    rows += [ReportRow(seed, n, *r, scheme.bin_count, origin, interval.lo,
-                                       interval.hi)
-                             for seed, r in zip(seeds, bound_reports(sups, n, rhs))]
-    return ConvergenceReport.from_rows(rows)
+                    seeds += run
+                    blocks.append((n, scheme.bin_count, origin, len(run)))
+                    for column, values in zip(bound, bound_reports(sups, n, rhs)):
+                        column += values.tolist()
+    ns, bins, origins, sizes = zip(*blocks) if blocks else ((),) * 4
+    n_column, bins_column, origin_column = (
+        list(chain.from_iterable(map(repeat, keys, sizes))) for keys in (ns, bins, origins))
+    columns = [n_column, *bound, bins_column, origin_column,
+               [interval.lo] * len(seeds), [interval.hi] * len(seeds)]
+    return ConvergenceReport.from_columns(seeds, columns,
+                                          _canonical_order(seeds, ns, bins, origins, sizes))
 
 
 def run_paper_replication(cfg: ExperimentConfig) -> ConvergenceReport:
@@ -643,6 +703,7 @@ _FIELDS = (
     ("b_mm", "scheme.interval.b_mm", float),
 )
 REPORT_CSV_COLUMNS = [column for column, _, _ in _FIELDS]
+_FIELD_AT = {column: i for i, column in enumerate(REPORT_CSV_COLUMNS)}
 # one verification keyed by (N, bins, origin, seed); seed is None for ingested events
 ReportRow = namedtuple("ReportRow", ["seed", *REPORT_CSV_COLUMNS])
 _ORIGINS = {origin.value: origin for origin in Origin}
@@ -651,6 +712,19 @@ _ORIGIN_VALUE = attrgetter("_value_")
 # the JSON text of the values that a CSV cell spells as Python does: a seed of
 # None is empty, and repr writes the non-finite floats nan, inf and -inf
 _JSON_SPELLING = {"": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _spelled(column: Sequence, kind: type, spell) -> list[str] | None:
+    """``spell`` of each value of a column whose values are all of type
+    ``kind`` and nonzero, run once per distinct value and looked up through
+    C-level maps; None for any other column, since -0.0 == 0.0 and
+    1 == 1.0 == True share a key."""
+    distinct = set(column)
+    if 0 in distinct or set(map(type, column)) != {kind}:
+        return None
+    if len(distinct) == 1:  # equal values of one type, none zero, spell alike
+        return [spell(*distinct)] * len(column)
+    return list(map(dict(zip(distinct, map(spell, distinct))).__getitem__, column))
 
 
 def _float_cells(column: Sequence) -> list[str]:
@@ -664,8 +738,8 @@ def _float_cells(column: Sequence) -> list[str]:
 
 # the cells of a column of each field type, its CSV text
 _COLUMN_CELLS = {
-    int: lambda column: list(map(str, column)),
-    float: _float_cells,
+    int: lambda column: _spelled(column, int, str) or list(map(str, column)),
+    float: lambda column: _spelled(column, float, repr) or _float_cells(column),
     bool: lambda column: ["true" if v else "false" for v in column],
     Origin: lambda column: list(map(_ORIGIN_VALUE, column)),
 }
@@ -750,12 +824,17 @@ def report_text(report: ConvergenceReport, fmt: str) -> str:
         if not _JSON_SPELLING.keys().isdisjoint(cells[i]):
             cells[i] = [_JSON_SPELLING.get(text, text) for text in cells[i]]
     # one join over the rows: the template's pieces between the cells, and
-    # before each row after the first the separator ",\n"
+    # before each row after the first the separator ",\n", each column and
+    # piece written into its stride of one list
     head, *tails = _JSON_ROW_PIECES
-    parts = [chain([head], repeat(",\n" + head))]
-    for column, tail in zip(cells, tails):
-        parts += [column, repeat(tail)]
-    rows = "".join(chain.from_iterable(zip(*parts)))
+    width = 2 * len(cells) + 1
+    pieces = [",\n" + head] * (width * len(cells[0]))
+    if pieces:
+        pieces[0] = head
+    for i, (column, tail) in enumerate(zip(cells, tails)):
+        pieces[2 * i + 1::width] = column
+        pieces[2 * i + 2::width] = [tail] * len(column)
+    rows = "".join(pieces)
     rows = f"[\n{rows}\n  ]" if rows else "[]"
     summary = json.dumps(report.summary, indent=2).replace("\n", "\n  ")
     return f'{{\n  "rows": {rows},\n  "summary": {summary}\n}}\n'
@@ -786,7 +865,7 @@ def load_report(path, fmt: str | None = None) -> ConvergenceReport:
         names = ["seed", *REPORT_CSV_COLUMNS]
         rows = _read_csv(path, names, lambda cells: _report_row(
             [_text_value(cell) for cell in cells], names), least=0)
-        return ConvergenceReport(tuple(rows), _summarize(rows))
+        return ConvergenceReport.from_columns(*_columns(rows))
     if fmt != "json":
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
 
@@ -807,6 +886,7 @@ def load_report(path, fmt: str | None = None) -> ConvergenceReport:
             rows.append(_report_row([leaves[key] for key in keys], keys))
         except ValueError as exc:
             raise ParseError(f"{path}: rows[{i}]: {exc}") from exc
-    if obj.get("summary") != _summarize(rows):
+    report = ConvergenceReport.from_columns(*_columns(rows))
+    if obj.get("summary") != report.summary:
         raise ParseError(f"{path}: summary does not count the rows: {obj.get('summary')!r}")
-    return ConvergenceReport(tuple(rows), obj["summary"])
+    return replace(report, summary=obj["summary"])

@@ -10,8 +10,9 @@ compare them against it.
 
 The report oracle spells each row on its own: CSV through a ``csv.writer``
 loop, JSON through a row template filled per row, each float by ``repr``
-(NaN and Infinity the JSON way).  It imports nothing of ``bornlab.harness``'s
-report format, so the tests can compare the column-wise writer against it.
+(NaN and Infinity the JSON way), and orders rows by a sort key per row.  It
+imports nothing of ``bornlab.harness``'s report format, so the tests can
+compare the column-wise writer and its ranked ordering against it.
 
 The intensity oracle is the closed form written one numpy expression per
 term, each a fresh array; the in-place kernel of ``double_slit_density``
@@ -74,6 +75,12 @@ def empirical_cdf(h: EmpiricalHistogram, x: float) -> float:
         # whole bins with left edge >= x
         j = h.scheme.bin_count - int(np.searchsorted(edges[:-1], x, side="left"))
     return 0.0 if j == 0 else float(cum[j - 1]) / h.total_N
+
+
+def report_order(row):
+    """A report row's sort key: N, bin count, origin value, then the seed, a
+    seed of None counting as -1."""
+    return (row.N, row.bin_count, row.origin.value, -1 if row.seed is None else row.seed)
 
 
 def field_texts(row, spell=repr) -> tuple[str, ...]:

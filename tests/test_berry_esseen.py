@@ -60,7 +60,7 @@ def block_report(h, d, c, constant_override=None):
     at ``c``."""
     iv = h.scheme.interval
     rhs = literal_rhs(d, Interval(iv.lo - c, iv.hi - c), c, DEFAULT_QUADRATURE, constant_override)
-    r = bound_reports(np.array([block_sup(h, d)]), h.total_N, rhs)[0]
+    r = [column.item() for column in bound_reports(np.array([block_sup(h, d)]), h.total_N, rhs)]
     return ReportRow(None, h.total_N, *r, h.scheme.bin_count, h.origin, iv.lo, iv.hi)
 
 
@@ -285,7 +285,9 @@ def test_bound_reports_verdict_rule(n, rhs, data):
     sides = (*rhs, *(x / math.sqrt(n) for x in rhs))
     sups = data.draw(st.lists(st.floats() | st.sampled_from([math.nan, 0.0, -0.0, *sides]),
                               min_size=1, max_size=8))
-    rows = bound_reports(np.array(sups), n, rhs)
+    columns = bound_reports(np.array(sups), n, rhs)
+    assert [column.dtype for column in columns] == [np.float64] * 5 + [np.bool_] * 4
+    rows = list(zip(*(column.tolist() for column in columns)))
     assert len(rows) == len(sups)
     for sup, row in zip(sups, rows):
         assert struct.pack("<5d", *row[:5]) == struct.pack("<5d", sup, *sides)
@@ -366,8 +368,8 @@ def test_report_is_value_object():
     h = histogram(pos, BinningScheme(10, d.support))
     assert block_report(h, d, g.center_mu) == block_report(h, d, g.center_mu)
     # plain Python values, so a row equals its copy read back from a report
-    r = bound_reports(np.array([block_sup(h, d)]), 13, (0.5, 0.58))[0]
-    assert [type(value) for value in r] == [float] * 5 + [bool] * 4
+    r = block_report(h, d, g.center_mu)
+    assert [type(value) for value in r[2:11]] == [float] * 5 + [bool] * 4
 
 
 def test_raw_moments_match_mpmath():

@@ -45,7 +45,7 @@ from bornlab.madelung import Grid, Potential
 from bornlab.quadrature import Interval
 from bornlab.sampler import (bin_counts, inverse_cdf_sample, rng_from_seed, sample_positions,
                              write_events_csv)
-from reference import field_texts, report_csv, report_json
+from reference import field_texts, report_csv, report_json, report_order
 
 
 def small_config(**overrides):
@@ -461,6 +461,59 @@ def test_block_verify_matches_per_row():
         assert got == want and field_texts(got) == field_texts(want)
 
 
+@st.composite
+def _rows_with_tied_keys(draw):
+    """Report rows whose (N, bin count, origin, seed) keys come from a small
+    drawn pool, so keys tie, each row's sup its place in the list: seeds
+    None or up to 2**64 - 1, N up to 1e12."""
+    pool = draw(st.lists(st.tuples(
+        st.integers(1, 10**12) | st.sampled_from([13, 54]), st.sampled_from([10, 20]),
+        st.sampled_from(Origin),
+        st.none() | st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**63, 2**64 - 1])),
+        min_size=1, max_size=6))
+    keys = draw(st.lists(st.sampled_from(pool), max_size=12))
+    return [ReportRow(seed, n, float(i), 0.5, 0.58, 0.1, 0.2, True, True, False, False, bins,
+                      origin, -1.0, 1.0) for i, (n, bins, origin, seed) in enumerate(keys)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows_with_tied_keys())
+@example([ReportRow(seed, 13, float(i), 0.5, 0.58, 0.1, 0.2, True, True, False, False, 10,
+                    Origin.FROM_A, -1.0, 1.0) for i, seed in enumerate([2**64 - 1, None, 0, None])])
+# seeds one apart past 2**53, where a float or int64 cast would tie or wrap them
+@example([ReportRow(seed, 13, float(i), 0.5, 0.58, 0.1, 0.2, True, True, False, False, 10,
+                    Origin.FROM_A, -1.0, 1.0)
+          for i, seed in enumerate([2**64 - 1, 2**64 - 2, 2**63, 2**63 - 1])])
+def test_from_rows_orders_rows_as_the_reference_key(rows):
+    # the ranked lexsort orders rows as sorted() over the reference key per
+    # row: ties keep their input order, None comes first and seeds past
+    # 2**63 keep their order
+    want = tuple(sorted(rows, key=report_order))
+    assert ConvergenceReport.from_rows(rows).rows == want
+    assert ConvergenceReport.from_rows(rows[::-1]).rows == tuple(sorted(rows[::-1],
+                                                                        key=report_order))
+
+
+def test_block_verify_orders_rows_as_the_reference_key():
+    # runs of unsorted seeds (one None), bin counts (20, 10) and orientations
+    # (from_b, from_a) arrive out of order; the report holds them as the
+    # reference key sorts them, every key once
+    from bornlab.harness import _verify_blocks, experiment_density
+
+    cfg = replication_config(bin_counts=(20, 10), orientations=(Origin.FROM_B, Origin.FROM_A))
+    setup = experiment_density(cfg)
+    interval = setup[1]
+    rng = np.random.default_rng(8)
+    runs = []
+    for seeds in ([9, 2**64 - 1, 4], [None], [0, 7]):
+        block = rng.uniform(interval.lo, interval.hi, (len(seeds), 54))
+        runs.append((seeds, [block[:, :13], block[:, 13:]]))
+    rows = _verify_blocks(cfg, setup, runs).rows
+    assert len({report_order(r) for r in rows}) == len(rows) == 2 * 6 * 2 * 2
+    assert rows == tuple(sorted(rows, key=report_order))
+    assert rows[0].seed is None and rows[0].bin_count == 10 and rows[0].origin is Origin.FROM_A
+
+
 @settings(max_examples=60, deadline=None)
 @given(bins=st.integers(1, 40), lo=st.floats(-1e3, 1e3), width=st.floats(0.1, 1e3))
 @example(bins=1, lo=0.0, width=1.0)
@@ -570,6 +623,98 @@ def test_replicate_inverts_and_bins_each_stream_once(tmp_path, monkeypatch):
                      str(tmp_path / "r.json")]) == 0
     assert sum(inverted) == 3 * 448
     assert binned == {10: 3 * 448, 20: 3 * 448}
+
+
+def test_replicate_text_does_not_depend_on_seed_chunks(tmp_path, monkeypatch):
+    # the seeds are drawn in runs of _BATCH_SAMPLE_LIMIT // max(N) seeds; runs
+    # of 1, 2 or all 5 seeds, given out of order, write the same JSON and CSV
+    from bornlab import harness
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_values": [101, 13, 54], "seeds": [7, 3, 11, 0, 5],
+                                  "binning": {"bin_counts": [20, 10],
+                                              "orientations": ["from_b", "from_a"]}}))
+    texts = []
+    for per_run in (1, 2, 5):
+        monkeypatch.setattr(harness, "_BATCH_SAMPLE_LIMIT", per_run * 101)
+        out = [tmp_path / f"{per_run}.{fmt}" for fmt in ("json", "csv")]
+        assert cli.main(["replicate", "--config", str(config), "--out", str(out[0]),
+                         "--csv", str(out[1])]) == 0
+        texts.append([path.read_text() for path in out])
+    assert texts[0] == texts[1] == texts[2]
+    assert len(texts[0][1].splitlines()) == 1 + 3 * 5 * 2 * 2
+
+
+def test_replicate_command_builds_no_report_row(tmp_path, monkeypatch):
+    # a report is its columns: replicate writes both files without making a
+    # ReportRow, and its exit code reads the summary; rows are made only when
+    # the row view is read
+    from bornlab import harness
+
+    built = []
+
+    class Counted(harness.ReportRow):
+        __slots__ = ()
+
+        def __new__(cls, *values):
+            built.append(1)
+            return super().__new__(cls, *values)
+
+        @classmethod
+        def _make(cls, values):
+            built.append(1)
+            return super()._make(values)
+
+    monkeypatch.setattr(harness, "ReportRow", Counted)
+    config = Path(__file__).parent / "data" / "golden_config.json"
+    assert cli.main(["replicate", "--config", str(config), "--out", str(tmp_path / "r.json"),
+                     "--csv", str(tmp_path / "r.csv")]) == 0
+    assert built == []
+    report = harness.run_paper_replication(load_config(config))
+    assert built == [] and len(report.rows) == len(built) == 36
+    assert all(type(r) is Counted for r in report.rows)
+
+
+def test_all_literal_pass_reads_the_summary(tmp_path):
+    # forced failures: at override 0.0094 some rows pass and some fail each
+    # literal verdict, at 0.03 every row passes the +16% constant and some fail
+    # the lower one.  For every variant subset the summary's answer is the row
+    # scan's, on the report and on its copies read back from JSON and CSV
+    lower, upper = BoundConstantVariant.LOWER_BOUND_CONSTANT, BoundConstantVariant.PLUS_16_PERCENT
+    answers = set()
+    for override, upper_all in ((0.0094, False), (0.03, True)):
+        cfg = replication_config(seeds=(1, 2), n_values=(13, 54, 200), constant_override=override)
+        report = run_paper_replication(cfg)
+        rows = report.summary["rows"]
+        assert 0 < report.summary["pass_lower_const"] < rows
+        assert (report.summary["pass_upper_const"] == rows) == upper_all
+        copies = [report]
+        for fmt in ("json", "csv"):
+            emit_report(report, fmt, tmp_path / f"r.{fmt}")
+            copies.append(load_report(tmp_path / f"r.{fmt}"))
+        for variants in ((), (lower,), (upper,), (lower, upper), (upper, lower)):
+            for copy in copies:
+                scan = all((r.verdict_lower_const or lower not in variants)
+                           and (r.verdict_upper_const or upper not in variants)
+                           for r in copy.rows)
+                assert copy.all_literal_pass(variants) == scan
+                answers.add((override, variants, scan))
+    assert {(0.03, (upper,), True), (0.03, (lower,), False), (0.0094, (upper,), False)} <= answers
+    passing = replication_config(seeds=(1, 2), n_values=(13, 54, 200))
+    assert run_paper_replication(passing).all_literal_pass(passing.variants)
+
+
+def test_report_columns_hold_python_scalars_of_their_types():
+    # == between reports compares values: every column holds Python scalars
+    # of its field's type, the seeds ints, in both pipelines
+    cfg = small_config()
+    d = double_slit_density(cfg.geometry)
+    positions = sample_positions(d, d.support, 101, seed=5)
+    for report in (run_paper_replication(cfg), verify_events(cfg, positions)):
+        kinds = [int, float, float, float, float, float, bool, bool, bool, bool, int, Origin,
+                 float, float]
+        assert [{type(v) for v in column} for column in report.columns] == [{k} for k in kinds]
+        assert {type(s) for s in report.seeds} <= {int, type(None)}
 
 
 def test_ingest_events_round_trip(tmp_path):

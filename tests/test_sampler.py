@@ -1,3 +1,4 @@
+import copy
 import csv
 import functools
 import io
@@ -433,6 +434,58 @@ def test_newton_draws_of_all_blocks_share_one_pass(monkeypatch):
     newton = on_newton_panel(u)
     solo = [inverse_cdf_sample(d, d.support, v) for v in u[newton].tolist()]
     assert np.array_equal(_bits(xs[newton]), _bits(solo))
+
+
+_SLIT_PANELS = _SLIT_TABLE.cum.size - 1
+
+
+def _panels_of(v, block):
+    """The panel ``_CdfTable._invert_block`` finds for each draw of ``v``, in
+    draw order, visiting ``v`` in sorted blocks of ``block`` draws: on a copy
+    of the double-slit table whose panels are all Newton panels, every draw
+    comes back with its panel."""
+    table = copy.copy(_SLIT_TABLE)
+    table._fitted = np.ones_like(table._fitted)
+    table._poly = np.zeros_like(table._poly)
+    order = np.argsort(v, kind="stable")
+    panels = np.empty(v.size, dtype=np.intp)
+    for start in range(0, v.size, block):
+        _, idx, slot = table._invert_block(v, order[start:start + block], np.empty(v.size))
+        panels[slot] = idx
+    return panels
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 2 * _SLIT_PANELS), at_knots=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+@example(size=_SLIT_PANELS - 1, at_knots=40, seed=0)  # the largest per-draw block
+@example(size=_SLIT_PANELS, at_knots=40, seed=0)  # the smallest runs block
+@example(size=1, at_knots=1, seed=0)
+def test_small_and_large_blocks_find_the_same_panels(size, at_knots, seed):
+    # a block with fewer draws than the table has panels searches cum for each
+    # draw, a larger one searches itself for each cum entry: both must give
+    # every draw the largest k with cum[k] <= u, clipped to the panels (the
+    # first and last take a u below 0 or at 1), also for ties, draws at knots,
+    # 0 and the largest u below 1, and a draw must get the same bits in a
+    # block of either kind
+    cum = _SLIT_TABLE.cum
+    rng = np.random.default_rng(seed)
+    u = np.concatenate([rng.choice(cum[cum < 1.0], min(at_knots, size)),
+                        [0.0, 1.0 - 2.0**-53], rng.random(size)])[:size]
+    filler = rng.random(_SLIT_PANELS)
+    v = u.copy()
+    v[-2:] = [-0.5, 1.0][-size:]
+    want = np.clip(np.searchsorted(cum, v, side="right") - 1, 0, _SLIT_PANELS - 1)
+    assert np.array_equal(_panels_of(v, size), want)  # one block of either kind
+    assert np.array_equal(_panels_of(v, 64), want)  # per-draw blocks
+    assert np.array_equal(_panels_of(np.concatenate([v, filler]), 3 * _SLIT_PANELS)[:size],
+                          want)  # one runs block
+    runs = _bits(inverse_cdf_sample(_SLIT, _SLIT.support, np.concatenate([u, filler])))[:size]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_CdfTable, "_INVERT_BLOCK", 64)
+        per_draw = _bits(inverse_cdf_sample(_SLIT, _SLIT.support, u))
+    assert np.array_equal(_bits(inverse_cdf_sample(_SLIT, _SLIT.support, u)), runs)
+    assert np.array_equal(per_draw, runs)
 
 
 def test_batch_keeps_input_shape():
