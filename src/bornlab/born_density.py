@@ -242,9 +242,10 @@ class TabulatedDensity(DensityModel):
 
 
 def _number(cell: str, kind: Callable = float):
-    """``kind(cell)``, refusing the ``_`` that ``int()`` and ``float()`` drop silently."""
-    if "_" in cell:
-        raise ValueError(f"{cell!r}: a number may not hold '_'")
+    """``kind(cell)``, refusing the ``_`` and the non-ASCII digits that
+    ``int()`` and ``float()`` read silently."""
+    if "_" in cell or not cell.isascii():
+        raise ValueError(f"{cell!r}: a number may not hold '_' or non-ASCII text")
     return kind(cell)
 
 

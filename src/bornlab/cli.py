@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import berry_esseen, harness, madelung, sampler
+from .born_density import _number
 from .errors import BornLabError, ConfigError, NonConvergence, UnstableStep
 from .sampler import atomic_open
 from .svg import line_chart_svg
@@ -27,7 +28,8 @@ EXIT_VERDICT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNSTABLE = 3
 
-# the least value of each integer flag; a smaller one exits 2
+# the least value of each integer flag, given as text and read by
+# _flag_number; a smaller one exits 2
 _FLAG_MINIMA = {"points": 2, "n": 1, "seed": 0, "seed_base": 0, "seed_count": 1, "steps": 0,
                 "snapshot_every": 1, "count": 1}
 # the flags that name an output file or directory
@@ -42,6 +44,15 @@ def _rebase_outputs(args) -> None:
         if base and path and not os.path.isabs(path):
             os.makedirs(base, exist_ok=True)
             setattr(args, name, os.path.join(base, path))
+
+
+def _flag_number(text: str, kind, flag: str):
+    """``kind(text)`` of a flag's text by the rule of CSV number cells
+    (``born_density._number``); a ConfigError names the flag."""
+    try:
+        return _number(text, kind)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}", key=flag) from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -130,10 +141,7 @@ def _cmd_replicate(args, cfg: harness.ExperimentConfig) -> int:
 
 
 def _cmd_sweep(args, cfg: harness.ExperimentConfig) -> int:
-    try:
-        n_grid = [int(tok) for tok in args.n_grid.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--n-grid: {exc}", key="--n-grid") from exc
+    n_grid = [_flag_number(tok, int, "--n-grid") for tok in args.n_grid.split(",") if tok.strip()]
     if min(n_grid, default=1) < 1:
         raise ConfigError(f"--n-grid entries must be >= 1, got {min(n_grid)}", key="--n-grid")
     seeds = range(args.seed_base, args.seed_base + args.seed_count)
@@ -143,8 +151,9 @@ def _cmd_sweep(args, cfg: harness.ExperimentConfig) -> int:
 
 
 def _cmd_madelung(args, cfg: harness.ExperimentConfig) -> int:
-    if not 0 < args.classical_tol < math.inf:  # NaN fails both
-        raise ConfigError(f"--classical-tol must be a finite number > 0, got {args.classical_tol}",
+    tol = _flag_number(args.classical_tol, float, "--classical-tol")
+    if not 0 < tol < math.inf:  # NaN fails both
+        raise ConfigError(f"--classical-tol must be a finite number > 0, got {tol}",
                           key="--classical-tol")
     _, field, potential = harness.madelung_setup(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -158,7 +167,7 @@ def _cmd_madelung(args, cfg: harness.ExperimentConfig) -> int:
         if prev_polar is not None:
             hj = madelung.hj_residual(prev_polar, polar, potential)
             cont = madelung.continuity_residual(prev_polar, polar)
-            classical, _ = madelung.classicality_check(polar, args.classical_tol)
+            classical, _ = madelung.classicality_check(polar, tol)
             row.update({
                 "hj_max": hj.max_norm(), "hj_l2": hj.l2_norm(),
                 "continuity_max": cont.max_norm(), "continuity_l2": cont.l2_norm(),
@@ -224,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("density", _cmd_density, "tabulate the detector intensity to CSV")
     p.add_argument("--out", required=True, help="output CSV path (t_mm,intensity)")
-    p.add_argument("--points", type=int, default=10000,
+    p.add_argument("--points", default="10000",
                    help="number of evenly spaced samples, endpoints included")
     p.add_argument("--svg", help="optional SVG line-chart path")
 
@@ -235,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output JSON path (stdout when omitted)")
 
     p = add("sample", _cmd_sample, "draw synthetic detection events to CSV")
-    p.add_argument("--n", type=int, required=True, help="number of events")
-    p.add_argument("--seed", type=int, required=True, help="PCG64 stream seed")
+    p.add_argument("--n", required=True, help="number of events")
+    p.add_argument("--seed", required=True, help="PCG64 stream seed")
     p.add_argument("--out", required=True, help="output CSV path (index,t_mm)")
 
     p = add("verify", _cmd_verify, "verify the inequality on ingested events")
@@ -250,21 +259,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sweep", _cmd_sweep, "median sup-deviation decay over an N grid")
     p.add_argument("--n-grid", default="100,1000,10000,100000",
                    help="comma-separated N values (>= two decades)")
-    p.add_argument("--seed-base", type=int, default=1000, help="first seed of the block")
-    p.add_argument("--seed-count", type=int, default=30, help="number of seeds")
+    p.add_argument("--seed-base", default="1000", help="first seed of the block")
+    p.add_argument("--seed-count", default="30", help="number of seeds")
     p.add_argument("--out", help="result JSON path (stdout when omitted)")
 
     p = add("madelung", _cmd_madelung, "evolve a preset and write polar snapshots")
-    p.add_argument("--steps", type=int, default=100, help="number of evolution steps")
-    p.add_argument("--snapshot-every", type=int, default=10, help="snapshot stride in steps")
+    p.add_argument("--steps", default="100", help="number of evolution steps")
+    p.add_argument("--snapshot-every", default="10", help="snapshot stride in steps")
     p.add_argument("--out-dir", required=True, help="directory for snapshots and summary.json")
-    p.add_argument("--classical-tol", type=float, default=1e-6,
+    p.add_argument("--classical-tol", default="1e-6",
                    help="threshold for the classicality diagnostic")
 
     p = add("trajectories", _cmd_trajectories, "advect an ensemble along grad(S)/m")
-    p.add_argument("--count", type=int, help="ensemble size (default from config)")
-    p.add_argument("--steps", type=int, default=50, help="number of evolution steps")
-    p.add_argument("--seed", type=int, help="sampling seed (default from config)")
+    p.add_argument("--count", help="ensemble size (default from config)")
+    p.add_argument("--steps", default="50", help="number of evolution steps")
+    p.add_argument("--seed", help="sampling seed (default from config)")
     p.add_argument("--out", required=True, help="final positions CSV path (index,x)")
     p.add_argument("--summary", help="optional KS-diagnostic JSON path")
 
@@ -276,10 +285,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         for name, least in _FLAG_MINIMA.items():
-            value = getattr(args, name, None)
-            if value is not None and value < least:
-                flag = "--" + name.replace("_", "-")
+            text = getattr(args, name, None)
+            if text is None:
+                continue
+            flag = "--" + name.replace("_", "-")
+            value = _flag_number(text, int, flag)
+            if value < least:
                 raise ConfigError(f"{flag} must be >= {least}, got {value}", key=flag)
+            setattr(args, name, value)
         _rebase_outputs(args)
         return args.func(args, harness.load_config(args.config))
     except (UnstableStep, NonConvergence) as exc:

@@ -20,13 +20,14 @@ run of seeds it adds each segment's counts to running seeds x bins counts
 (``bin_counts``), takes each seed's sup as a row maximum (``sup_deviations``;
 ``from_b`` reverses the columns) and reports the block's columns
 (``bound_reports``) against right-hand sides and edge CDFs read once per call
-(``literal_rhs``) and once per bin count.  It appends each block's columns and
-orders the whole report with one ``np.lexsort`` over keys ranked once per block.
-Replication feeds it each seed's one sampled stream, segment by segment up to
-the largest N, so the row at a smaller N is a prefix; a sweep is a replication
-at its N grid and first bin count, whose per-N medians are read from the
-report's rows; ``verify_events`` feeds it one segment of one row, whose seed is
-None.
+(``literal_rhs``) and once per bin count.  It keeps each judged block with its
+keys and puts the report in canonical order by one stable sort of the blocks
+by (N, bin count, origin): its runs' seeds ascend, so blocks of equal keys stay
+in seed order.  Replication feeds it each seed's one sampled stream, segment by
+segment up to the largest N, so the row at a smaller N is a prefix; a sweep is
+a replication at its N grid and first bin count, whose per-N medians are read
+from the report's rows; ``verify_events`` feeds it one segment of one row,
+whose seed is None.
 """
 
 from __future__ import annotations
@@ -438,33 +439,10 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # reports
 
-def _ranks(column: Sequence, key=None) -> np.ndarray:
-    """The rank of each value's ``key`` (the value itself when None) among
-    the column's distinct keys in ascending order.  Equal keys share a rank,
-    so ``np.lexsort`` over ranks orders rows as ``sorted`` over the keys, ties
-    in input order, for any Python integers (seeds up to 2**64 - 1 too)."""
-    keys = {value: value if key is None else key(value) for value in set(column)}
-    rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
-    place = {value: rank[k] for value, k in keys.items()}
-    return np.fromiter(map(place.__getitem__, column), np.intp, len(column))
-
-
 def _columns(rows: Sequence[ReportRow]) -> tuple[list, list[list]]:
     """The seed column and the field columns of ``rows``."""
     seeds, *columns = map(list, zip(*rows)) if rows else ([] for _ in ReportRow._fields)
     return seeds, columns
-
-
-def _canonical_order(seeds: Sequence, ns: Sequence, bins: Sequence, origins: Sequence,
-                     sizes: Sequence[int] | int = 1) -> np.ndarray:
-    """The row order of a report: by N, bin count, origin value and seed, a
-    seed of None counting as -1, ties in input order.  ``seeds`` holds each
-    row's seed; ``ns``, ``bins`` and ``origins`` the keys of each block of
-    consecutive rows, ranked once per block, and ``sizes`` the blocks' row
-    counts (a block per row by default)."""
-    return np.lexsort([_ranks(seeds, lambda seed: -1 if seed is None else seed),
-                       *(np.repeat(_ranks(keys), sizes)
-                         for keys in (list(map(_ORIGIN_VALUE, origins)), bins, ns))])
 
 
 @dataclass(frozen=True)
@@ -479,13 +457,8 @@ class ConvergenceReport:
     summary: dict
 
     @classmethod
-    def from_columns(cls, seeds: list, columns: Sequence[list],
-                     order: np.ndarray | None = None) -> "ConvergenceReport":
-        """The report of these columns, their rows taken in ``order`` (an
-        index array) when given, with its summary counted from them."""
-        if order is not None and np.any(order[1:] < order[:-1]):  # in order: kept as is
-            at = order.tolist()
-            seeds, *columns = ([column[i] for i in at] for column in (seeds, *columns))
+    def from_columns(cls, seeds: list, columns: Sequence[list]) -> "ConvergenceReport":
+        """The report of these columns, with its summary counted from them."""
         return cls(seeds, tuple(columns), {
             "rows": len(seeds), **{f"pass_{name.removeprefix('verdict_')}": sum(column)
                                    for (name, _, kind), column in zip(_FIELDS, columns)
@@ -493,10 +466,10 @@ class ConvergenceReport:
 
     @classmethod
     def from_rows(cls, rows: Sequence[ReportRow]) -> "ConvergenceReport":
-        """The report of ``rows`` in canonical order (:func:`_canonical_order`)."""
-        seeds, columns = _columns(rows)
-        keys = (columns[_FIELD_AT[name]] for name in ("N", "bin_count", "origin"))
-        return cls.from_columns(seeds, columns, _canonical_order(seeds, *keys))
+        """The report of ``rows`` in canonical order: by N, bin count, origin
+        value and seed, a seed of None first, ties in input order."""
+        return cls.from_columns(*_columns(sorted(rows, key=lambda row: (
+            row.N, row.bin_count, row.origin.value, -1 if row.seed is None else row.seed))))
 
     @cached_property
     def rows(self) -> tuple[ReportRow, ...]:
@@ -508,8 +481,7 @@ class ConvergenceReport:
         """The CSV text of every cell, one list per column: the seed's (empty
         for None), then each field's in ``_FIELDS`` order.  Spelled once per
         report; both formats of :func:`report_text` join these lists."""
-        seeds = self.seeds
-        return (_spelled(seeds, int, str) or ["" if seed is None else str(seed) for seed in seeds],
+        return (_spelled(self.seeds, lambda seed: "" if seed is None else str(seed)),
                 *(_COLUMN_CELLS[kind](column)
                   for (_, _, kind), column in zip(_FIELDS, self.columns)))
 
@@ -585,16 +557,19 @@ def _verify_blocks(cfg: ExperimentConfig, setup, runs) -> ConvergenceReport:
     at the end of each segment every row is judged at N = its events so far
     under every configured (bins, orientation) pair.  The right-hand sides are
     computed once and the CDF at the edges once per bin count.  Each judged
-    block adds its seeds, its keys (N, bin count, origin) and the columns of
-    ``bound_reports`` to the report's columns, which one ``np.lexsort`` over
-    the keys ranked per block puts in canonical order.  ``setup`` is the tuple
-    returned by :func:`experiment_density`."""
+    block is kept as its keys (N, bin count, origin), its seeds and the columns
+    of ``bound_reports``; one stable sort of the blocks by (N, bin count, origin
+    value) leaves blocks of equal keys in run order.  The runs' seeds must
+    ascend, within each run and from run to run (``run_paper_replication``
+    passes chunks of the sorted seeds, ``verify_events`` the one run
+    ``[None]``), so the rows come out in canonical order, by N, bin count,
+    origin and seed.  ``setup`` is the tuple returned by
+    :func:`experiment_density`."""
     density, interval, center, moment_iv = setup
     rhs = literal_rhs(density, moment_iv, center, cfg.quadrature, cfg.constant_override)
     ascending = [BinningScheme(bins, interval) for bins in cfg.bin_counts]
     theories = [cdf_at_points(density, interval, s.edges(), cfg.quadrature) for s in ascending]
-    # bound_reports gives the columns of the fields between N and bin_count
-    seeds, blocks, bound = [], [], [[] for _ in range(_FIELD_AT["bin_count"] - 1)]
+    blocks = []
     for run, segments in runs:
         totals = [np.zeros((len(run), s.bin_count), dtype=np.intp) for s in ascending]
         n = 0
@@ -605,17 +580,18 @@ def _verify_blocks(cfg: ExperimentConfig, setup, runs) -> ConvergenceReport:
                 for origin in cfg.orientations:
                     oriented = counts if origin is Origin.FROM_A else counts[:, ::-1]
                     sups = sup_deviations(oriented, n, theory, origin)
-                    seeds += run
-                    blocks.append((n, scheme.bin_count, origin, len(run)))
-                    for column, values in zip(bound, bound_reports(sups, n, rhs)):
-                        column += values.tolist()
-    ns, bins, origins, sizes = zip(*blocks) if blocks else ((),) * 4
+                    blocks.append((n, scheme.bin_count, origin, run,
+                                   bound_reports(sups, n, rhs)))
+    blocks.sort(key=lambda block: (block[0], block[1], _ORIGIN_VALUE(block[2])))
+    ns, bins, origins, block_seeds, bound = zip(*blocks)
+    sizes = list(map(len, block_seeds))
+    seeds = list(chain.from_iterable(block_seeds))
     n_column, bins_column, origin_column = (
         list(chain.from_iterable(map(repeat, keys, sizes))) for keys in (ns, bins, origins))
-    columns = [n_column, *bound, bins_column, origin_column,
-               [interval.lo] * len(seeds), [interval.hi] * len(seeds)]
-    return ConvergenceReport.from_columns(seeds, columns,
-                                          _canonical_order(seeds, ns, bins, origins, sizes))
+    # bound_reports gives the columns of the fields between N and bin_count
+    columns = [n_column, *(np.concatenate(column).tolist() for column in zip(*bound)),
+               bins_column, origin_column, [interval.lo] * len(seeds), [interval.hi] * len(seeds)]
+    return ConvergenceReport.from_columns(seeds, columns)
 
 
 def run_paper_replication(cfg: ExperimentConfig) -> ConvergenceReport:
@@ -703,7 +679,6 @@ _FIELDS = (
     ("b_mm", "scheme.interval.b_mm", float),
 )
 REPORT_CSV_COLUMNS = [column for column, _, _ in _FIELDS]
-_FIELD_AT = {column: i for i, column in enumerate(REPORT_CSV_COLUMNS)}
 # one verification keyed by (N, bins, origin, seed); seed is None for ingested events
 ReportRow = namedtuple("ReportRow", ["seed", *REPORT_CSV_COLUMNS])
 _ORIGINS = {origin.value: origin for origin in Origin}
@@ -714,32 +689,23 @@ _ORIGIN_VALUE = attrgetter("_value_")
 _JSON_SPELLING = {"": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _spelled(column: Sequence, kind: type, spell) -> list[str] | None:
-    """``spell`` of each value of a column whose values are all of type
-    ``kind`` and nonzero, run once per distinct value and looked up through
-    C-level maps; None for any other column, since -0.0 == 0.0 and
+def _spelled(column: Sequence, spell) -> list[str]:
+    """``spell`` of each value of a column.  A column of nonzero values of one
+    type spells each distinct value once, looked up through C-level maps; any
+    other column is spelled value by value, since -0.0 == 0.0 and
     1 == 1.0 == True share a key."""
     distinct = set(column)
-    if 0 in distinct or set(map(type, column)) != {kind}:
-        return None
+    if 0 in distinct or len(set(map(type, column))) > 1:
+        return list(map(spell, column))
     if len(distinct) == 1:  # equal values of one type, none zero, spell alike
         return [spell(*distinct)] * len(column)
     return list(map(dict(zip(distinct, map(spell, distinct))).__getitem__, column))
 
 
-def _float_cells(column: Sequence) -> list[str]:
-    """The ``repr`` of each value in a float column, ``repr`` run once per
-    distinct nonzero float; zeros and values of other types are not looked
-    up, since -0.0 == 0.0 and 1 == 1.0 == True share a key."""
-    distinct = {x for x in column if type(x) is float and x}
-    spelled = dict(zip(distinct, map(repr, distinct)))
-    return [spelled[x] if type(x) is float and x else repr(x) for x in column]
-
-
 # the cells of a column of each field type, its CSV text
 _COLUMN_CELLS = {
-    int: lambda column: _spelled(column, int, str) or list(map(str, column)),
-    float: lambda column: _spelled(column, float, repr) or _float_cells(column),
+    int: lambda column: _spelled(column, str),
+    float: lambda column: _spelled(column, repr),
     bool: lambda column: ["true" if v else "false" for v in column],
     Origin: lambda column: list(map(_ORIGIN_VALUE, column)),
 }

@@ -12,7 +12,7 @@ The report oracle spells each row on its own: CSV through a ``csv.writer``
 loop, JSON through a row template filled per row, each float by ``repr``
 (NaN and Infinity the JSON way), and orders rows by a sort key per row.  It
 imports nothing of ``bornlab.harness``'s report format, so the tests can
-compare the column-wise writer and its ranked ordering against it.
+compare the column-wise writer and its block ordering against it.
 
 The intensity oracle is the closed form written one numpy expression per
 term, each a fresh array; the in-place kernel of ``double_slit_density``

@@ -182,6 +182,19 @@ def test_bad_config_key_named_on_stderr(tmp_path, capsys):
     (["density", "--points", "0", "--out", "d.csv"], "--points"),
     (["density", "--points", "1", "--out", "d.csv"], "--points"),
     (["trajectories", "--count", "-5", "--out", "t.csv"], "--count"),
+    # int() reads "1_0" as 10 and the Arabic-Indic digit one as 1
+    (["sample", "--n", "1_0", "--seed", "1", "--out", "e.csv"], "--n"),
+    (["sample", "--n", "10", "--seed", "\u0661", "--out", "e.csv"], "--seed"),
+    (["density", "--points", "1_000", "--out", "d.csv"], "--points"),
+    (["sweep", "--seed-base", "1_000", "--out", "s.json"], "--seed-base"),
+    (["sweep", "--seed-count", "\u0662", "--out", "s.json"], "--seed-count"),
+    (["madelung", "--steps", "1_0", "--out-dir", "run"], "--steps"),
+    (["madelung", "--snapshot-every", "\u0665", "--out-dir", "run"], "--snapshot-every"),
+    (["madelung", "--classical-tol", "1_0.5", "--out-dir", "run"], "--classical-tol"),
+    (["madelung", "--classical-tol", "\u0661e-6", "--out-dir", "run"], "--classical-tol"),
+    (["trajectories", "--count", "2_00", "--out", "t.csv"], "--count"),
+    (["trajectories", "--seed", "\u0663", "--out", "t.csv"], "--seed"),
+    (["trajectories", "--steps", "\uff15", "--out", "t.csv"], "--steps"),
 ])
 def test_count_flag_below_its_least_exits_two(config_path, tmp_path, monkeypatch, capsys,
                                               argv, flag):
@@ -401,12 +414,26 @@ def test_far_pattern_center_gives_the_centered_rhs(tmp_path, command, mu):
     assert far == pytest.approx(_far_pattern_rhs(tmp_path, command, 0.0), rel=1e-9, abs=0.0)
 
 
-@pytest.mark.parametrize("grid", ["-5,1000", "0,1000", "100,ten", "100,1e4"])
+@pytest.mark.parametrize("grid", ["-5,1000", "0,1000", "100,ten", "100,1e4",
+                                  # int() reads "1_00" as 100 and non-ASCII digits
+                                  "1_00,10_000", "100,\u0661\u0660\u0660\u0660\u0660",
+                                  "100, 1000,\u00a010000"])
 def test_sweep_grid_below_one_names_the_flag(config_path, capsys, grid):
     assert cli.main(["sweep", "--config", str(config_path), f"--n-grid={grid}"]) == 2
     captured = capsys.readouterr()
     assert "--n-grid" in captured.err
     assert captured.out == ""
+
+
+def test_sweep_grid_tokens_may_hold_spaces(config_path, tmp_path):
+    # spaces around a token are allowed, and an empty token is skipped
+    texts = []
+    for grid in ("100,10000", " 100 , 10000 ,"):
+        out = tmp_path / "sweep.json"
+        assert cli.main(["sweep", "--config", str(config_path), f"--n-grid={grid}",
+                         "--seed-count", "2", "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
 
 
 def test_verify_stdout_equals_out_file(config_path, tmp_path, capsys):

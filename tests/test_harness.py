@@ -485,9 +485,9 @@ def _rows_with_tied_keys(draw):
                     Origin.FROM_A, -1.0, 1.0)
           for i, seed in enumerate([2**64 - 1, 2**64 - 2, 2**63, 2**63 - 1])])
 def test_from_rows_orders_rows_as_the_reference_key(rows):
-    # the ranked lexsort orders rows as sorted() over the reference key per
-    # row: ties keep their input order, None comes first and seeds past
-    # 2**63 keep their order
+    # from_rows orders rows as sorted() over the reference key per row: ties
+    # keep their input order, None comes first and seeds past 2**63 keep
+    # their order
     want = tuple(sorted(rows, key=report_order))
     assert ConvergenceReport.from_rows(rows).rows == want
     assert ConvergenceReport.from_rows(rows[::-1]).rows == tuple(sorted(rows[::-1],
@@ -495,9 +495,10 @@ def test_from_rows_orders_rows_as_the_reference_key(rows):
 
 
 def test_block_verify_orders_rows_as_the_reference_key():
-    # runs of unsorted seeds (one None), bin counts (20, 10) and orientations
-    # (from_b, from_a) arrive out of order; the report holds them as the
-    # reference key sorts them, every key once
+    # three runs of ascending seeds ([None] first, as verify_events passes it,
+    # then chunks of sorted seeds up to 2**64 - 1), with bin counts (20, 10)
+    # and orientations (from_b, from_a) out of order; the report holds them
+    # as the reference key sorts them, every key once
     from bornlab.harness import _verify_blocks, experiment_density
 
     cfg = replication_config(bin_counts=(20, 10), orientations=(Origin.FROM_B, Origin.FROM_A))
@@ -505,7 +506,7 @@ def test_block_verify_orders_rows_as_the_reference_key():
     interval = setup[1]
     rng = np.random.default_rng(8)
     runs = []
-    for seeds in ([9, 2**64 - 1, 4], [None], [0, 7]):
+    for seeds in ([None], [0, 4, 7], [9, 2**64 - 1]):
         block = rng.uniform(interval.lo, interval.hi, (len(seeds), 54))
         runs.append((seeds, [block[:, :13], block[:, 13:]]))
     rows = _verify_blocks(cfg, setup, runs).rows
@@ -643,6 +644,35 @@ def test_replicate_text_does_not_depend_on_seed_chunks(tmp_path, monkeypatch):
         texts.append([path.read_text() for path in out])
     assert texts[0] == texts[1] == texts[2]
     assert len(texts[0][1].splitlines()) == 1 + 3 * 5 * 2 * 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**63, 2**64 - 1]),
+                      min_size=1, max_size=6, unique=True),
+       n_values=st.permutations([13, 54]),
+       bins=st.lists(st.sampled_from([10, 20, 50]), min_size=1, max_size=3, unique=True),
+       orientations=st.permutations(list(Origin)))
+@example(seeds=[7, 3, 2**64 - 1, 0, 11], n_values=[54, 13], bins=[20, 10, 50],
+         orientations=[Origin.FROM_B, Origin.FROM_A])
+def test_replication_rows_come_out_in_reference_order(seeds, n_values, bins, orientations):
+    # config seeds, N values, bin counts and orientations out of order, the
+    # seeds drawn in runs of 1, 2 or 3: every report holds its rows as the
+    # reference key sorts them, every key once, and writes the same JSON and
+    # CSV text for every chunking
+    from bornlab import harness
+
+    cfg = replication_config(seeds=seeds, n_values=tuple(n_values), bin_counts=tuple(bins),
+                             orientations=tuple(orientations))
+    texts = set()
+    for per_run in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_BATCH_SAMPLE_LIMIT", per_run * 54)
+            report = run_paper_replication(cfg)
+        assert report.rows == tuple(sorted(report.rows, key=report_order))
+        assert len({report_order(r) for r in report.rows}) == len(report.rows) == (
+            2 * len(seeds) * len(bins) * 2)
+        texts.add((report_text(report, "json"), report_text(report, "csv")))
+    assert len(texts) == 1
 
 
 def test_replicate_command_builds_no_report_row(tmp_path, monkeypatch):
@@ -877,6 +907,30 @@ def test_report_text_spells_equal_values_of_other_types_apart():
     assert report_text(report, "json") == report_json(report)
     assert report_text(report, "csv").splitlines()[1].split(",")[2:7] == [
         "1.0", "0.5", "np.float64(0.5)", "1.0", "True"]
+
+
+# values that hash alike but spell apart (-0.0 and 0.0; 0, 0.0 and False; 1,
+# 1.0 and True), non-finite floats, None and ints past 2**64
+_SPELLER_VALUE = (st.sampled_from([-0.0, 0.0, 0, False, True, 1, 1.0, math.nan, math.inf,
+                                   -math.inf, None, 2**64 - 1, 2**70, -2**63])
+                  | st.integers() | st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SPELLER_VALUE, max_size=12)
+       | st.builds(lambda value, k: [value] * k, _SPELLER_VALUE, st.integers(0, 5)))
+@example([-0.0, 0.0])
+@example([0.0, -0.0, 2.5, 2.5])
+@example([1, True, 1.0])
+@example([None, 3, None])
+def test_spelled_column_equals_spelling_each_value(column):
+    # the one speller of report cells: a column of one value, a column looked
+    # up per distinct value and a column spelled value by value all give the
+    # spelling of each value
+    from bornlab.harness import _spelled
+
+    for spell in (str, repr, lambda seed: "" if seed is None else str(seed)):
+        assert _spelled(column, spell) == list(map(spell, column))
 
 
 @st.composite
