@@ -222,30 +222,12 @@ class TabulatedDensity(DensityModel):
         vs = self.evaluate(xs)
         return float(np.sum(0.5 * (vs[1:] + vs[:-1]) * np.diff(xs)))
 
-    @classmethod
-    def from_csv(cls, path) -> "TabulatedDensity":
-        """Load from CSV with header ``t_mm,intensity``: two rows or more, t_mm
-        finite and strictly increasing, intensity finite and >= 0."""
-        last_t = -math.inf
-
-        def knot(row):
-            nonlocal last_t
-            t, v = _number(row[0]), _number(row[1])
-            if not (math.isfinite(t) and math.isfinite(v) and v >= 0):
-                raise ValueError(f"t_mm and intensity must be finite, intensity >= 0: {t}, {v}")
-            if t <= last_t:
-                raise ValueError("t_mm must be strictly increasing")
-            last_t = t
-            return t, v
-
-        return cls(*zip(*_read_csv(path, ("t_mm", "intensity"), knot, least=2)))
-
 
 def _number(cell: str, kind: Callable = float):
-    """``kind(cell)``, refusing the ``_`` and the non-ASCII digits that
-    ``int()`` and ``float()`` read silently."""
-    if "_" in cell or not cell.isascii():
-        raise ValueError(f"{cell!r}: a number may not hold '_' or non-ASCII text")
+    """``kind(cell)``, refusing the ``_``, the non-ASCII digits and the
+    surrounding whitespace that ``int()`` and ``float()`` read silently."""
+    if "_" in cell or not cell.isascii() or cell != cell.strip():
+        raise ValueError(f"{cell!r}: a number may not hold '_', non-ASCII text or padding")
     return kind(cell)
 
 
@@ -254,8 +236,9 @@ def _read_csv(path, columns: Sequence[str], parse: Callable, least: int = 1) -> 
     lines skipped.  A header other than ``columns`` exactly (padding included),
     a row of another width, a cell holding
     non-ASCII text or padding (``int()``, ``float()`` and ``json.loads`` coerce
-    them silently), a ValueError from ``parse`` or fewer than ``least`` rows
-    raise a ParseError naming the line (EmptyFile when there are none)."""
+    them silently) or a ValueError from ``parse`` raise a ParseError naming
+    the line.  A file with no data rows raises EmptyFile unless ``least``
+    (0 or 1) is 0."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -280,8 +263,7 @@ def _read_csv(path, columns: Sequence[str], parse: Callable, least: int = 1) -> 
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=reader.line_num) from exc
     if len(out) < least:
-        raise (ParseError(f"{path}: expected at least {least} data rows", line=reader.line_num)
-               if out else EmptyFile(f"{path}: no data rows"))
+        raise EmptyFile(f"{path}: no data rows")
     return out
 
 
@@ -587,7 +569,7 @@ class _CdfTable:
             idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, panels - 1)
             new = idx[~self._fitted[idx]]
             if new.size:  # each panel once: idx ascends
-                self._fit(new[np.diff(new, prepend=-1) > 0])
+                self._fit(_distinct(new))
             poly = self._poly[idx]
         else:  # search the block for each cum entry: each panel's draws are a run
             bounds = np.searchsorted(u, cum, side="left")

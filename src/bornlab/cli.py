@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import string
 import sys
 
 import numpy as np
@@ -75,9 +76,7 @@ def _cmd_density(args, cfg: harness.ExperimentConfig) -> int:
     density, interval, _, _ = harness.experiment_density(cfg)
     ts = np.linspace(interval.lo, interval.hi, args.points)
     vals = density.evaluate(ts)
-    lines = ["t_mm,intensity"]
-    lines += [f"{repr(float(t))},{repr(float(v))}" for t, v in zip(ts, vals)]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    sampler._write_csv(args.out, ("t_mm", "intensity"), (ts, vals))
     if args.svg:
         _write_text(args.svg, line_chart_svg(ts, vals, title="detector intensity"))
     return EXIT_OK
@@ -141,7 +140,9 @@ def _cmd_replicate(args, cfg: harness.ExperimentConfig) -> int:
 
 
 def _cmd_sweep(args, cfg: harness.ExperimentConfig) -> int:
-    n_grid = [_flag_number(tok, int, "--n-grid") for tok in args.n_grid.split(",") if tok.strip()]
+    # ASCII spaces around an entry are allowed, other padding is refused as in cells
+    tokens = [tok.strip(string.whitespace) for tok in args.n_grid.split(",")]
+    n_grid = [_flag_number(tok, int, "--n-grid") for tok in tokens if tok]
     if min(n_grid, default=1) < 1:
         raise ConfigError(f"--n-grid entries must be >= 1, got {min(n_grid)}", key="--n-grid")
     seeds = range(args.seed_base, args.seed_base + args.seed_count)

@@ -317,12 +317,18 @@ def _entries(value, key: str, defaults: Mapping, others=()) -> dict:
 
 
 def _build(make, key: str, *args, **kwargs):
-    """``make(*args, **kwargs)``, a ValueError from it raised as a ConfigError
-    naming ``key``."""
+    """``make(*args, **kwargs)``, a ValueError from it raised as a ConfigError.
+    A message that starts with the name of one of ``kwargs`` names that entry,
+    ``key.name`` (a SlitGeometry field by its config name, ``_GEOMETRY``); any
+    other names ``key``."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}", key=key) from exc
+        word, _, rest = str(exc).partition(" ")
+        if word not in kwargs:
+            raise ConfigError(f"{key}: {exc}", key=key) from exc
+        entry = _join(key, next((name for name, f in _GEOMETRY.items() if f == word), word))
+        raise ConfigError(f"{entry} {rest}", key=entry) from exc
 
 
 def _interval(value, key: str) -> Interval | None:
@@ -331,14 +337,6 @@ def _interval(value, key: str) -> Interval | None:
     ends = _section(value, key, ("a_mm", "b_mm"))
     return _build(Interval, key, *(_value(ends.get(end), _join(key, end), 0.0)
                                    for end in ("a_mm", "b_mm")))
-
-
-def _quadrature(value) -> QuadratureConfig:
-    entries = _entries(value, "quadrature", asdict(DEFAULT_QUADRATURE))
-    try:
-        return QuadratureConfig(**entries)
-    except ValueError as exc:  # its message starts with the entry's name
-        raise ConfigError(f"quadrature.{exc}", key=f"quadrature.{str(exc).split()[0]}") from exc
 
 
 def _madelung(value) -> MadelungConfig:
@@ -385,7 +383,8 @@ def config_from_json_dict(obj: Mapping) -> ExperimentConfig:
                         **{_GEOMETRY[name]: v for name, v in geometry.items()}),
         interval=_interval(obj.get("interval"), "interval"),
         moment_interval=_interval(obj.get("moment_interval"), "moment_interval"),
-        quadrature=_quadrature(obj.get("quadrature", {})),
+        quadrature=_build(QuadratureConfig, "quadrature", **_entries(
+            obj.get("quadrature", {}), "quadrature", asdict(DEFAULT_QUADRATURE))),
         constant_override=override,
         madelung=None if obj.get("madelung") is None else _madelung(obj["madelung"]),
         **top, **binning,
@@ -463,13 +462,6 @@ class ConvergenceReport:
             "rows": len(seeds), **{f"pass_{name.removeprefix('verdict_')}": sum(column)
                                    for (name, _, kind), column in zip(_FIELDS, columns)
                                    if kind is bool}})
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[ReportRow]) -> "ConvergenceReport":
-        """The report of ``rows`` in canonical order: by N, bin count, origin
-        value and seed, a seed of None first, ties in input order."""
-        return cls.from_columns(*_columns(sorted(rows, key=lambda row: (
-            row.N, row.bin_count, row.origin.value, -1 if row.seed is None else row.seed))))
 
     @cached_property
     def rows(self) -> tuple[ReportRow, ...]:

@@ -19,8 +19,8 @@ Discretization orders (the documented orders checked by the tests):
   one-sided 4th-order stencils at array edges for the non-periodic phase)
 * time derivatives in the residual operators: 2nd order (centered at the
   midpoint of two consecutive snapshots, spatial terms averaged)
-* trajectory advection: explicit 2nd-order (Heun across two snapshots, or
-  midpoint within a frozen field when only one snapshot is supplied)
+* trajectory advection: explicit 2nd-order (Heun across two consecutive
+  snapshots)
 
 Residual and derived fields are reported as :class:`MaskedField`: values
 plus the validity mask left after node masking and stencil-halo erosion.
@@ -87,8 +87,9 @@ class Grid:
             raise ValueError("x_max must exceed x_min")
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if not (self.mass > 0 and self.hbar > 0):
-            raise ValueError("mass and hbar must be > 0")
+        for name in ("mass", "hbar"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
 
     @property
     def length(self) -> float:
@@ -444,11 +445,10 @@ def _velocity_field(p: PolarField) -> np.ndarray:
 
 
 def advect_trajectories(e: TrajectoryEnsemble, p: PolarField,
-                        p_next: PolarField | None = None) -> TrajectoryEnsemble:
+                        p_next: PolarField) -> TrajectoryEnsemble:
     """Advance every active trajectory one step along the interpolated velocity.
 
-    With ``p_next`` supplied the step is Heun across the two snapshots
-    (2nd order in time); otherwise a midpoint step inside the frozen field.
+    The step is Heun across the two snapshots (2nd order in time).
     Trajectories whose step would read velocity inside the node mask (or
     leave the domain) are frozen in place and counted as collisions.
 
@@ -464,14 +464,13 @@ def advect_trajectories(e: TrajectoryEnsemble, p: PolarField,
     moves a byte.
     """
     grid = p.grid
-    if p_next is not None and p_next.grid != grid:
+    if p_next.grid != grid:
         raise ValueError("snapshots live on different grids")
-    dt_step = (p_next.time - p.time) if p_next is not None else grid.dt
+    dt_step = p_next.time - p.time
     if not dt_step > 0:
         raise ValueError("snapshots must advance in time")
     x = grid.x()
-    v_now, v_then = p.velocity, (p_next or p).velocity  # each snapshot's field once
-    probe_step = dt_step if p_next is not None else 0.5 * dt_step
+    v_now, v_then = p.velocity, p_next.velocity  # each snapshot's field once
 
     pos = np.empty_like(e.positions)
     frozen = e.frozen.copy()
@@ -481,14 +480,11 @@ def advect_trajectories(e: TrajectoryEnsemble, p: PolarField,
         p1 = pos[start:start + _ADVECT_BLOCK]
         stuck = frozen[start:start + _ADVECT_BLOCK]
         k1 = np.interp(p0, x, v_now)
-        np.multiply(k1, probe_step, out=p1)  # the probe, in the result's slots
+        np.multiply(k1, dt_step, out=p1)  # the probe, in the result's slots
         p1 += p0
         k2 = np.interp(p1, x, v_then)
-        if p_next is not None:
-            np.add(k1, k2, out=p1)
-            p1 *= 0.5 * dt_step
-        else:
-            np.multiply(k2, dt_step, out=p1)
+        np.add(k1, k2, out=p1)
+        p1 *= 0.5 * dt_step
         p1 += p0
         if stuck.any() or not (grid.x_min <= p1.min() and p1.max() <= grid.x_max):
             bad = ~((p1 >= grid.x_min) & (p1 <= grid.x_max)) & ~stuck  # NaN and +-inf too
@@ -524,10 +520,10 @@ def ks_distance(e: TrajectoryEnsemble, p: PolarField) -> float:
 # ---------------------------------------------------------------------------
 # initial states
 
-def plane_wave(grid: Grid, k_index: int = 8, amplitude: float = 1.0) -> WaveField:
+def plane_wave(grid: Grid, k_index: int = 8) -> WaveField:
     """exp(ikx) with k commensurate with the periodic box."""
     k = 2.0 * math.pi * k_index / grid.length
-    return WaveField(grid, amplitude * np.exp(1j * k * grid.x()), 0.0)
+    return WaveField(grid, np.exp(1j * k * grid.x()), 0.0)
 
 
 def gaussian_packet(grid: Grid, center: float = 0.0, sigma: float = 1.0,

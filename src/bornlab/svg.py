@@ -13,13 +13,13 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def line_chart_svg(xs, ys, title: str = "", width: int = 720, height: int = 400) -> str:
-    """A single polyline chart with min/max axis labels, as an SVG string."""
+def line_chart_svg(xs, ys, title: str = "") -> str:
+    """A single polyline chart with min/max axis labels, as a 720 x 400 SVG string."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ValueError("need at least two matching (x, y) points")
-    pad = 46
+    width, height, pad = 720, 400, 46
     span_x = x.max() - x.min() or 1.0
     span_y = y.max() - y.min() or 1.0
     px = pad + (x - x.min()) / span_x * (width - 2 * pad)

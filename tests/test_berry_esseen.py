@@ -27,7 +27,7 @@ from bornlab.born_density import (
     uniform_density,
 )
 from bornlab.errors import EmptyHistogram
-from bornlab.harness import ConvergenceReport, ReportRow, emit_report, load_report
+from bornlab.harness import ConvergenceReport, ReportRow, _columns, emit_report, load_report
 from bornlab.quadrature import DEFAULT_QUADRATURE, Interval, integrate_with_breakpoints
 from bornlab.sampler import bin_counts, sample_positions
 from reference import EmpiricalHistogram, empirical_cdf
@@ -335,7 +335,7 @@ def test_median_sup_scales_like_inverse_sqrt_n():
 
 def _report_round_trip(r, fmt, tmp_path):
     # a report row is written and read by harness; one row of one report
-    report = ConvergenceReport.from_rows([r])
+    report = ConvergenceReport.from_columns(*_columns([r]))
     path = tmp_path / f"report.{fmt}"
     emit_report(report, fmt, path)
     return load_report(path)

@@ -20,13 +20,7 @@ from bornlab.born_density import (
     total_mass,
     uniform_density,
 )
-from bornlab.errors import (
-    EmptyFile,
-    InvalidGeometry,
-    OutOfSupport,
-    ParseError,
-    ZeroMass,
-)
+from bornlab.errors import InvalidGeometry, OutOfSupport, ZeroMass
 from bornlab.quadrature import Interval
 from reference import double_slit_intensity, phases
 
@@ -229,46 +223,6 @@ def test_tabulated_interpolates_linearly():
     assert total_mass(d) == pytest.approx(2.0, rel=1e-12)
 
 
-def test_tabulated_csv_roundtrip(tmp_path):
-    p = tmp_path / "density.csv"
-    p.write_text("t_mm,intensity\n-1.0,0.5\n0.0,2.0\n1.5,0.25\n")
-    d = TabulatedDensity.from_csv(p)
-    assert d.support == Interval(-1.0, 1.5)
-    assert float(d.evaluate(np.array([0.0]))[0]) == 2.0
-
-
-@pytest.mark.parametrize(
-    "body,line",
-    [
-        ("bad,header\n0,1\n", 1),
-        ("t_mm,intensity\n0.0\n", 2),
-        ("t_mm,intensity\n0.0,1.0\nx,2.0\n", 3),
-        ("t_mm,intensity\n0.0,1.0\n0.0,2.0\n", 3),
-        ("t_mm,intensity\n0.0,-1.0\n", 2),
-        ("t_mm,intensity\n0.0,1.0\n1.0,nan\n2.0,1.0\n", 3),
-        ("t_mm,intensity\n0.0,1.0\ninf,1.0\n", 3),
-        ("t_mm,intensity\n0.0,1.0\n", 2),
-        # float() reads these as 10, 1, 1.5, 2 and 1: a cell may not hold '_',
-        # non-ASCII text or padding
-        ("t_mm,intensity\n0.0,1.0\n1_0,2.0\n", 3),
-        ("t_mm,intensity\n0.0,1.0\n2.0,\u0661\n", 3),
-        ("t_mm,intensity\n0.0,1.0\n\uff11.5,1.0\n", 3),
-        ("t_mm,intensity\n0.0,1.0\n 2.0,1.0\n", 3),
-        ("t_mm,intensity\n0.0,1.0\n2.0,1\t\n", 3),
-        # so may the header: it was compared stripped
-        (" t_mm , intensity\n0.0,1.0\n1.0,1.0\n", 1),
-        ("t_mm, intensity\n0.0,1.0\n1.0,1.0\n", 1),
-        ("t_mm,intensity \n0.0,1.0\n1.0,1.0\n", 1),
-    ],
-)
-def test_tabulated_csv_parse_errors(tmp_path, body, line):
-    p = tmp_path / "bad.csv"
-    p.write_text(body, encoding="utf-8")
-    with pytest.raises(ParseError) as err:
-        TabulatedDensity.from_csv(p)
-    assert err.value.line == line
-
-
 def test_tabulated_total_mass_is_the_trapezoid_sum():
     # the tent through (0, 0), (1, 2), (3, 0): its mass is 3 over the knots
     # and 0.75 + 1.5 over [0.5, 2], off-knot ends included
@@ -287,13 +241,6 @@ def test_tabulated_total_mass_is_the_trapezoid_sum():
         adaptive = integrate_with_breakpoints(d.evaluate, iv, d.subdivision_points(iv),
                                               DEFAULT_QUADRATURE)
         assert total_mass(d, iv) == pytest.approx(adaptive, rel=1e-14, abs=0.0)
-
-
-def test_tabulated_csv_empty(tmp_path):
-    p = tmp_path / "empty.csv"
-    p.write_text("t_mm,intensity\n")
-    with pytest.raises(EmptyFile):
-        TabulatedDensity.from_csv(p)
 
 
 def test_explicit_support_override():

@@ -195,6 +195,11 @@ def test_bad_config_key_named_on_stderr(tmp_path, capsys):
     (["trajectories", "--count", "2_00", "--out", "t.csv"], "--count"),
     (["trajectories", "--seed", "\u0663", "--out", "t.csv"], "--seed"),
     (["trajectories", "--steps", "\uff15", "--out", "t.csv"], "--steps"),
+    # int() and float() strip surrounding whitespace, which a CSV cell may not hold
+    (["sample", "--n", " 10 ", "--seed", "1", "--out", "e.csv"], "--n"),
+    (["sample", "--n", "10", "--seed", "10\t", "--out", "e.csv"], "--seed"),
+    (["density", "--points", "10\t", "--out", "d.csv"], "--points"),
+    (["madelung", "--classical-tol", " 1e-6", "--out-dir", "run"], "--classical-tol"),
 ])
 def test_count_flag_below_its_least_exits_two(config_path, tmp_path, monkeypatch, capsys,
                                               argv, flag):
@@ -426,9 +431,10 @@ def test_sweep_grid_below_one_names_the_flag(config_path, capsys, grid):
 
 
 def test_sweep_grid_tokens_may_hold_spaces(config_path, tmp_path):
-    # spaces around a token are allowed, and an empty token is skipped
+    # spaces around a token are allowed, an empty token is skipped and a
+    # leading + is read, as in event cells
     texts = []
-    for grid in ("100,10000", " 100 , 10000 ,"):
+    for grid in ("100,10000", " 100 , 10000 ,", "+100,+10000"):
         out = tmp_path / "sweep.json"
         assert cli.main(["sweep", "--config", str(config_path), f"--n-grid={grid}",
                          "--seed-count", "2", "--out", str(out)]) == 0

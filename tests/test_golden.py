@@ -1,8 +1,8 @@
 """Golden fingerprints: CLI outputs on a small fixed config, recorded once.
 
-``tests/data/golden_*`` hold the outputs of ``replicate`` (JSON and CSV),
-``sweep``, ``sample``, ``verify`` (on the sampled events file), ``bound`` and
-``moments`` for ``golden_config.json``: 3 N x 3 seeds x bins 10/20, both
+``tests/data/golden_*`` hold the outputs of ``density`` (101 points),
+``replicate`` (JSON and CSV), ``sweep``, ``sample``, ``verify`` (on the sampled
+events file), ``bound`` and ``moments`` for ``golden_config.json``: 3 N x 3 seeds x bins 10/20, both
 orientations.  ``golden_madelung_config.json`` (a free Gaussian on 256 points,
 500 particles) pins the Madelung side: ``madelung`` (three polar snapshots
 and ``summary.json``) and ``trajectories`` (positions CSV and summary), both
@@ -98,6 +98,7 @@ def _load(path):
 # (id, config, argv, outputs) of each golden command, in an order where
 # ``verify`` reads the events that ``sample`` wrote
 GOLDEN_RUNS = [
+    ("density", CONFIG, ["density", "--points", "101", "--out", "{density.csv}"], ["density.csv"]),
     ("replicate", CONFIG, ["replicate", "--out", "{replicate.json}", "--csv", "{replicate.csv}"],
      ["replicate.json", "replicate.csv"]),
     ("sweep", CONFIG, ["sweep", "--n-grid", "100,1000,10000", "--seed-base", "1000",

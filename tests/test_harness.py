@@ -28,6 +28,7 @@ from bornlab.harness import (
     PATTERN_BUILDUP_N_VALUES,
     ReportRow,
     SweepResult,
+    _columns,
     config_from_json_dict,
     emit_report,
     ingest_events,
@@ -52,6 +53,12 @@ def small_config(**overrides):
     return replication_config(
         seeds=(1, 2), n_values=(13, 54), bin_counts=(10,), **overrides
     )
+
+
+def _report(rows):
+    """The report of ``rows`` in the reference order, the order
+    ``_verify_blocks`` gives its rows; ties keep their input order."""
+    return ConvergenceReport.from_columns(*_columns(sorted(rows, key=report_order)))
 
 
 def test_default_protocol_values():
@@ -115,7 +122,17 @@ def test_config_validation_errors(tmp_path):
         ({"madelung": {"trajectories": {"seed": -2}}}, "madelung.trajectories.seed"),
         ({"madelung": {"potential": {"kind": "tabulated", "values": [0.0]}}},
          "madelung.potential.values"),
-        ({"madelung": {"potential": {"kind": "harmonic", "omega": -1.0}}}, "madelung.potential"),
+        # a constructor's error names the entry its message starts with
+        ({"madelung": {"potential": {"kind": "harmonic", "omega": -1.0}}},
+         "madelung.potential.omega"),
+        ({"geometry": {"w_nm": -1}}, "geometry.w_nm"),
+        ({"geometry": {"d_nm": 50.0}}, "geometry.d_nm"),
+        ({"madelung": {"grid": {"points": 100}}}, "madelung.grid.points"),
+        ({"madelung": {"grid": {"x_max": -30.0}}}, "madelung.grid.x_max"),
+        ({"madelung": {"grid": {"hbar": 0}}}, "madelung.grid.hbar"),
+        ({"quadrature": {"rel_tol": 0}}, "quadrature.rel_tol"),
+        # and one that starts with no entry's name names the section
+        ({"interval": {"a_mm": 1.0, "b_mm": 1.0}}, "interval"),
     ]:
         with pytest.raises(ConfigError) as err:
             config_from_json_dict(obj)
@@ -461,39 +478,6 @@ def test_block_verify_matches_per_row():
         assert got == want and field_texts(got) == field_texts(want)
 
 
-@st.composite
-def _rows_with_tied_keys(draw):
-    """Report rows whose (N, bin count, origin, seed) keys come from a small
-    drawn pool, so keys tie, each row's sup its place in the list: seeds
-    None or up to 2**64 - 1, N up to 1e12."""
-    pool = draw(st.lists(st.tuples(
-        st.integers(1, 10**12) | st.sampled_from([13, 54]), st.sampled_from([10, 20]),
-        st.sampled_from(Origin),
-        st.none() | st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**63, 2**64 - 1])),
-        min_size=1, max_size=6))
-    keys = draw(st.lists(st.sampled_from(pool), max_size=12))
-    return [ReportRow(seed, n, float(i), 0.5, 0.58, 0.1, 0.2, True, True, False, False, bins,
-                      origin, -1.0, 1.0) for i, (n, bins, origin, seed) in enumerate(keys)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(_rows_with_tied_keys())
-@example([ReportRow(seed, 13, float(i), 0.5, 0.58, 0.1, 0.2, True, True, False, False, 10,
-                    Origin.FROM_A, -1.0, 1.0) for i, seed in enumerate([2**64 - 1, None, 0, None])])
-# seeds one apart past 2**53, where a float or int64 cast would tie or wrap them
-@example([ReportRow(seed, 13, float(i), 0.5, 0.58, 0.1, 0.2, True, True, False, False, 10,
-                    Origin.FROM_A, -1.0, 1.0)
-          for i, seed in enumerate([2**64 - 1, 2**64 - 2, 2**63, 2**63 - 1])])
-def test_from_rows_orders_rows_as_the_reference_key(rows):
-    # from_rows orders rows as sorted() over the reference key per row: ties
-    # keep their input order, None comes first and seeds past 2**63 keep
-    # their order
-    want = tuple(sorted(rows, key=report_order))
-    assert ConvergenceReport.from_rows(rows).rows == want
-    assert ConvergenceReport.from_rows(rows[::-1]).rows == tuple(sorted(rows[::-1],
-                                                                        key=report_order))
-
-
 def test_block_verify_orders_rows_as_the_reference_key():
     # three runs of ascending seeds ([None] first, as verify_events passes it,
     # then chunks of sorted seeds up to 2**64 - 1), with bin counts (20, 10)
@@ -819,7 +803,7 @@ def test_emit_and_load_csv_round_trip(tmp_path):
 
 
 def test_emit_empty_report(tmp_path):
-    empty = ConvergenceReport.from_rows([])
+    empty = _report([])
     jpath = tmp_path / "empty.json"
     cpath = tmp_path / "empty.csv"
     emit_report(empty, "json", jpath)
@@ -884,7 +868,7 @@ def test_report_text_matches_json_dumps_and_csv_writer(rows):
     # object it holds, NaN and Infinity spelled the json way, and hold the
     # rows and summary; the CSV must be what a csv.writer loop writes; both
     # texts must read back through load_report to the same text
-    report = ConvergenceReport.from_rows(rows)
+    report = _report(rows)
     text = {"json": report_text(report, "json"), "csv": report_text(report, "csv")}
     assert text["json"] == json.dumps(json.loads(text["json"]), indent=2) + "\n"
     assert text["json"] == json.dumps(_report_object(report.rows), indent=2) + "\n"
@@ -902,7 +886,7 @@ def test_report_text_spells_equal_values_of_other_types_apart():
     # not a float keeps its own repr beside an equal float in the same report
     rows = [ReportRow(1, 4, 1.0, 0.5, np.float64(0.5), 1.0, True, True, True, True, True,
                       2, Origin.FROM_A, -1, 1)]
-    report = ConvergenceReport.from_rows(rows)
+    report = _report(rows)
     assert report_text(report, "csv") == report_csv(report)
     assert report_text(report, "json") == report_json(report)
     assert report_text(report, "csv").splitlines()[1].split(",")[2:7] == [
@@ -959,12 +943,12 @@ def _rows_sharing_floats(draw):
 def test_report_text_matches_row_by_row_reference(rows):
     # the column-wise writer writes what the reference writes row by row, and
     # one report's cells serve both formats in either order
-    want = {"json": report_json(ConvergenceReport.from_rows(rows)),
-            "csv": report_csv(ConvergenceReport.from_rows(rows))}
+    want = {"json": report_json(_report(rows)),
+            "csv": report_csv(_report(rows))}
     for fmt in want:
-        assert report_text(ConvergenceReport.from_rows(rows), fmt) == want[fmt]
+        assert report_text(_report(rows), fmt) == want[fmt]
     for order in (("csv", "json"), ("json", "csv")):
-        report = ConvergenceReport.from_rows(rows)
+        report = _report(rows)
         for fmt in order:
             assert report_text(report, fmt) == want[fmt], order
 
@@ -984,7 +968,7 @@ def test_paper_size_report_matches_row_by_row_reference():
        st.lists(st.tuples(st.integers(1, 10**12), _REPORT_FLOAT), max_size=3))
 def test_sweep_text_matches_json_dumps(rows, exponent, medians):
     # sweep writes its rows with the report writer, the fit and medians first
-    report = ConvergenceReport.from_rows(rows)
+    report = _report(rows)
     want = {"fitted_exponent": exponent,
             "medians": [{"N": n, "median_sup_deviation": m} for n, m in medians],
             **_report_object(report.rows)}
@@ -1095,7 +1079,7 @@ def test_load_report_names_row_and_column(tmp_path, case):
     fmt, edit, line, words = _BAD_REPORTS[case]
     rows = [ReportRow(seed, 13, 0.25, 0.5, 0.58, 0.125, 0.145, True, True, False, False,
                       10, Origin.FROM_A, -1.0, 1.0) for seed in (1, 2)]
-    good = report_text(ConvergenceReport.from_rows(rows), fmt)
+    good = report_text(_report(rows), fmt)
     path = tmp_path / f"report.{fmt}"
     path.write_text(good)
     assert load_report(path).rows == tuple(rows)
@@ -1142,14 +1126,14 @@ def test_report_floats_scale_free_in_i0(i0):
 
 
 def test_emit_rejects_unknown_format(tmp_path):
-    report = ConvergenceReport.from_rows([])
+    report = _report([])
     with pytest.raises(ValueError):
         emit_report(report, "yaml", tmp_path / "x.yaml")
 
 
 def test_load_rejects_unknown_format(tmp_path):
     path = tmp_path / "x.yaml"
-    emit_report(ConvergenceReport.from_rows([]), "json", path)
+    emit_report(_report([]), "json", path)
     with pytest.raises(ValueError, match="^format must be 'json' or 'csv', got 'yaml'$"):
         load_report(path, "yaml")
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +294,7 @@ def test_advect_plane_wave_uniform_motion():
     grid = Grid(-20.0, 20.0, 512, dt=1e-3)
     p = decompose_polar(plane_wave(grid, k_index=8))
     ens = TrajectoryEnsemble(np.array([-5.0, 0.0, 3.0]))
-    out = advect_trajectories(ens, p)
+    out = advect_trajectories(ens, p, replace(p, time=grid.dt))  # the field one dt later
     k = 2.0 * math.pi * 8 / grid.length
     step = grid.hbar * k / grid.mass * grid.dt
     assert out.positions - ens.positions == pytest.approx(step, rel=1e-10)
@@ -304,7 +305,7 @@ def test_advect_stationary_state_zero_velocity():
     grid = Grid(-12.0, 12.0, 1024, dt=1e-3)
     p = decompose_polar(harmonic_ground_state(grid, omega=1.0))
     ens = TrajectoryEnsemble(np.array([-1.0, 0.5]))
-    out = advect_trajectories(ens, p)
+    out = advect_trajectories(ens, p, replace(p, time=grid.dt))
     assert out.positions == pytest.approx(ens.positions, abs=1e-9)
 
 
@@ -316,7 +317,7 @@ def test_node_collision_freezes_and_counts():
     mask = r < 1e-6 * r.max()
     p = PolarField(grid, r, s, mask, 0.0)
     ens = TrajectoryEnsemble(np.array([5.0, 27.5]))
-    out = advect_trajectories(ens, p)
+    out = advect_trajectories(ens, p, replace(p, time=grid.dt))
     assert out.collisions == 1
     assert out.frozen[1] and not out.frozen[0]
     assert out.positions[1] == 27.5  # frozen in place
@@ -349,8 +350,8 @@ def test_trajectories_command_builds_each_velocity_field_once(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("block", [None, 4, 2], ids=["one_block", "blocks_of_4", "blocks_of_2"])
-@pytest.mark.parametrize("two_snapshots", [True, False], ids=["heun", "frozen_field"])
-def test_advect_result_does_not_depend_on_particle_order(two_snapshots, block, monkeypatch):
+@pytest.mark.parametrize("field_moves", [True, False], ids=["heun", "frozen_field"])
+def test_advect_result_does_not_depend_on_particle_order(field_moves, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(madelung, "_ADVECT_BLOCK", block)
     grid = Grid(0.0, 64.0, 64, dt=1.0)
@@ -361,15 +362,15 @@ def test_advect_result_does_not_depend_on_particle_order(two_snapshots, block, m
     p = PolarField(grid, r, grid.hbar * (x + 0.01 * x * x), mask, 0.0)
     p_next = PolarField(grid, r, grid.hbar * (1.1 * x + 0.01 * x * x), mask, 1.0)
     # unsorted, with ties and seven members frozen from the start, 8..11 a
-    # whole block of 4 with no active member; the steps from 24.0 (Heun) and
-    # 24.6 (midpoint) read velocity in the node cells, and probes from 62.0
-    # (Heun) and 63.0 (midpoint) leave the domain; NaN and starts outside the
-    # domain only freeze
+    # whole block of 4 with no active member; the probes from 24.0 and 24.6
+    # read velocity in the node cells, and the steps from 62.0, 62.5 and 63.0
+    # leave the domain; NaN and starts outside the domain only freeze
     start = np.array([63.0, 5.0, 24.0, 27.5, 62.0, 24.6, 5.0, 40.0, 12.0, 50.0, 12.0,
                       20.0, 10.25, 0.5, 61.5, 33.0, 24.0, 45.0, 62.5, np.nan, -5.0, 70.0])
     frozen = np.zeros(start.size, dtype=bool)
     frozen[[1, 7, 8, 9, 10, 11, 15]] = True
-    pair = (p, p_next) if two_snapshots else (p,)
+    # a frozen field is the same field at both snapshots
+    pair = (p, p_next if field_moves else replace(p, time=1.0))
     # storage slot j holds particle labels[j]; the labels ride through unchanged
     labels = np.random.default_rng(3).permutation(start.size)
     whole = advect_trajectories(TrajectoryEnsemble(start, 0.0, frozen, 2, labels.copy()), *pair)
@@ -388,10 +389,10 @@ def test_advect_result_does_not_depend_on_particle_order(two_snapshots, block, m
     moved = ~whole.frozen
     assert moved.sum() >= 5 and (whole.positions[moved] > start[moved]).all()
     if block == 2:
-        # both kinds of block in one call: (10.25, 0.5), and for the midpoint
-        # step (24.0, 45.0), keep every member active and inside the domain,
-        # so no freeze mask is built; each other block holds a frozen member,
-        # a NaN or a step that leaves the domain or reads a node cell
+        # both kinds of block in one call: (10.25, 0.5) keeps every member
+        # active and inside the domain, so no freeze mask is built; each other
+        # block holds a frozen member, a NaN or a step that leaves the domain
+        # or reads a node cell
         masked = [(frozen | whole.frozen)[i:i + block].any() for i in range(0, start.size, block)]
         assert False in masked and True in masked
 
