@@ -319,15 +319,17 @@ def _entries(value, key: str, defaults: Mapping, others=()) -> dict:
 def _build(make, key: str, *args, **kwargs):
     """``make(*args, **kwargs)``, a ValueError from it raised as a ConfigError.
     A message that starts with the name of one of ``kwargs`` names that entry,
-    ``key.name`` (a SlitGeometry field by its config name, ``_GEOMETRY``); any
-    other names ``key``."""
+    ``key.name``, with every SlitGeometry field in it by its config name
+    (``_GEOMETRY``); any other names ``key``."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
         word, _, rest = str(exc).partition(" ")
         if word not in kwargs:
             raise ConfigError(f"{key}: {exc}", key=key) from exc
-        entry = _join(key, next((name for name, f in _GEOMETRY.items() if f == word), word))
+        for name, f in _GEOMETRY.items():  # each SlitGeometry field by its config name
+            word, rest = word.replace(f, name), rest.replace(f, _join(key, name))
+        entry = _join(key, word)
         raise ConfigError(f"{entry} {rest}", key=entry) from exc
 
 

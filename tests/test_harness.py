@@ -137,6 +137,10 @@ def test_config_validation_errors(tmp_path):
         with pytest.raises(ConfigError) as err:
             config_from_json_dict(obj)
         assert err.value.key == key
+    # every SlitGeometry field in the message goes by its config name, not only the first
+    with pytest.raises(ConfigError) as err:
+        config_from_json_dict({"geometry": {"d_nm": 50}})
+    assert str(err.value) == "geometry.d_nm (50.0 nm) must exceed geometry.w_nm (62.0 nm)"
     with pytest.raises(ConfigError) as err:
         replication_config(seeds=(3, 3))
     assert err.value.key == "seeds[1]"
@@ -325,6 +329,33 @@ def test_replication_row_grid_and_summary():
     )
     keys = [(r.N, r.bin_count, r.origin.value, r.seed) for r in report.rows]
     assert keys == sorted(keys)
+
+
+def test_origins_give_the_same_sup_up_to_rounding():
+    """The ``from_b`` sup is the ``from_a`` deviation at the mirrored edge.
+
+    With C_k the cumulative count and F_k the CDF at edge k, ``from_b`` compares
+    (N - C_k) / N with 1 - F_k, and (N - C_k) / N - (1 - F_k) = F_k - C_k / N,
+    the ``from_a`` deviation e_k, so the two sups are one number up to rounding.
+    The cumulative counts are integers (exact), so with u = eps / 2:
+    ``from_a`` rounds C_k / N (an error of at most u, as C_k / N <= 1) and the
+    difference (at most u |e_k| + u^2); ``from_b`` rounds (N - C_k) / N and
+    1 - F_k (at most u each) and the difference (at most u |e_k| + 2u^2).  So
+    each edge's two deviations differ by at most 3u + 2u |e_k| + 3u^2, and the
+    sups by at most k eps with k = 3/2 + S + (3/4) eps, S the largest |e_k|.  The
+    bound is absolute, not a multiple of the sup: the rounding of 1 - F_k does
+    not shrink with it.  A computed sup is within u (1 + S + u) <= eps + u^2 of
+    S, so k <= 3/2 + sup + 2 eps.  On this report the two differ by at most
+    half an eps."""
+    report = run_paper_replication(replication_config(seeds=(1, 2), bin_counts=(10, 20, 50, 100)))
+    sups = {}
+    for r in report.rows:
+        sups.setdefault((r.N, r.bin_count, r.seed), {})[r.origin] = r.sup_deviation
+    assert len(sups) == 9 * 4 * 2
+    eps = np.finfo(float).eps
+    for pair in sups.values():
+        a, b = pair[Origin.FROM_A], pair[Origin.FROM_B]
+        assert abs(a - b) <= (1.5 + max(a, b) + 2 * eps) * eps
 
 
 def test_replication_is_deterministic():

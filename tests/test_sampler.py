@@ -23,6 +23,7 @@ from bornlab.born_density import (
     TabulatedDensity,
     _CdfTable,
     _cdf_table,
+    _newton_form,
     _read_csv,
     cdf,
     cdf_at_points,
@@ -32,8 +33,8 @@ from bornlab.born_density import (
 from bornlab.errors import DegenerateState, EmptyFile, OutOfInterval, ParseError
 from bornlab.quadrature import DEFAULT_QUADRATURE, Interval
 from bornlab.harness import experiment_density, load_config
-from bornlab.madelung import (Grid, PolarField, TrajectoryEnsemble, write_polar_csv,
-                              write_trajectories_csv)
+from bornlab.madelung import (Grid, PolarField, TrajectoryEnsemble, decompose_polar,
+                              gaussian_packet, write_polar_csv, write_trajectories_csv)
 from bornlab.sampler import (
     bin_counts,
     discrete_frequencies,
@@ -333,8 +334,55 @@ def test_most_mass_is_inverted_by_polynomials():
     assert 0 < np.count_nonzero(~table._poly & (mass > 0)) < 0.1 * np.count_nonzero(mass > 0)
 
 
+def _trajectories_r2():
+    """R^2 of the trajectories benchmark's free Gaussian (grid -40..40 on 2,048
+    points, sigma 1, k_index 10), the density its particles are drawn from."""
+    grid = Grid(x_min=-40.0, x_max=40.0, points=2048, dt=1e-3)
+    polar = decompose_polar(gaussian_packet(grid, sigma=1.0, k_index=10))
+    return TabulatedDensity(grid.x(), polar.R * polar.R)
+
+
 _SLIT = double_slit_density(SlitGeometry())
 _SLIT_TABLE = _fitted_table(_SLIT)
+_R2_TABLE = _fitted_table(_trajectories_r2())
+
+
+@pytest.mark.parametrize("table, passing, panels", [
+    (_SLIT_TABLE, 3863, 4151),
+    (_R2_TABLE, 1674, 6141),
+], ids=["double_slit", "trajectories_r2"])
+def test_every_passing_fit_inverts_into_its_panel(table, passing, panels):
+    # a fit is checked only at the midpoints of the gaps between its u-nodes;
+    # 16 draws spread across each passing panel land in the panel and meet the
+    # 1e-10 contract on the table's CDF
+    assert (np.count_nonzero(table._poly), table._poly.size) == (passing, panels)
+    cum, knots = table.cum, table.knots
+    k = np.repeat(np.flatnonzero(table._poly), 16)
+    u = cum[k] + (cum[k + 1] - cum[k]) * np.tile((np.arange(16) + 0.5) / 16, passing)
+    own = u < cum[k + 1]  # a u that rounds up to cum[k + 1] is the next panel's
+    u, k = u[own], k[own]
+    x = table.invert(u)
+    assert np.all((knots[k] <= x) & (x <= knots[k + 1]))
+    assert np.abs(table.cdf(x) - u).max() <= _CdfTable.CDF_VALUE_TOL
+
+
+def test_tail_polynomials_are_clamped_into_their_panels():
+    # three far-tail panels of the benchmark's R^2 pass the midpoint check with
+    # masses of a few ulps of 1, and their polynomials overshoot the top of the
+    # panel between the checks.  u = cum[k] + t resolves no t that fine, so a
+    # copy of the table with cum shifted to 0 at the panel (exact near it, by
+    # Sterbenz) feeds _invert_block t itself
+    for k in (3666, 3670, 3679):
+        assert _R2_TABLE._poly[k]
+        a, b = _R2_TABLE.knots[k], _R2_TABLE.knots[k + 1]
+        t = (_R2_TABLE.cum[k + 1] - _R2_TABLE.cum[k]) * np.arange(1, 401) / 401
+        assert np.any(a + _newton_form(_R2_TABLE._coef[:, k], t) > b)
+        shifted = copy.copy(_R2_TABLE)
+        shifted.cum = _R2_TABLE.cum - _R2_TABLE.cum[k]
+        x = np.empty(t.size)
+        assert shifted._invert_block(t, np.arange(t.size), x)[0].size == 0
+        assert np.all((a <= x) & (x <= b))
+        assert np.abs(_R2_TABLE.partial(a, x) - t).max() <= _CdfTable.CDF_VALUE_TOL
 # the table edges where a polynomial panel meets a Newton panel
 _MIXED_EDGES = 1 + np.flatnonzero(_SLIT_TABLE._poly[:-1] != _SLIT_TABLE._poly[1:])
 
