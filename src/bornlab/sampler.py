@@ -177,6 +177,7 @@ def _event(row) -> float:
 
 
 _PLAIN_BYTES = b"0123456789+-.eE,\r\n"  # all a plain events file holds after its header
+_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")  # suffixes numpy's DataSource decompresses
 
 
 def _plain_events(path) -> np.ndarray | None:
@@ -184,17 +185,21 @@ def _plain_events(path) -> np.ndarray | None:
     line end, then only ``_PLAIN_BYTES``) in one ``np.loadtxt`` pass, else
     None.  Other bytes (quotes, whitespace, ``_``, ``nan``, non-ASCII) are where
     ``np.loadtxt`` and ``int``/``float`` could disagree; a row ``np.loadtxt``
-    rejects or a warning (a file with no data rows) also gives None."""
+    rejects or a warning (a file with no data rows) also gives None.  numpy's
+    chunked C reader reads it by absolute name; a ``_COMPRESSED`` name gives None."""
+    path = os.path.abspath(os.fsdecode(path))  # a str, never read as a URL
+    if os.path.splitext(path)[1] in _COMPRESSED:
+        return None
     with open(path, "rb") as fh:
         if fh.read(11) not in (b"index,t_mm\n", b"index,t_mm\r"):
             return None
         while chunk := fh.read(1 << 20):
             if chunk.translate(None, _PLAIN_BYTES):
                 return None
-    with open(path, newline="") as fh, warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            rows = np.loadtxt(fh, dtype=[("index", np.int64), ("t_mm", float)], delimiter=",",
+            rows = np.loadtxt(path, dtype=[("index", np.int64), ("t_mm", float)], delimiter=",",
                               comments=None, skiprows=1, ndmin=1)
         except (ValueError, Warning):
             return None
@@ -207,8 +212,9 @@ def read_events_csv(path) -> np.ndarray:
     checked, and rows are used in file order.
 
     A plain file (digits, ``+-.eE``, commas and line ends after the header) is
-    parsed in one vectorized pass.  Any other file, or a plain one that pass
-    rejects, goes through the row parser ``born_density._read_csv``, which
-    gives the same result and raises every error with its line number."""
+    read by name in numpy's chunked C reader.  Any other file, a name ending in
+    ``.gz``, ``.bz2``, ``.xz`` or ``.lzma``, or a plain file that reader rejects
+    goes through the row parser ``born_density._read_csv``, which gives the
+    same result and raises every error with its line number."""
     positions = _plain_events(path)
     return np.array(_read_csv(path, ("index", "t_mm"), _event)) if positions is None else positions

@@ -18,6 +18,10 @@ The intensity oracle is the closed form written one numpy expression per
 term, each a fresh array; the in-place kernel of ``double_slit_density``
 must give its bits.
 
+``scipy_cdf`` is the default double slit's CDF by scipy's QUADPACK on the
+closed form, independent of bornlab's quadrature and CDF table: the draws,
+the edge CDFs and the exact law of the binned sups are checked against it.
+
 The quantile map of a density tabulated on a grid (its trapezoid CDF, read
 by ``np.interp`` both ways) is the equivariance oracle of the trajectories:
 in one dimension a Bohmian particle that starts at quantile u of R^2(0) sits
@@ -25,6 +29,7 @@ at quantile u of R^2(t).
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bornlab.berry_esseen import BinningScheme, Origin
+from bornlab.born_density import SlitGeometry, double_slit_density
 from bornlab.errors import EmptyHistogram
 
 
@@ -173,6 +179,56 @@ def double_slit_intensity(g, t):
     s = np.sin(am_safe) / am_safe
     c = np.cos(an)
     return g.peak_height_I0 * (c * c) * (s * s)
+
+
+def _closed_form_intensity(g):
+    """The far-field two-slit intensity and its interior zeros, written out
+    from the formulas alone (independent of bornlab's density code)."""
+    w, dd, lam = g.slit_width_w * 1e-6, g.slit_separation_d * 1e-6, g.wavelength_lambda * 1e-9
+    big_l, mu = g.screen_distance_L, g.center_mu
+
+    def intensity(t):
+        m = math.pi * w / (lam * math.hypot(big_l, t - mu))
+        n = m * dd / w
+        return g.peak_height_I0 * math.cos(n * (t - mu)) ** 2 * np.sinc(m * (t - mu) / math.pi) ** 2
+
+    offsets = []
+    for width, shift in ((w, 0.0), (dd, 0.5)):
+        k = 0
+        while (k + shift) * lam < width:
+            if k + shift > 0:
+                kl = (k + shift) * lam
+                offsets.append(kl * big_l / math.sqrt(width * width - kl * kl))
+            k += 1
+    return intensity, sorted({mu + s * z for z in offsets for s in (-1, 1)})
+
+
+@functools.cache
+def scipy_cdf():
+    """F(x) of the default double slit by scipy's QUADPACK on the closed-form
+    intensity, split at its closed-form zeros and normalized by its own total
+    mass: an oracle independent of bornlab's quadrature and CDF table.  Within
+    a segment between zeros it integrates the longer side of x, so the piece
+    it asks 1e-13 of is never a sliver next to a null (1e-26 of mass 1e-8
+    past one, where QUADPACK meets roundoff before the relative bound)."""
+    from scipy.integrate import quad
+
+    g = SlitGeometry()
+    iv = double_slit_density(g).support
+    intensity, zeros = _closed_form_intensity(g)
+    edges = np.array([iv.lo, *[z for z in zeros if iv.lo < z < iv.hi], iv.hi])
+
+    def integral(a, b):
+        return quad(intensity, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    below = np.concatenate([[0.0], np.cumsum([integral(a, b) for a, b in zip(edges[:-1], edges[1:])])])
+
+    def f_scipy(x):
+        j = min(int(np.searchsorted(edges, x, side="right")) - 1, edges.size - 2)
+        if x - edges[j] < edges[j + 1] - x:
+            return (below[j + 1] - integral(x, edges[j + 1])) / below[-1]
+        return (below[j] + integral(edges[j], x)) / below[-1]
+    return f_scipy
 
 
 def _trapezoid_cdf(x, density):

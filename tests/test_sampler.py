@@ -1,6 +1,5 @@
 import copy
 import csv
-import functools
 import io
 import math
 import os
@@ -44,6 +43,7 @@ from bornlab.sampler import (
     sample_positions,
     write_events_csv,
 )
+from reference import scipy_cdf
 
 UNIT = Interval(0.0, 1.0)
 
@@ -86,62 +86,12 @@ def test_result_hits_cdf_tolerance():
         assert abs(cdf(d, d.support, float(x)) - u) <= 2e-10
 
 
-def _closed_form_intensity(g):
-    """The far-field two-slit intensity and its interior zeros, written out
-    from the formulas alone (independent of bornlab's density code)."""
-    w, dd, lam = g.slit_width_w * 1e-6, g.slit_separation_d * 1e-6, g.wavelength_lambda * 1e-9
-    big_l, mu = g.screen_distance_L, g.center_mu
-
-    def intensity(t):
-        m = math.pi * w / (lam * math.hypot(big_l, t - mu))
-        n = m * dd / w
-        return g.peak_height_I0 * math.cos(n * (t - mu)) ** 2 * np.sinc(m * (t - mu) / math.pi) ** 2
-
-    offsets = []
-    for width, shift in ((w, 0.0), (dd, 0.5)):
-        k = 0
-        while (k + shift) * lam < width:
-            if k + shift > 0:
-                kl = (k + shift) * lam
-                offsets.append(kl * big_l / math.sqrt(width * width - kl * kl))
-            k += 1
-    return intensity, sorted({mu + s * z for z in offsets for s in (-1, 1)})
-
-
-@functools.cache
-def _scipy_cdf():
-    """F(x) of the default double slit by scipy's QUADPACK on the closed-form
-    intensity, split at its closed-form zeros and normalized by its own total
-    mass: an oracle independent of bornlab's quadrature and CDF table.  Within
-    a segment between zeros it integrates the longer side of x, so the piece
-    it asks 1e-13 of is never a sliver next to a null (1e-26 of mass 1e-8
-    past one, where QUADPACK meets roundoff before the relative bound)."""
-    from scipy.integrate import quad
-
-    g = SlitGeometry()
-    iv = double_slit_density(g).support
-    intensity, zeros = _closed_form_intensity(g)
-    edges = np.array([iv.lo, *[z for z in zeros if iv.lo < z < iv.hi], iv.hi])
-
-    def integral(a, b):
-        return quad(intensity, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-
-    below = np.concatenate([[0.0], np.cumsum([integral(a, b) for a, b in zip(edges[:-1], edges[1:])])])
-
-    def f_scipy(x):
-        j = min(int(np.searchsorted(edges, x, side="right")) - 1, edges.size - 2)
-        if x - edges[j] < edges[j + 1] - x:
-            return (below[j + 1] - integral(x, edges[j + 1])) / below[-1]
-        return (below[j] + integral(edges[j], x)) / below[-1]
-    return f_scipy
-
-
 def test_draws_match_scipy_quad_cdf():
     # the oracle checks both the draws and the theoretical CDF at the bin
     # edges that verification reads
     d = double_slit_density(SlitGeometry())
     iv = d.support
-    f_scipy = _scipy_cdf()
+    f_scipy = scipy_cdf()
     us = rng_from_seed(2024).random(200)
     xs = inverse_cdf_sample(d, iv, us)
     for u, x in zip(us, xs):
@@ -405,7 +355,7 @@ def test_draws_near_polynomial_newton_edges_hit_the_cdf(edge, share, ulps):
     u = float(min(max(u, 0.0), np.nextafter(1.0, 0.0)))
     x = inverse_cdf_sample(_SLIT, _SLIT.support, u)
     assert abs(cdf(_SLIT, _SLIT.support, x) - u) <= _CdfTable.CDF_VALUE_TOL
-    assert abs(_scipy_cdf()(x) - u) <= 2e-10
+    assert abs(scipy_cdf()(x) - u) <= 2e-10
 
 
 class _NullInEveryPanel(DensityModel):
@@ -946,7 +896,43 @@ def test_plain_events_files_skip_the_row_parser(tmp_path, monkeypatch):
         raise AssertionError("the row parser ran on a plain events file")
     monkeypatch.setattr(sampler, "_read_csv", row_parser)
     for path in (crlf, lf):
-        assert read_events_csv(path).tobytes() == np.array(values).tobytes()
+        # np.loadtxt takes a str name; a bytes name made it raise TypeError
+        for name in (path, str(path), os.fsencode(path)):
+            assert read_events_csv(name).tobytes() == np.array(values).tobytes(), name
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_events_named_like_compressed_files(tmp_path, suffix):
+    # given such a name, np.loadtxt decompresses the file and raises
+    p = tmp_path / f"e.csv{suffix}"
+    write_events_csv([0.5, -0.25, 1e-300], p)
+    assert _outcome(read_events_csv, p) == np.array([0.5, -0.25, 1e-300]).tobytes()
+    assert _outcome(read_events_csv, p) == _outcome(_row_parsed_events, p)
+
+
+def test_compressed_suffixes_cover_numpys_openers():
+    # a numpy that decompresses one more suffix must be sent to the row parser too
+    from numpy.lib import _datasource
+    assert set(_datasource._file_openers.keys()) - {None} <= set(sampler._COMPRESSED)
+
+
+def test_url_like_events_name_is_read_as_a_local_file(tmp_path, monkeypatch):
+    # numpy's DataSource reads a relative "http://host/..." name as a URL: it
+    # makes ./host/ and downloads the file into it
+    import urllib.request
+
+    def urlopen(*args, **kwargs):
+        raise AssertionError("an events file was fetched as a URL")
+
+    def row_parser(*args, **kwargs):
+        raise AssertionError("the row parser ran on a plain events file")
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    monkeypatch.setattr(sampler, "_read_csv", row_parser)
+    monkeypatch.chdir(tmp_path)
+    os.makedirs("http:/example.com")
+    write_events_csv([0.5, -0.25], "http:/example.com/e.csv")
+    assert read_events_csv("http://example.com/e.csv").tobytes() == np.array([0.5, -0.25]).tobytes()
+    assert sorted(os.listdir(tmp_path)) == ["http:"]
 
 
 @pytest.mark.parametrize("existing", [True, False])
